@@ -31,7 +31,7 @@ import (
 )
 
 // benchRow runs one table row for b.N iterations with breakpoints
-// enabled and reports the probability metrics.
+// enabled (fn may switch them off) and reports the probability metrics.
 func benchRow(b *testing.B, timeout time.Duration, fn harness.RunFunc) {
 	b.Helper()
 	buggy, hits := 0, 0
@@ -62,16 +62,48 @@ func benchRow(b *testing.B, timeout time.Duration, fn harness.RunFunc) {
 func BenchmarkTable1(b *testing.B) {
 	for _, row := range harness.Table1Rows() {
 		row := row
-		name := fmt.Sprintf("%s/%s", row.Benchmark, row.BugLabel)
-		if row.Comments != "" {
-			name += "/" + sanitize(row.Comments)
+		b.Run(table1Name(row), func(b *testing.B) {
+			benchRow(b, table1Timeout(row), row.Run)
+		})
+	}
+}
+
+func table1Name(row harness.RowSpec) string {
+	name := fmt.Sprintf("%s/%s", row.Benchmark, row.BugLabel)
+	if row.Comments != "" {
+		name += "/" + sanitize(row.Comments)
+	}
+	return name
+}
+
+func table1Timeout(row harness.RowSpec) time.Duration {
+	if row.Timeout == 0 {
+		return harness.ShortPause
+	}
+	return row.Timeout
+}
+
+// BenchmarkNoBreakpoint runs every Table 1 and Table 2 row with its
+// breakpoints off, as the tables' Normal column does, so hit-prob is the
+// bug's natural rate: the paper's premise needs it near 0. EXPERIMENTS.md
+// records it at -benchtime 200x -cpu 1,2.
+func BenchmarkNoBreakpoint(b *testing.B) {
+	natural := func(run harness.RunFunc) harness.RunFunc {
+		return func(e *core.Engine, _ bool, to time.Duration) appkit.Result {
+			e.SetEnabled(false)
+			return run(e, false, to)
 		}
-		b.Run(name, func(b *testing.B) {
-			timeout := row.Timeout
-			if timeout == 0 {
-				timeout = harness.ShortPause
-			}
-			benchRow(b, timeout, row.Run)
+	}
+	for _, row := range harness.Table1Rows() {
+		row := row
+		b.Run("table1/"+table1Name(row), func(b *testing.B) {
+			benchRow(b, table1Timeout(row), natural(row.Run))
+		})
+	}
+	for _, row := range harness.Table2Rows() {
+		row := row
+		b.Run("table2/"+sanitize(row.Benchmark+"/"+row.Error), func(b *testing.B) {
+			benchRow(b, harness.ShortPause, natural(row.Run))
 		})
 	}
 }

@@ -292,3 +292,53 @@ func Capture(f func() Result) (res Result) {
 	}()
 	return f()
 }
+
+// Busy performs n iterations of deterministic thread-local computation
+// and returns its result. Workloads use it for the local work a thread
+// does between its shared accesses. Unlike a sleep, it does not round up
+// to the timer tick (which wakes two sleep-paced threads together), and
+// it scales with the machine like the instrumented shared accesses do,
+// so the share of a thread's time spent inside a race window is about
+// the same on any machine. It is kept out of line so that a caller that
+// discards the result still pays for the work.
+//
+//go:noinline
+func Busy(n int) int64 {
+	var acc int64 = 1
+	for i := 0; i < n; i++ {
+		acc = acc*6364136223846793005 + 1442695040888963407
+	}
+	return acc
+}
+
+// Progress counts the steps a goroutine completes, so that another
+// goroutine can wait until it has moved past a point without assuming
+// anything about timing. A writer that perturbs shared state uses it to
+// restore the state only after the reader has finished the step the
+// perturbation landed in. Done marks the counted goroutine as finished,
+// normally or by panicking, so a waiter never waits for a goroutine that
+// is gone. The zero value is ready to use.
+type Progress struct {
+	steps atomic.Int64
+	done  atomic.Bool
+}
+
+// Step records one completed step.
+func (p *Progress) Step() { p.steps.Add(1) }
+
+// Done marks the counted goroutine as finished.
+func (p *Progress) Done() { p.done.Store(true) }
+
+// Finished reports whether Done has been called.
+func (p *Progress) Finished() bool { return p.done.Load() }
+
+// Steps returns the number of completed steps.
+func (p *Progress) Steps() int64 { return p.steps.Load() }
+
+// AwaitPast blocks until more than mark steps have completed or the
+// counted goroutine is done, checking back every millisecond.
+func (p *Progress) AwaitPast(mark int64) {
+	for p.steps.Load() <= mark && !p.Finished() {
+		time.Sleep(time.Millisecond)
+	}
+}

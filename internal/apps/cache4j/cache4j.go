@@ -211,7 +211,10 @@ func (c *Cache) Remove(key string) {
 // sizeAdd is the race3 site: a read-modify-write counter update. The
 // increment (put) side skips its warm-up arrivals via IgnoreFirst.
 func (c *Cache) sizeAdd(delta int64, site string) {
-	v := c.size.Load(site + ".read")
+	// Both labels are built before the read, so the racy window holds
+	// only the breakpoint.
+	readSite, writeSite := site+".read", site+".write"
+	v := c.size.Load(readSite)
 	if c.cfg.bug(Race3) {
 		first := delta < 0 // removals are the first-action side
 		opts := core.Options{Timeout: c.cfg.Timeout, Bound: 1}
@@ -220,7 +223,7 @@ func (c *Cache) sizeAdd(delta int64, site string) {
 		}
 		c.cfg.handle().Trigger(core.NewConflictTrigger(BPRace3, c.size), first, opts)
 	}
-	c.size.Store(site+".write", v+delta)
+	c.size.Store(writeSite, v+delta)
 }
 
 // Size returns the (possibly drifted) size counter.
@@ -417,38 +420,44 @@ func Run(cfg Config) appkit.Result {
 	return res
 }
 
+// runRace1 resets the statistics once the reader's burst of traffic has
+// ended, while the reader keeps issuing paced requests. The reset is
+// armed by a handshake, not a sleep, so it always follows the burst
+// whatever the machine's speed.
+//
+// The oracle counts requests: a reset that takes effect leaves only the
+// paced requests made after it, at most ops/2, while a lost reset
+// resurrects the burst's ops/2 hits through the reader's stale store
+// and ends with all ops counted. Hits above ops/2 at the end are a lost
+// reset.
 func runRace1(cache *Cache, cfg *Config) appkit.Result {
 	cfg.race1Pending = memory.NewCell(nil, "cache4j.resetPending", 0)
-	lost := memory.NewCell(nil, "lostReset", 0)
+	burst := cfg.ops() / 2
+	burstDone := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // reader: a burst of traffic, then a steady cadence
 		defer wg.Done()
-		for i := 0; i < cfg.ops()/2; i++ {
+		for i := 0; i < burst; i++ {
 			cache.Get("warm-1") // accumulates a realistic hit count fast
 		}
-		for i := 0; i < cfg.ops()/2; i++ {
+		close(burstDone)
+		for i := 0; i < cfg.ops()-burst; i++ {
 			cache.Get("warm-1")
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	go func() { // stats reset mid-run
+	go func() { // stats reset after the burst
 		defer wg.Done()
-		time.Sleep(time.Millisecond)
+		<-burstDone
 		cfg.race1Pending.Store("cache.go:reset.arm", 1)
 		cache.ResetStats() // returns after the reset ran (post-match on a hit)
 		cfg.race1Pending.Store("cache.go:reset.disarm", 0)
-		// A successful reset leaves hits near zero (only the paced
-		// requests of the next moment); a lost reset resurrects the
-		// large pre-reset count via the reader's stale store.
-		time.Sleep(time.Millisecond)
-		if cache.Hits() > int64(cfg.ops())/4 {
-			lost.Store("check", 1)
-		}
 	}()
 	wg.Wait()
-	if lost.Load("check") > 0 {
-		return appkit.Result{Status: appkit.TestFail, Detail: "hit counter resurrected a stale value"}
+	if got := cache.Hits(); got > int64(burst) {
+		return appkit.Result{Status: appkit.TestFail,
+			Detail: fmt.Sprintf("hit counter resurrected a stale value: %d hits, at most %d after the reset", got, burst)}
 	}
 	return appkit.Result{Status: appkit.OK}
 }

@@ -64,19 +64,10 @@ func (c *Config) work() int {
 	return c.Work
 }
 
-// busy performs deterministic work standing in for f1()..f6().
-func busy(n int) int64 {
-	var acc int64 = 1
-	for i := 0; i < n; i++ {
-		acc = acc*6364136223846793005 + 1442695040888963407
-	}
-	return acc
-}
-
 // foo is thread1 of Figure 4: lines 1-9.
 func foo(o *XObject, cfg *Config, sink *int64) bool {
 	o.mu.With(func() { // line 1
-		*sink += busy(cfg.work()) // lines 2-6: f1()..f5()
+		*sink += appkit.Busy(cfg.work()) // lines 2-6: f1()..f5()
 	}) // line 7
 	if cfg.Breakpoint {
 		// Line 8 side: the check must execute before line 10's write.
@@ -98,7 +89,7 @@ func bar(o *XObject, cfg *Config, sink *int64) {
 	}
 	o.X.Store("fig4:10", 1) // line 10
 	o.mu.With(func() {      // line 11
-		*sink += busy(cfg.work() / 100) // line 12: f6()
+		*sink += appkit.Busy(cfg.work() / 100) // line 12: f6()
 	}) // line 13
 }
 

@@ -56,10 +56,10 @@ func TestStepProbabilityMatchesIntuition(t *testing.T) {
 }
 
 func TestBusyDeterministic(t *testing.T) {
-	if busy(1000) != busy(1000) {
+	if appkit.Busy(1000) != appkit.Busy(1000) {
 		t.Fatal("busy not deterministic")
 	}
-	if busy(10) == busy(11) {
+	if appkit.Busy(10) == appkit.Busy(11) {
 		t.Fatal("busy ignores n")
 	}
 }

@@ -78,6 +78,9 @@ func TestServerCrashReproduces(t *testing.T) {
 }
 
 func TestWithoutBreakpointsMostlyOK(t *testing.T) {
+	// Measured no-breakpoint rates (EXPERIMENTS.md, 300 runs each): log
+	// corruption 4/300 at GOMAXPROCS=2 and 0/300 at 1, server crash
+	// 0/300 at both. A bug fails the test at 3 of 5 runs: 2e-5 at 4/300.
 	for _, bug := range []Bug{LogCorruption, ServerCrash} {
 		bugs := 0
 		for i := 0; i < 5; i++ {

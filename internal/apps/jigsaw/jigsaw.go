@@ -329,17 +329,32 @@ func Run(cfg Config) appkit.Result {
 	return res
 }
 
+// requestWork is how long a connection works on a request before it
+// reaches the factory: reading the request and producing the page.
+const requestWork = time.Millisecond
+
+// runDeadlock1 finishes client connections while the admin kills idle
+// clients. The admin's command arrives, by a handshake, as the first
+// connection starts its work, so it overlaps the connection loop at the
+// same point on any machine: it takes the factory monitor and csList
+// during that work, and meets a connection inside its csList-then-factory
+// window only if the scheduler delays it past a whole request. With the
+// breakpoint, the admin waits in its window for the connection to enter
+// its own.
 func runDeadlock1(f *Factory, cfg *Config) appkit.Result {
 	done := make(chan struct{}, 2)
+	working := make(chan struct{})
 	go func() { // client connections finishing
+		close(working)
 		for i := 0; i < cfg.requests()/4; i++ {
+			time.Sleep(requestWork)
 			f.ClientConnectionFinished(0)
 			f.incrIdleCount(0)
 		}
 		done <- struct{}{}
 	}()
 	go func() { // admin killing idle clients
-		time.Sleep(time.Millisecond)
+		<-working
 		f.KillClients()
 		done <- struct{}{}
 	}()
@@ -348,16 +363,24 @@ func runDeadlock1(f *Factory, cfg *Config) appkit.Result {
 	return appkit.Result{Status: appkit.OK}
 }
 
+// runDeadlock2 logs requests while the admin shuts the server down, with
+// the same handshake as runDeadlock1: the shutdown arrives as the first
+// request is being worked on, and meets a log call inside its
+// logger-then-factory window only if the scheduler delays it past a
+// whole request.
 func runDeadlock2(f *Factory, cfg *Config) appkit.Result {
 	done := make(chan struct{}, 2)
+	working := make(chan struct{})
 	go func() {
+		close(working)
 		for i := 0; i < cfg.requests(); i++ {
+			time.Sleep(requestWork)
 			f.LogAccess(Request{Path: fmt.Sprintf("/page/%d", i)})
 		}
 		done <- struct{}{}
 	}()
 	go func() {
-		time.Sleep(time.Millisecond)
+		<-working
 		f.Shutdown()
 		done <- struct{}{}
 	}()
@@ -390,15 +413,25 @@ func runRace1(f *Factory, cfg *Config) appkit.Result {
 	for w := 0; w < 2; w++ {
 		go func(w int) {
 			defer wg.Done()
-			// Distinct per-worker cadences keep the two connection
-			// loops out of phase, so only the breakpoint-forced
-			// interleaving loses an update.
-			work := time.Duration(400+300*w) * time.Microsecond
+			// A connection waits on its socket, then computes its
+			// response before it goes idle again. The two waits differ,
+			// but every sleep under a millisecond rounds up to the same
+			// ~1.1 ms timer tick on Linux, so the cadences are nearly
+			// equal and workers that wake together stay close. The
+			// per-worker response work (about 150 µs and 400 µs on a
+			// 2.1 GHz Xeon) puts their increments apart after such a
+			// wake; the decrements need no offset, as each takes the
+			// factory monitor first. The loops still drift through
+			// each other's phase now and then, so once the breakpoint
+			// is spent a natural lost update remains possible.
+			wait := time.Duration(400+300*w) * time.Microsecond
+			respond := 94_000 + 156_000*w
 			for i := 0; i < cfg.requests()/2; i++ {
 				f.decrIdleCount(w)
-				time.Sleep(work) // connection work
+				time.Sleep(wait) // connection I/O
+				appkit.Busy(respond)
 				f.incrIdleCount(w)
-				time.Sleep(work / 2) // idle gap
+				time.Sleep(wait / 2) // idle gap
 			}
 		}(w)
 	}

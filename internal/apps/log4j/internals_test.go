@@ -8,10 +8,58 @@ import (
 	"cbreak/internal/core"
 )
 
+// quietAppender returns an appender with its breakpoints off. Its
+// dispatcher polls only once a minute, so a dispatcher the tests have
+// seen parked stays parked until it is notified.
 func quietAppender(buf int) *AsyncAppender {
 	e := core.NewEngine()
 	e.SetEnabled(false)
-	return NewAsyncAppender(buf, &Config{Engine: e})
+	return NewAsyncAppender(buf, &Config{Engine: e, Poll: time.Minute})
+}
+
+// awaitParked waits until the dispatcher is parked on its data
+// condition. Close (site 277) and SetBufferSize (site 236) notify
+// lossily by design: a request sent while the dispatcher is between its
+// checks and its wait is never acted on. That is the seeded bug the
+// contention tests reproduce, not what these tests check, so they
+// deliver each request to a parked dispatcher.
+func awaitParked(t *testing.T, app *AsyncAppender) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for app.data.Waiters() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// awaitExit waits a bounded time for the dispatcher to exit after Close.
+// If it does not, it tears the appender down through the dead switch, so
+// a regression fails in seconds instead of hanging the package.
+func awaitExit(t *testing.T, app *AsyncAppender, done <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		teardown(app, done)
+		t.Fatal("dispatcher never exited after close")
+	}
+}
+
+// teardown stops the dispatcher through the dead switch, waking it until
+// it has exited (it may park again between the switch and a wakeup).
+func teardown(app *AsyncAppender, done <-chan struct{}) {
+	app.dead.Store(true)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		app.data.NotifyAll()
+		select {
+		case <-done:
+			return
+		default:
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
 }
 
 func TestAppendAndDispatcherDrain(t *testing.T) {
@@ -28,12 +76,9 @@ func TestAppendAndDispatcherDrain(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	awaitParked(t, app)
 	app.Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("dispatcher never exited after close")
-	}
+	awaitExit(t, app, done)
 	if len(app.target.lines) != 20 {
 		t.Fatalf("file appender lines = %d", len(app.target.lines))
 	}
@@ -60,10 +105,12 @@ func TestAppendBlocksWhenBufferFull(t *testing.T) {
 	select {
 	case <-third:
 	case <-time.After(5 * time.Second):
+		teardown(app, done)
 		t.Fatal("blocked append never released")
 	}
+	awaitParked(t, app)
 	app.Close()
-	<-done
+	awaitExit(t, app, done)
 }
 
 func TestSetBufferSizeAppliedByDispatcher(t *testing.T) {
@@ -71,15 +118,27 @@ func TestSetBufferSizeAppliedByDispatcher(t *testing.T) {
 	done := make(chan struct{})
 	go app.Dispatcher(done)
 	app.Append(Event{Seq: 0, Msg: "warm"})
-	app.SetBufferSize(16)
+	awaitParked(t, app)
+	acked := make(chan struct{})
+	go func() {
+		app.SetBufferSize(16) // returns on the dispatcher's ack
+		close(acked)
+	}()
+	select {
+	case <-acked:
+	case <-time.After(5 * time.Second):
+		teardown(app, done) // the dead switch also ends the ack wait
+		t.Fatal("resize never acknowledged")
+	}
 	app.m.Lock()
 	got := app.bufferSize
 	app.m.Unlock()
 	if got != 16 {
 		t.Fatalf("bufferSize = %d after ack", got)
 	}
+	awaitParked(t, app)
 	app.Close()
-	<-done
+	awaitExit(t, app, done)
 }
 
 func TestDeadTeardownUnblocksEverything(t *testing.T) {

@@ -261,6 +261,14 @@ func (c *Config) bound() int {
 	return 2
 }
 
+// rowsPerFlush is how many rows a worker renders between its updates of
+// the shared statistics. The two workers render rows of similar cost in
+// step, so their updates tend to coincide; batching keeps them rare
+// relative to the rendering, which makes a natural lost update rare
+// (measured rates in EXPERIMENTS.md), while leaving each worker several
+// arrivals at every breakpoint.
+const rowsPerFlush = 4
+
 // Run renders the scene with two row-partitioned workers whose
 // statistics updates are racy, then validates against the sequential
 // reference. A mismatch in the statistic selected by cfg.Bug is the
@@ -280,34 +288,54 @@ func Run(cfg Config) appkit.Result {
 		raysTraced := memory.NewCell(sp, "rt.rays", 0)
 		shadowHits := memory.NewCell(sp, "rt.shadow", 0)
 
-		racyAdd := func(cell *memory.Cell, bug Bug, worker int, d int64) {
-			v := cell.Load(bpName(bug) + ".read")
-			if cfg.Breakpoint && cfg.Bug == bug {
-				cfg.Engine.TriggerHere(core.NewConflictTrigger(bpName(bug), cell), worker == 0,
-					core.Options{Timeout: cfg.Timeout, Bound: cfg.bound()})
+		racyAdd := func(cell *memory.Cell, bug Bug) func(worker int, d int64) {
+			// The site labels are built here, not between the read and
+			// the write, so the racy window holds only the breakpoint.
+			name := bpName(bug)
+			readSite, writeSite := name+".read", name+".write"
+			active := cfg.Breakpoint && cfg.Bug == bug
+			return func(worker int, d int64) {
+				v := cell.Load(readSite)
+				if active {
+					cfg.Engine.TriggerHere(core.NewConflictTrigger(name, cell), worker == 0,
+						core.Options{Timeout: cfg.Timeout, Bound: cfg.bound()})
+				}
+				cell.Store(writeSite, v+d)
 			}
-			cell.Store(bpName(bug)+".write", v+d)
 		}
+		addChecksum := racyAdd(checksum, Race1)
+		addRows := racyAdd(rowsDone, Race2)
+		addRays := racyAdd(raysTraced, Race3)
+		addShadow := racyAdd(shadowHits, Race4)
 
 		var wg sync.WaitGroup
 		for wk := 0; wk < 2; wk++ {
 			wg.Add(1)
 			go func(wk int) {
 				defer wg.Done()
+				var sum, rays, shadow, rows int64
+				flush := func() {
+					addChecksum(wk, sum)
+					addRays(wk, rays)
+					addShadow(wk, shadow)
+					addRows(wk, rows)
+					sum, rays, shadow, rows = 0, 0, 0, 0
+				}
 				for y := wk; y < h; y += 2 {
-					var rowSum, rowRays, rowShadow int64
 					for x := 0; x < w; x++ {
-						lum, rays, sh := scene.tracePixel(x, y)
-						rowSum += lum
-						rowRays += rays
+						lum, r, sh := scene.tracePixel(x, y)
+						sum += lum
+						rays += r
 						if sh {
-							rowShadow++
+							shadow++
 						}
 					}
-					racyAdd(checksum, Race1, wk, rowSum)
-					racyAdd(raysTraced, Race3, wk, rowRays)
-					racyAdd(shadowHits, Race4, wk, rowShadow)
-					racyAdd(rowsDone, Race2, wk, 1)
+					if rows++; rows == rowsPerFlush {
+						flush()
+					}
+				}
+				if rows > 0 {
+					flush()
 				}
 			}(wk)
 		}

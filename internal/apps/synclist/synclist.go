@@ -9,10 +9,13 @@
 //     in opposite orders and deadlock.
 //
 // Both bugs carry concurrent breakpoints that make them deterministic.
+// Without them the atomicity violation is rare: its window is a few
+// microseconds of the reader's time (see runAtomicity).
 package synclist
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"cbreak/internal/apps/appkit"
@@ -144,11 +147,30 @@ func Run(cfg Config) appkit.Result {
 	}
 }
 
+// Workload shape of the atomicity1 run (syncmap and syncset use the
+// same): the reader spends most of its time on local work between its
+// check-then-act sequences, and the writer perturbs the list a few
+// times.
+const (
+	// readerWork is the reader's local work per check, in appkit.Busy
+	// iterations (about 1.6 ms on a 2.1 GHz Xeon).
+	readerWork = 1_000_000
+	// perturbations is how many times the writer clears the list.
+	perturbations = 4
+)
+
 // runAtomicity races a reader doing the non-atomic size()/get(size-1)
-// sequence against a writer that periodically clears and refills the
-// list. The natural window between the reader's two calls is a couple of
-// instructions, so the IndexOutOfBoundsException is a genuine Heisenbug;
-// the breakpoint orders a clear() into exactly that window.
+// sequence against a writer that clears and refills the list a few
+// times. The window between the reader's two calls holds one goroutine-id
+// parse of the instrumented lock, a few microseconds against the
+// reader's ~1.6 ms of local work per check, so a clear seldom lands in it
+// and the IndexOutOfBoundsException is a genuine Heisenbug (measured
+// rates in EXPERIMENTS.md). The breakpoint orders a clear into exactly
+// that window. The writer refills only after the reader has finished the
+// check the clear landed in, so a released reader always acts on the
+// cleared list, however late the scheduler runs it. The reader checks
+// until the writer is done, so every clear overlaps the reader whatever
+// the machine's speed.
 func runAtomicity(cfg Config) appkit.Result {
 	l := NewList("list")
 	for i := int64(0); i < 16; i++ {
@@ -169,34 +191,45 @@ func runAtomicity(cfg Config) appkit.Result {
 		if cfg.Breakpoint {
 			bpAtom = cfg.Engine.Breakpoint(BPAtomicity)
 		}
-		// Reader: repeatedly takes the last element, check-then-act.
+		var reader appkit.Progress
+		var writerDone atomic.Bool
+		// Reader: takes the last element, check-then-act, then works
+		// on it.
 		spawn(func() {
-			for j := 0; j < 2000; j++ {
-				n := l.Size()
-				if n == 0 {
-					continue
+			defer reader.Done()
+			for !writerDone.Load() {
+				if n := l.Size(); n > 0 {
+					if cfg.Breakpoint {
+						bpAtom.Trigger(core.NewAtomicityTrigger(BPAtomicity, l), false, opts)
+					}
+					_ = l.Get(n - 1)
 				}
-				if cfg.Breakpoint {
-					bpAtom.Trigger(core.NewAtomicityTrigger(BPAtomicity, l), false, opts)
-				}
-				_ = l.Get(n - 1)
+				reader.Step()
+				appkit.Busy(readerWork)
 			}
 		})
-		// Writer: periodically clears, does unrelated work, and refills.
-		// The gap between clear and refill is where the reader's stale
-		// index dereference lands.
+		// Writer: clears, does unrelated work, and refills. The gap
+		// between clear and refill is where the reader's stale index
+		// dereference lands.
 		spawn(func() {
-			for j := 0; j < 50; j++ {
-				clear := l.Clear
+			defer writerDone.Store(true)
+			for j := 0; j < perturbations && !reader.Finished(); j++ {
+				var inFlight int64
+				clear := func() {
+					inFlight = reader.Steps()
+					l.Clear()
+				}
 				if cfg.Breakpoint {
 					bpAtom.TriggerAnd(core.NewAtomicityTrigger(BPAtomicity, l), true, opts, clear)
 				} else {
 					clear()
 				}
 				time.Sleep(time.Millisecond) // unrelated work
+				reader.AwaitPast(inFlight)
 				for i := int64(0); i < 16; i++ {
 					l.Add(i)
 				}
+				time.Sleep(time.Millisecond) // unrelated work
 			}
 		})
 		for i := 0; i < 2; i++ {

@@ -11,6 +11,7 @@
 package syncmap
 
 import (
+	"sync/atomic"
 	"time"
 
 	"cbreak/internal/apps/appkit"
@@ -155,9 +156,26 @@ func Run(cfg Config) appkit.Result {
 	}
 }
 
+// Workload shape of the atomicity1 run, the same as synclist's: the
+// reader spends most of its time on local work between its
+// check-then-act sequences, and the writer perturbs the map a few times.
+const (
+	// readerWork is the reader's local work per check, in appkit.Busy
+	// iterations (about 1.6 ms on a 2.1 GHz Xeon).
+	readerWork = 1_000_000
+	// perturbations is how many times the writer removes the key.
+	perturbations = 4
+)
+
 // runAtomicity races a reader doing containsKey(k) then get(k) against a
-// writer that periodically removes and re-inserts k. A stale read (key
+// writer that removes and re-puts k a few times. A stale read (key
 // present at the check, absent at the get) is the silent wrong answer.
+// The window between the reader's two calls is a few microseconds of its
+// ~1.6 ms per check, so a natural stale read is rare (measured rates in
+// EXPERIMENTS.md). The breakpoint orders a remove into that window; the
+// writer re-puts the key only after the reader has finished the check
+// the remove landed in, so the released reader always reads the removed
+// key.
 func runAtomicity(cfg Config) appkit.Result {
 	m := NewMap("map")
 	const key = "session-42"
@@ -172,34 +190,42 @@ func runAtomicity(cfg Config) appkit.Result {
 		if cfg.Breakpoint {
 			bpAtom = cfg.Engine.Breakpoint(BPAtomicity)
 		}
+		var reader appkit.Progress
+		var writerDone atomic.Bool
 		go func() {
 			defer func() { done <- struct{}{} }()
-			for j := 0; j < 2000; j++ {
-				if !m.ContainsKey(key) {
-					continue
-				}
-				if cfg.Breakpoint {
-					bpAtom.Trigger(core.NewAtomicityTrigger(BPAtomicity, m), false, opts)
-				}
-				if _, ok := m.Get(key); !ok {
-					select {
-					case stale <- true:
-					default:
+			defer reader.Done()
+			for !writerDone.Load() {
+				if m.ContainsKey(key) {
+					if cfg.Breakpoint {
+						bpAtom.Trigger(core.NewAtomicityTrigger(BPAtomicity, m), false, opts)
 					}
-					return
+					if _, ok := m.Get(key); !ok {
+						stale <- true
+						return
+					}
 				}
+				reader.Step()
+				appkit.Busy(readerWork)
 			}
 		}()
 		go func() {
-			for j := 0; j < 50; j++ {
-				remove := func() { m.Remove(key) }
+			defer writerDone.Store(true)
+			for j := 0; j < perturbations && !reader.Finished(); j++ {
+				var inFlight int64
+				remove := func() {
+					inFlight = reader.Steps()
+					m.Remove(key)
+				}
 				if cfg.Breakpoint {
 					bpAtom.TriggerAnd(core.NewAtomicityTrigger(BPAtomicity, m), true, opts, remove)
 				} else {
 					remove()
 				}
 				time.Sleep(time.Millisecond) // unrelated work
+				reader.AwaitPast(inFlight)
 				m.Put(key, int64(j))
+				time.Sleep(time.Millisecond) // unrelated work
 			}
 		}()
 		<-done

@@ -13,6 +13,7 @@ package syncset
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"cbreak/internal/apps/appkit"
@@ -153,8 +154,27 @@ func Run(cfg Config) appkit.Result {
 	}
 }
 
+// Workload shape of the atomicity1 run, the same as synclist's: the
+// snapshotter spends most of its time on local work between its
+// check-then-act sequences, and the writer perturbs the set a few times.
+const (
+	// readerWork is the snapshotter's local work per snapshot, in
+	// appkit.Busy iterations (about 1.6 ms on a 2.1 GHz Xeon).
+	readerWork = 1_000_000
+	// perturbations is how many times the writer grows the set.
+	perturbations = 4
+)
+
 // runAtomicity races a snapshotter (size then copyInto) against a writer
-// that periodically grows the set.
+// that grows the set by one element a few times and trims it back. The
+// window between the snapshotter's two calls is a few microseconds of
+// its ~1.6 ms per snapshot, so a natural overflow is rare (measured
+// rates in EXPERIMENTS.md). Growing by one element keeps the writer's
+// side of the window as short: four synchronized adds would stretch it
+// to tens of microseconds. The breakpoint orders a grow into that
+// window; the writer trims only after the snapshotter has finished the
+// snapshot the grow landed in, so the released snapshotter always copies
+// the grown set.
 func runAtomicity(cfg Config) appkit.Result {
 	s := NewSet("set")
 	for i := int64(0); i < 8; i++ {
@@ -175,25 +195,30 @@ func runAtomicity(cfg Config) appkit.Result {
 		if cfg.Breakpoint {
 			bpAtom = cfg.Engine.Breakpoint(BPAtomicity)
 		}
+		var reader appkit.Progress
+		var writerDone atomic.Bool
 		// Snapshotter.
 		spawn(func() {
-			for j := 0; j < 2000; j++ {
+			defer reader.Done()
+			for !writerDone.Load() {
 				n := s.Size()
 				if cfg.Breakpoint {
 					bpAtom.Trigger(core.NewAtomicityTrigger(BPAtomicity, s), false, opts)
 				}
 				s.CopyInto(make([]int64, n))
+				reader.Step()
+				appkit.Busy(readerWork)
 			}
 		})
-		// Grower: periodically adds a batch, then trims back.
+		// Grower: adds an element, does unrelated work, then trims it.
 		spawn(func() {
+			defer writerDone.Store(true)
 			next := int64(1000)
-			for j := 0; j < 50; j++ {
+			for j := 0; j < perturbations && !reader.Finished(); j++ {
+				var inFlight int64
 				grow := func() {
-					for k := 0; k < 4; k++ {
-						s.Add(next)
-						next++
-					}
+					inFlight = reader.Steps()
+					s.Add(next)
 				}
 				if cfg.Breakpoint {
 					bpAtom.TriggerAnd(core.NewAtomicityTrigger(BPAtomicity, s), true, opts, grow)
@@ -201,9 +226,10 @@ func runAtomicity(cfg Config) appkit.Result {
 					grow()
 				}
 				time.Sleep(time.Millisecond) // unrelated work
-				for k := int64(1); k <= 4; k++ {
-					s.Remove(next - k)
-				}
+				reader.AwaitPast(inFlight)
+				s.Remove(next)
+				next++
+				time.Sleep(time.Millisecond) // unrelated work
 			}
 		})
 		for i := 0; i < 2; i++ {

@@ -1,8 +1,10 @@
 package detect
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"cbreak/internal/locks"
 	"cbreak/internal/memory"
@@ -213,15 +215,15 @@ func TestContentionReport(t *testing.T) {
 		m.Unlock()
 		close(done)
 	}()
-	// The BeforeLock hook fires before blocking; wait for the report.
-	deadlineExceeded := true
-	for i := 0; i < 1000; i++ {
-		if len(d.ReportsOf(KindContention)) > 0 {
-			deadlineExceeded = false
-			break
+	// The BeforeLock hook fires before blocking; release the holder only
+	// once the contender's report exists, or it may find the lock free.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(d.ReportsOf(KindContention)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("contender never reported contention")
 		}
+		runtime.Gosched()
 	}
-	_ = deadlineExceeded
 	w.run(0, func() { m.Unlock() })
 	<-done
 	cont := d.ReportsOf(KindContention)

@@ -18,7 +18,6 @@ package memory
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -51,29 +50,34 @@ type Tracer interface {
 // Space per run so detector state does not leak across runs. The zero
 // value is usable and untraced.
 type Space struct {
-	mu     sync.RWMutex
-	tracer Tracer
+	tracer atomic.Pointer[tracerBox]
 }
+
+// tracerBox lets an interface value live behind an atomic.Pointer.
+type tracerBox struct{ t Tracer }
 
 // NewSpace returns an empty, untraced space.
 func NewSpace() *Space { return &Space{} }
 
 // Trace attaches a tracer (nil detaches).
 func (s *Space) Trace(t Tracer) {
-	s.mu.Lock()
-	s.tracer = t
-	s.mu.Unlock()
+	if t == nil {
+		s.tracer.Store(nil)
+		return
+	}
+	s.tracer.Store(&tracerBox{t})
 }
 
-func (s *Space) emit(gid uint64, c *Cell, op Op, site string) {
+// emit reports an access to the space's tracer. An untraced access costs
+// one atomic load: the goroutine id, a runtime.Stack parse of several
+// microseconds, is computed only for a tracer, so the instrumentation
+// does not widen the racy windows the applications model.
+func (s *Space) emit(c *Cell, op Op, site string) {
 	if s == nil {
 		return
 	}
-	s.mu.RLock()
-	t := s.tracer
-	s.mu.RUnlock()
-	if t != nil {
-		t.OnAccess(gid, c, op, site)
+	if b := s.tracer.Load(); b != nil {
+		b.t.OnAccess(gid(), c, op, site)
 	}
 }
 
@@ -100,13 +104,13 @@ func (c *Cell) Name() string { return c.name }
 // Load reads the cell. site labels the access location in detector
 // reports (e.g. "cache.go:42").
 func (c *Cell) Load(site string) int64 {
-	c.space.emit(gid(), c, Read, site)
+	c.space.emit(c, Read, site)
 	return c.v.Load()
 }
 
 // Store writes the cell.
 func (c *Cell) Store(site string, v int64) {
-	c.space.emit(gid(), c, Write, site)
+	c.space.emit(c, Write, site)
 	c.v.Store(v)
 }
 
@@ -123,13 +127,13 @@ func (c *Cell) Add(site string, delta int64) int64 {
 // AtomicAdd performs a correct atomic add (the "fixed" version of a racy
 // counter; used by apps after the bug is repaired and in ablations).
 func (c *Cell) AtomicAdd(site string, delta int64) int64 {
-	c.space.emit(gid(), c, Write, site)
+	c.space.emit(c, Write, site)
 	return c.v.Add(delta)
 }
 
 // CompareAndSwap exposes CAS for building correct algorithms on cells.
 func (c *Cell) CompareAndSwap(site string, old, new int64) bool {
-	c.space.emit(gid(), c, Write, site)
+	c.space.emit(c, Write, site)
 	return c.v.CompareAndSwap(old, new)
 }
 
@@ -143,47 +147,32 @@ func (c *Cell) String() string { return fmt.Sprintf("Cell(%s=%d)", c.name, c.v.L
 type Ref[T any] struct {
 	v     atomic.Pointer[T]
 	space *Space
-	name  string
+	// id is the Cell identity the reference reports to tracers, so
+	// detectors can treat cells and refs uniformly.
+	id Cell
 }
 
 // NewRef returns a named reference in space s holding init (may be nil).
 func NewRef[T any](s *Space, name string, init *T) *Ref[T] {
-	r := &Ref[T]{space: s, name: name}
+	r := &Ref[T]{space: s}
+	r.id.name = name
 	r.v.Store(init)
 	return r
 }
 
 // Name returns the reference's name.
-func (r *Ref[T]) Name() string { return r.name }
+func (r *Ref[T]) Name() string { return r.id.name }
 
 // Load reads the reference.
 func (r *Ref[T]) Load(site string) *T {
-	r.space.emit(gid(), refCell(r), Read, site)
+	r.space.emit(&r.id, Read, site)
 	return r.v.Load()
 }
 
 // Store writes the reference.
 func (r *Ref[T]) Store(site string, p *T) {
-	r.space.emit(gid(), refCell(r), Write, site)
+	r.space.emit(&r.id, Write, site)
 	r.v.Store(p)
-}
-
-// refCells gives each Ref a stable Cell identity for tracer reports, so
-// detectors can treat cells and refs uniformly.
-var (
-	refCellsMu sync.Mutex
-	refCells   = map[any]*Cell{}
-)
-
-func refCell[T any](r *Ref[T]) *Cell {
-	refCellsMu.Lock()
-	defer refCellsMu.Unlock()
-	c, ok := refCells[r]
-	if !ok {
-		c = &Cell{space: nil, name: r.name}
-		refCells[r] = c
-	}
-	return c
 }
 
 // gid returns the current goroutine id; duplicated from internal/locks to

@@ -173,3 +173,70 @@ func TestAddSequentialProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+type cellTracer struct {
+	mu    sync.Mutex
+	cells []*Cell
+}
+
+func (r *cellTracer) OnAccess(gid uint64, c *Cell, op Op, site string) {
+	r.mu.Lock()
+	r.cells = append(r.cells, c)
+	r.mu.Unlock()
+}
+
+func TestRefReportsOneCellPerRef(t *testing.T) {
+	sp := NewSpace()
+	tr := &cellTracer{}
+	sp.Trace(tr)
+	a := NewRef[int](sp, "a", nil)
+	b := NewRef[int](sp, "b", nil)
+	a.Load("1")
+	a.Store("2", new(int))
+	b.Load("3")
+	if len(tr.cells) != 3 {
+		t.Fatalf("tracer events = %d, want 3", len(tr.cells))
+	}
+	if tr.cells[0] != tr.cells[1] {
+		t.Fatal("one ref reported two cell identities")
+	}
+	if tr.cells[0] == tr.cells[2] {
+		t.Fatal("two refs reported one cell identity")
+	}
+	if tr.cells[0].Name() != "a" || tr.cells[2].Name() != "b" {
+		t.Fatalf("cell names = %q, %q", tr.cells[0].Name(), tr.cells[2].Name())
+	}
+}
+
+func TestTracerSeesGoroutineID(t *testing.T) {
+	sp := NewSpace()
+	var got uint64
+	sp.Trace(tracerFunc(func(gid uint64) { got = gid }))
+	NewCell(sp, "g", 0).Load("g:1")
+	if got == 0 || got != goroutineID() {
+		t.Fatalf("tracer gid = %d, want %d", got, goroutineID())
+	}
+}
+
+type tracerFunc func(gid uint64)
+
+func (f tracerFunc) OnAccess(gid uint64, c *Cell, op Op, site string) { f(gid) }
+
+// The untraced pair is what the applications' racy read-modify-writes
+// pay between their read and their write; the traced pair adds the
+// goroutine-id parse and the tracer call.
+func BenchmarkLoadStoreUntraced(b *testing.B) {
+	c := NewCell(NewSpace(), "u", 0)
+	for i := 0; i < b.N; i++ {
+		c.Store("w", c.Load("r")+1)
+	}
+}
+
+func BenchmarkLoadStoreTraced(b *testing.B) {
+	sp := NewSpace()
+	sp.Trace(tracerFunc(func(uint64) {}))
+	c := NewCell(sp, "t", 0)
+	for i := 0; i < b.N; i++ {
+		c.Store("w", c.Load("r")+1)
+	}
+}
