@@ -286,8 +286,8 @@ type (
 	// incident (docs/USAGE.md, "Durability & crash recovery"); the
 	// canonical implementation is internal/journal/sink.
 	DurableSink = core.DurableSink
-	// Event is one engine event-log entry; DurableSink implementations
-	// receive a copy of each as it is recorded.
+	// Event is one engine event as published on the telemetry bus;
+	// DurableSink implementations receive a copy of each as it happens.
 	Event = core.Event
 	// EventKind classifies engine events (arrived/postponed/hit/timeout).
 	EventKind = core.EventKind
@@ -420,10 +420,6 @@ func ForceRelease(name string, gid uint64, kind IncidentKind, detail string) boo
 // Overload returns the default engine's installed overload protection
 // bounds; ok is false when none are installed.
 func Overload() (OverloadConfig, bool) { return core.Default().Overload() }
-
-// Events returns the default engine's retained event ring (arrivals,
-// postpones, hits, timeouts), oldest first.
-func Events() []Event { return core.Default().Events() }
 
 // Stats returns the live counters of the named breakpoint on the
 // default engine (created if unseen).

@@ -16,14 +16,17 @@
 // With -baseline, the fresh numbers are additionally gated against a
 // committed prior artifact:
 //
-//	go test -run=NONE -bench=BenchmarkEngine -benchtime=100x ./internal/core \
+//	go test -run=NONE -bench=BenchmarkEngine -benchtime=100x -cpu 1,2 ./internal/core \
 //	    | cbbench -baseline BENCH_engine.json \
 //	        -gate BenchmarkEngineContention,BenchmarkEngineDisabled
 //
 // Each gated series (sub-benchmarks included) must stay within
 // -max-regress of its baseline ns/op or the command exits nonzero,
 // naming every regressed series — the hot-path perf contract as a CI
-// check.
+// check. A series is its name at one GOMAXPROCS: go test appends "-P"
+// to the name for P > 1 and nothing for P = 1, and only entries with
+// equal GOMAXPROCS are compared, so a baseline must be recorded at the
+// -cpu values the gate runs with.
 package main
 
 import (
@@ -33,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,7 +44,10 @@ import (
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the entry ran at: the name's "-P" suffix,
+	// or 1 when the name has none.
+	Procs       int     `json:"gomaxprocs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
@@ -67,10 +74,14 @@ type Delta struct {
 // Report is the whole artifact: the run's environment header plus every
 // benchmark line, in input order.
 type Report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// NumCPU is runtime.NumCPU() where the report was made; cbbench
+	// reads the benchmark output from a pipe, so that is the machine
+	// the benchmarks ran on.
+	NumCPU     int         `json:"num_cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 	// SupervisorDeltas pairs each "...SupervisorOn..." series with its
 	// "...SupervisorOff..." baseline.
@@ -155,7 +166,8 @@ func parseLine(line string) (Benchmark, error) {
 	if err != nil {
 		return Benchmark{}, fmt.Errorf("bad iteration count in %q: %v", line, err)
 	}
-	b := Benchmark{Name: fields[0], Iterations: iters}
+	_, procs := splitProcs(fields[0])
+	b := Benchmark{Name: fields[0], Procs: procs, Iterations: iters}
 	rest := fields[2:]
 	if len(rest)%2 != 0 {
 		return Benchmark{}, fmt.Errorf("odd value/unit pairing in %q", line)
@@ -182,15 +194,16 @@ func parseLine(line string) (Benchmark, error) {
 	return b, nil
 }
 
-// baseName strips the trailing "-P" GOMAXPROCS suffix from a benchmark
-// name, so artifacts recorded at different -cpu values still pair.
-func baseName(name string) string {
+// splitProcs splits a benchmark name into its base name and the
+// GOMAXPROCS it ran at: go test appends "-P" for P > 1 and nothing for
+// P = 1.
+func splitProcs(name string) (base string, procs int) {
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], p
 		}
 	}
-	return name
+	return name, 1
 }
 
 // gated reports whether a benchmark base name falls under one of the
@@ -212,21 +225,30 @@ func gated(base string, patterns []string) bool {
 // regression is one gated series that exceeded its allowance.
 type regression struct {
 	Name          string
+	Procs         int
 	BaseNs, CurNs float64
 	Ratio         float64
+}
+
+// series identifies one benchmark series: a base name in a package at
+// one GOMAXPROCS.
+type series struct {
+	pkg, name string
+	procs     int
 }
 
 // minNsPerOp reduces a report to the minimum ns/op per series: with
 // `go test -count=N`, each series appears N times, and the minimum is
 // the standard noise-robust representative (nothing runs faster than
 // the hardware; only slower).
-func minNsPerOp(rep Report) map[string]float64 {
-	out := make(map[string]float64, len(rep.Benchmarks))
+func minNsPerOp(rep Report) map[series]float64 {
+	out := make(map[series]float64, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		if b.NsPerOp <= 0 {
 			continue
 		}
-		key := b.Pkg + " " + baseName(b.Name)
+		base, procs := splitProcs(b.Name)
+		key := series{pkg: b.Pkg, name: base, procs: procs}
 		if cur, ok := out[key]; !ok || b.NsPerOp < cur {
 			out[key] = b.NsPerOp
 		}
@@ -235,22 +257,30 @@ func minNsPerOp(rep Report) map[string]float64 {
 }
 
 // gate compares cur against base: every gated series present in both
-// must hold its best (minimum over -count repeats) ns/op within
-// (1 + maxRegress) of the baseline's best. It returns the regressed
-// series and how many series were compared; zero comparisons is the
-// caller's error (a renamed benchmark must break the gate, not silently
-// pass it).
+// at the same GOMAXPROCS must hold its best (minimum over -count
+// repeats) ns/op within (1 + maxRegress) of the baseline's best. It
+// returns the regressed series and how many series were compared; zero
+// comparisons is the caller's error (a renamed benchmark must break the
+// gate, not silently pass it).
 func gate(cur, base Report, patterns []string, maxRegress float64) (regs []regression, compared int) {
 	baseline := minNsPerOp(base)
 	fresh := minNsPerOp(cur)
-	keys := make([]string, 0, len(fresh))
+	keys := make([]series, 0, len(fresh))
 	for key := range fresh {
 		keys = append(keys, key)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.pkg != b.pkg {
+			return a.pkg < b.pkg
+		}
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.procs < b.procs
+	})
 	for _, key := range keys {
-		name := key[strings.Index(key, " ")+1:]
-		if !gated(name, patterns) {
+		if !gated(key.name, patterns) {
 			continue
 		}
 		prior, ok := baseline[key]
@@ -260,7 +290,7 @@ func gate(cur, base Report, patterns []string, maxRegress float64) (regs []regre
 		compared++
 		ratio := fresh[key] / prior
 		if ratio > 1+maxRegress {
-			regs = append(regs, regression{Name: name, BaseNs: prior, CurNs: fresh[key], Ratio: ratio})
+			regs = append(regs, regression{Name: key.name, Procs: key.procs, BaseNs: prior, CurNs: fresh[key], Ratio: ratio})
 		}
 	}
 	return regs, compared
@@ -292,6 +322,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cbbench: no benchmark result lines in input")
 		os.Exit(1)
 	}
+	rep.NumCPU = runtime.NumCPU()
 	if *baseline != "" {
 		data, err := os.ReadFile(*baseline)
 		if err != nil {
@@ -309,8 +340,8 @@ func main() {
 			os.Exit(1)
 		}
 		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "cbbench: REGRESSION %s: %.1f ns/op -> %.1f ns/op (%.2fx, allowed %.2fx)\n",
-				r.Name, r.BaseNs, r.CurNs, r.Ratio, 1+*maxRegress)
+			fmt.Fprintf(os.Stderr, "cbbench: REGRESSION %s at GOMAXPROCS=%d: %.1f ns/op -> %.1f ns/op (%.2fx, allowed %.2fx)\n",
+				r.Name, r.Procs, r.BaseNs, r.CurNs, r.Ratio, 1+*maxRegress)
 		}
 		if len(regs) > 0 {
 			os.Exit(1)

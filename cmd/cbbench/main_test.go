@@ -33,7 +33,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 5", len(rep.Benchmarks))
 	}
 	k8 := rep.Benchmarks[1]
-	if k8.Name != "BenchmarkEngineContention/K=8-4" || k8.Iterations != 100 ||
+	if k8.Name != "BenchmarkEngineContention/K=8-4" || k8.Procs != 4 || k8.Iterations != 100 ||
 		k8.NsPerOp != 162.6 || k8.BytesPerOp != 0 || k8.AllocsPerOp != 0 {
 		t.Fatalf("K=8 entry = %+v", k8)
 	}
@@ -146,12 +146,11 @@ func TestGate(t *testing.T) {
 		{Name: "BenchmarkEngineContentionSupervisorOn-4", Pkg: "wg", NsPerOp: 100},
 	}}
 	cur := Report{Benchmarks: []Benchmark{
-		// Recorded at a different GOMAXPROCS: still pairs.
-		{Name: "BenchmarkEngineContention/K=8-16", Pkg: "core", NsPerOp: 115},
-		{Name: "BenchmarkEngineDisabled-16", Pkg: "core", NsPerOp: 30},
+		{Name: "BenchmarkEngineContention/K=8-4", Pkg: "core", NsPerOp: 115},
+		{Name: "BenchmarkEngineDisabled-4", Pkg: "core", NsPerOp: 30},
 		// Gated patterns must not swallow the SupervisorOn series by
 		// prefix; it regressed 3x but is outside the gate set.
-		{Name: "BenchmarkEngineContentionSupervisorOn-16", Pkg: "wg", NsPerOp: 300},
+		{Name: "BenchmarkEngineContentionSupervisorOn-4", Pkg: "wg", NsPerOp: 300},
 	}}
 	pats := []string{"BenchmarkEngineContention", "BenchmarkEngineDisabled"}
 
@@ -159,7 +158,7 @@ func TestGate(t *testing.T) {
 	if compared != 2 {
 		t.Fatalf("compared %d series, want 2", compared)
 	}
-	if len(regs) != 1 || regs[0].Name != "BenchmarkEngineDisabled" || regs[0].Ratio != 1.5 {
+	if len(regs) != 1 || regs[0].Name != "BenchmarkEngineDisabled" || regs[0].Procs != 4 || regs[0].Ratio != 1.5 {
 		t.Fatalf("regressions = %+v, want one 1.5x on BenchmarkEngineDisabled", regs)
 	}
 
@@ -173,15 +172,55 @@ func TestGate(t *testing.T) {
 	}
 }
 
-func TestBaseName(t *testing.T) {
-	for in, want := range map[string]string{
-		"BenchmarkEngineDisabled-4":        "BenchmarkEngineDisabled",
-		"BenchmarkEngineContention/K=8-16": "BenchmarkEngineContention/K=8",
-		"BenchmarkOdd":                     "BenchmarkOdd",
-		"BenchmarkDash-suffix":             "BenchmarkDash-suffix",
+// TestGatePairsOnlyEqualGOMAXPROCS: a series recorded at one GOMAXPROCS
+// is never compared with the same benchmark at another. go test writes
+// no suffix at GOMAXPROCS=1, so "BenchmarkEngineDisabled" is the
+// one-CPU series and "BenchmarkEngineDisabled-2" the two-CPU one.
+func TestGatePairsOnlyEqualGOMAXPROCS(t *testing.T) {
+	base := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkEngineDisabled", Pkg: "core", NsPerOp: 10},
+		{Name: "BenchmarkEngineDisabled-2", Pkg: "core", NsPerOp: 40},
+	}}
+	pats := []string{"BenchmarkEngineDisabled"}
+
+	// 30 ns/op at GOMAXPROCS=2 is 3x the one-CPU baseline but within
+	// the two-CPU one; 11 ns/op at one CPU is within its own.
+	cur := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkEngineDisabled-2", Pkg: "core", NsPerOp: 30},
+		{Name: "BenchmarkEngineDisabled", Pkg: "core", NsPerOp: 11},
+	}}
+	if regs, compared := gate(cur, base, pats, 0.20); compared != 2 || len(regs) != 0 {
+		t.Fatalf("compared %d, regressions %+v; want 2 clean comparisons", compared, regs)
+	}
+
+	// A one-CPU regression is caught against the one-CPU baseline only.
+	cur.Benchmarks[1].NsPerOp = 30
+	regs, _ := gate(cur, base, pats, 0.20)
+	if len(regs) != 1 || regs[0].Procs != 1 || regs[0].Ratio != 3 {
+		t.Fatalf("regressions = %+v, want one 3x at GOMAXPROCS=1", regs)
+	}
+
+	// A GOMAXPROCS the baseline lacks is compared with nothing.
+	cur = Report{Benchmarks: []Benchmark{{Name: "BenchmarkEngineDisabled-4", Pkg: "core", NsPerOp: 100}}}
+	if regs, compared := gate(cur, base, pats, 0.20); compared != 0 || len(regs) != 0 {
+		t.Fatalf("GOMAXPROCS=4 series compared %d times against a 1/2-CPU baseline: %+v", compared, regs)
+	}
+}
+
+func TestSplitProcs(t *testing.T) {
+	type split struct {
+		base  string
+		procs int
+	}
+	for in, want := range map[string]split{
+		"BenchmarkEngineDisabled-4":        {"BenchmarkEngineDisabled", 4},
+		"BenchmarkEngineContention/K=8-16": {"BenchmarkEngineContention/K=8", 16},
+		"BenchmarkEngineContention/K=8":    {"BenchmarkEngineContention/K=8", 1},
+		"BenchmarkOdd":                     {"BenchmarkOdd", 1},
+		"BenchmarkDash-suffix":             {"BenchmarkDash-suffix", 1},
 	} {
-		if got := baseName(in); got != want {
-			t.Errorf("baseName(%q) = %q, want %q", in, got, want)
+		if base, procs := splitProcs(in); base != want.base || procs != want.procs {
+			t.Errorf("splitProcs(%q) = %q, %d, want %q, %d", in, base, procs, want.base, want.procs)
 		}
 	}
 }

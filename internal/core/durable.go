@@ -9,7 +9,8 @@ import (
 
 // DurableSink receives a copy of every engine event and guard incident
 // as it is recorded, so a crashed process leaves a post-mortem trail on
-// disk instead of losing the in-memory rings with the heap. The
+// disk: the engine keeps no events in memory, and its incident log
+// dies with the heap. The
 // canonical implementation is internal/journal/sink, which frames each
 // entry as JSON in a crash-safe write-ahead journal.
 //

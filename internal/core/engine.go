@@ -15,8 +15,8 @@ import (
 // enforces the ordering action of a hit breakpoint.
 //
 // State is sharded per breakpoint name (shard.go): each breakpoint owns
-// its own mutex, postponed lists, statistics, circuit breaker, and
-// event ring, so arrivals on unrelated breakpoints never contend.
+// its own mutex, postponed lists, statistics, and circuit breaker, so
+// arrivals on unrelated breakpoints never contend.
 // Shards are resolved through a lock-free registry and can be pinned on
 // a Breakpoint handle (handle.go) to skip even the registry lookup.
 //
@@ -42,7 +42,7 @@ type Engine struct {
 	registry atomic.Pointer[sync.Map]
 
 	seq      atomic.Uint64 // arrival sequence, for deterministic matching order
-	eventSeq atomic.Uint64 // global event sequence; orders the merged Events() view
+	eventSeq atomic.Uint64 // published-event sequence; taken only when the bus has a listener
 	onHit    atomic.Pointer[onHitBox]
 
 	// bus is the engine's telemetry bus: every event and incident is
@@ -102,8 +102,8 @@ func (e *Engine) SetEnabled(v bool) { e.enabled.Store(v) }
 // Enabled reports whether the engine is active.
 func (e *Engine) Enabled() bool { return e.enabled.Load() }
 
-// Reset discards all postponed waiters, statistics, breaker state, and
-// event history. Any currently postponed goroutines are released with a
+// Reset discards all postponed waiters, statistics, and breaker state.
+// Any currently postponed goroutines are released with a
 // timeout outcome. Reset swaps in a fresh shard registry and retires
 // the old shards one at a time — there is no stop-the-world lock, and
 // arrivals racing with Reset land on either the old or the new
@@ -203,7 +203,8 @@ func (e *Engine) TriggerOutcome(t Trigger, first bool, opts Options) Outcome {
 
 // trigger is the two-way arrival path. s is the breakpoint's shard,
 // resolved by the caller (by name, or pinned on a handle); all state the
-// arrival touches lives on it.
+// arrival touches lives on it. A disabled arrival returns here, without
+// setting up the stack frame of the rendezvous body (arrive).
 func (e *Engine) trigger(s *bpState, t Trigger, first bool, opts Options, action func()) Outcome {
 	if !e.enabled.Load() || s.disabled.Load() {
 		if action != nil {
@@ -211,6 +212,12 @@ func (e *Engine) trigger(s *bpState, t Trigger, first bool, opts Options, action
 		}
 		return OutcomeDisabled
 	}
+	return e.arrive(s, t, first, opts, action)
+}
+
+// arrive is an enabled two-way arrival: breaker admission, the local
+// predicate, then matching or postponement on the shard.
+func (e *Engine) arrive(s *bpState, t Trigger, first bool, opts Options, action func()) Outcome {
 	name := s.name
 	st := s.stats
 	br := s.breakerFor(e)

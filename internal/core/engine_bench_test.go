@@ -26,9 +26,10 @@ func benchEngine() *Engine {
 }
 
 // neverTrigger returns a trigger whose local predicate is false, so an
-// arrival takes the hot rejection path: stats, event ring, no
-// postponement. This is the cost a refined breakpoint pays on a busy
-// production site that is not in the buggy state.
+// arrival takes the hot rejection path: stats, an event only if the bus
+// has a listener, no postponement. This is the cost a refined
+// breakpoint pays on a busy production site that is not in the buggy
+// state.
 func neverTrigger(name string) Trigger {
 	return NewPredTrigger(name, nil, func() bool { return false }, nil)
 }
@@ -58,6 +59,27 @@ func BenchmarkEngineContention(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkEngineListened is the local-false arrival with one no-op tap
+// on the engine's bus — the set-up of a service whose durable sink
+// journals every event. Each arrival then takes an event sequence
+// number, reads the clock and delivers the record to the tap.
+func BenchmarkEngineListened(b *testing.B) {
+	e := benchEngine()
+	defer e.Bus().AttachTap(noopTap{}).Detach()
+	h := e.Breakpoint("bench.listened")
+	t := neverTrigger(h.Name())
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		n := uint64(0)
+		for pb.Next() {
+			if h.Trigger(t, true, Options{}) {
+				n++
+			}
+		}
+		benchSink.Add(n)
+	})
 }
 
 // BenchmarkEngineDisabled measures the cost left behind in production

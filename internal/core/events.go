@@ -1,25 +1,24 @@
 package core
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"cbreak/internal/telemetry"
 )
 
-// This file adds observability to the engine: a bounded event log of
-// breakpoint activity and a hit callback. The paper's example trigger
-// classes print "Conflict" / "Deadlock" from predicateGlobal when a
-// breakpoint is reached (Figures 6 and 8); OnHit is the structured
-// version of that hook, and the event log gives a debugger the recent
-// breakpoint history of a run.
+// This file adds observability to the engine: breakpoint events on the
+// engine's telemetry bus and a hit callback. The paper's example
+// trigger classes print "Conflict" / "Deadlock" from predicateGlobal
+// when a breakpoint is reached (Figures 6 and 8); OnHit is the
+// structured version of that hook, and the event stream gives a
+// debugger the breakpoint history of a run.
 //
-// The log is sharded with the rest of the engine: each breakpoint's
-// shard owns a bounded ring, so recording an event contends only with
-// readers and other arrivals of the same breakpoint — the hit path
-// takes no second global mutex. Events carry a global sequence number
-// and Events() merges the per-shard rings in sequence order.
+// The engine keeps no event history of its own. The bus is the
+// history: a test attaches a recording tap, a live feed subscribes
+// (cbserverd /stream), a post-mortem reads the durable sink. An engine
+// nobody listens to builds no event at all — no sequence number, no
+// clock read — so a refined breakpoint's rejected arrival pays one
+// atomic load for its telemetry.
 //
 // The event shape itself lives in internal/telemetry (the typed
 // telemetry core sits below this package in the import graph so that
@@ -42,48 +41,10 @@ const (
 	EventTimeout = telemetry.EventTimeout
 )
 
-// Event is one entry of the engine's event log (telemetry.Event: the
-// same value flows to the shard ring, the telemetry bus, and every bus
-// consumer — durable journal sink, NDJSON stream, metric counters).
+// Event is one engine event (telemetry.Event: the same value flows to
+// every bus consumer — durable journal sink, NDJSON stream, metric
+// counters).
 type Event = telemetry.Event
-
-// eventRing is one shard's bounded ring of engine events.
-type eventRing struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
-}
-
-// eventLogCapacity bounds each breakpoint's retained history.
-const eventLogCapacity = 256
-
-func (l *eventRing) add(ev Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.buf == nil {
-		l.buf = make([]Event, eventLogCapacity)
-	}
-	l.buf[l.next] = ev
-	l.next = (l.next + 1) % len(l.buf)
-	if l.next == 0 {
-		l.full = true
-	}
-}
-
-func (l *eventRing) snapshot() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.buf == nil {
-		return nil
-	}
-	var out []Event
-	if l.full {
-		out = append(out, l.buf[l.next:]...)
-	}
-	out = append(out, l.buf[:l.next]...)
-	return out
-}
 
 // onHitBox wraps the hit callback for atomic storage on the engine.
 type onHitBox struct {
@@ -108,27 +69,16 @@ func (e *Engine) emitHit(name string, arriving, postponed Trigger) {
 	}
 }
 
-// Events returns the engine's recent breakpoint events, oldest first
-// (bounded ring of 256 per breakpoint), merged across breakpoints in
-// global sequence order.
-func (e *Engine) Events() []Event {
-	var out []Event
-	for _, s := range e.shards() {
-		out = append(out, s.events.snapshot()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// logEvent appends to the shard's ring (cheap enough to do
-// unconditionally; the engine is only active when breakpoints are
-// enabled) and publishes the same value on the engine's telemetry bus —
-// the single fan-out behind the durable journal sink, live NDJSON
-// streams, and stream metric counters. With no bus listeners the
-// publish is one atomic load.
+// logEvent publishes one event on the engine's telemetry bus — the
+// single fan-out behind the durable journal sink, live NDJSON streams,
+// and stream metric counters. With no listener it returns after one
+// atomic load: the sequence number and the timestamp are taken only
+// for an event somebody receives.
 func (e *Engine) logEvent(s *bpState, kind EventKind, gid uint64, first bool) {
-	ev := Event{Seq: e.eventSeq.Add(1), When: time.Now(),
-		Kind: kind, Breakpoint: s.name, GID: gid, First: first}
-	s.events.add(ev)
-	e.bus.Publish(telemetry.Record{Kind: telemetry.RecordEvent, Event: ev})
+	if !e.bus.Listening() {
+		return
+	}
+	e.bus.Publish(telemetry.Record{Kind: telemetry.RecordEvent, Event: Event{
+		Seq: e.eventSeq.Add(1), When: time.Now(),
+		Kind: kind, Breakpoint: s.name, GID: gid, First: first}})
 }

@@ -6,15 +6,19 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cbreak/internal/telemetry"
 )
 
 func TestEventLogRecordsLifecycle(t *testing.T) {
 	e := newTestEngine()
 	e.DefaultTimeout = 10 * time.Millisecond
+	tap := &recordingTap{}
+	defer e.Bus().AttachTap(tap).Detach()
 	obj := new(int)
 	// A lonely arrival: arrived -> postponed -> timeout.
 	e.TriggerHere(NewConflictTrigger("ev-bp", obj), true, Options{})
-	events := e.Events()
+	events := tap.events()
 	if len(events) != 3 {
 		t.Fatalf("events = %d, want 3: %v", len(events), events)
 	}
@@ -26,11 +30,16 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 		if ev.GID == 0 || ev.When.IsZero() {
 			t.Fatalf("event %d missing metadata: %+v", i, ev)
 		}
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d has Seq %d, want %d", i, ev.Seq, i+1)
+		}
 	}
 }
 
 func TestEventLogRecordsHit(t *testing.T) {
 	e := newTestEngine()
+	tap := &recordingTap{}
+	defer e.Bus().AttachTap(tap).Detach()
 	obj := new(int)
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -38,27 +47,74 @@ func TestEventLogRecordsHit(t *testing.T) {
 	go func() { defer wg.Done(); e.TriggerHere(NewConflictTrigger("hit-bp", obj), false, Options{}) }()
 	wg.Wait()
 	var hits int
-	for _, ev := range e.Events() {
+	for _, ev := range tap.events() {
 		if ev.Kind == EventHit {
 			hits++
 		}
 	}
 	if hits != 1 {
-		t.Fatalf("hit events = %d, want 1: %v", hits, e.Events())
+		t.Fatalf("hit events = %d, want 1: %v", hits, tap.events())
 	}
 }
 
-func TestEventRingBounded(t *testing.T) {
+// TestNoListenerStampsNothing: arrivals on an engine nobody listens to
+// take no event sequence number, so the first event a late listener
+// receives is Seq 1.
+func TestNoListenerStampsNothing(t *testing.T) {
 	e := newTestEngine()
+	e.DefaultTimeout = time.Millisecond
 	obj := new(int)
-	opts := Options{ExtraLocal: func() bool { return false }}
-	for i := 0; i < eventLogCapacity+50; i++ {
-		e.TriggerHere(NewConflictTrigger("ring", obj), true, opts)
+	never := Options{ExtraLocal: func() bool { return false }}
+	for i := 0; i < 100; i++ {
+		e.TriggerHere(NewConflictTrigger("quiet", obj), i%2 == 0, never)
 	}
-	events := e.Events()
-	if len(events) != eventLogCapacity {
-		t.Fatalf("ring size = %d, want %d", len(events), eventLogCapacity)
+	e.TriggerHere(NewConflictTrigger("quiet", obj), true, Options{}) // arrived, postponed, timeout
+	if n := e.Stats("quiet").Arrivals(); n != 101 {
+		t.Fatalf("arrivals = %d, want 101", n)
 	}
+
+	tap := &recordingTap{}
+	h := e.Bus().AttachTap(tap)
+	e.TriggerHere(NewConflictTrigger("quiet", obj), false, never)
+	h.Detach()
+	events := tap.events()
+	if len(events) != 1 || events[0].Seq != 1 || events[0].Kind != EventArrived {
+		t.Fatalf("first listened event = %+v, want one arrival with Seq 1", events)
+	}
+}
+
+// noopTap receives records and drops them.
+type noopTap struct{}
+
+func (noopTap) Deliver(telemetry.Record) {}
+
+// TestRejectedArrivalsDoNotAllocate: a local-false and a disabled
+// arrival through a handle with a pre-built trigger allocate nothing,
+// with no listener on the bus and with a tap attached.
+func TestRejectedArrivalsDoNotAllocate(t *testing.T) {
+	e := newTestEngine()
+	on, off := e.Breakpoint("alloc.on"), e.Breakpoint("alloc.off")
+	e.SetBreakpointEnabled("alloc.off", false)
+	onTrig, offTrig := neverTrigger("alloc.on"), neverTrigger("alloc.off")
+	check := func(listener string) {
+		t.Helper()
+		for _, c := range []struct {
+			bp   *Breakpoint
+			tr   Trigger
+			want Outcome
+		}{{on, onTrig, OutcomeLocalFalse}, {off, offTrig, OutcomeDisabled}} {
+			if got := c.bp.TriggerOutcome(c.tr, true, Options{}); got != c.want {
+				t.Fatalf("%s: outcome %v, want %v", c.bp.Name(), got, c.want)
+			}
+			if n := testing.AllocsPerRun(1000, func() { c.bp.TriggerOutcome(c.tr, true, Options{}) }); n != 0 {
+				t.Errorf("%s arrival, %s: %v allocs, want 0", c.want, listener, n)
+			}
+		}
+	}
+	check("no listener")
+	h := e.Bus().AttachTap(noopTap{})
+	check("one tap")
+	h.Detach()
 }
 
 func TestOnHitCallback(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 
 // This file implements the engine's sharded breakpoint registry. Every
 // breakpoint name owns a bpState shard: its own mutex, postponed lists,
-// statistics, circuit breaker, and event ring. Arrivals on distinct
+// statistics, and circuit breaker. Arrivals on distinct
 // breakpoints therefore never contend on a shared lock — the property
 // that lets breakpoints stay in hot production code the way the paper
 // promises ("like assertions").
@@ -55,11 +55,6 @@ type bpState struct {
 	// (overload.go). Guarded by brMu.
 	overload *OverloadConfig
 	ovEpoch  uint64
-
-	// events is this breakpoint's slice of the engine event history
-	// (events.go). Its internal mutex is per-shard, so logging a hit on
-	// one breakpoint never serializes against another.
-	events eventRing
 }
 
 func newShard(e *Engine, name string) *bpState {

@@ -16,10 +16,11 @@ import (
 type BPStats struct {
 	name string
 
-	arrivals      [2]atomic.Int64 // by side: [0]=second-action, [1]=first-action
-	localFalses   [2]atomic.Int64
-	postpones     [2]atomic.Int64
-	timeouts      [2]atomic.Int64
+	// The pad keeps side 0's counters off the line holding the struct's
+	// first word, which every access through a *BPStats may read (the
+	// compiler's nil checks load it).
+	_             [cacheLine]byte
+	sides         [2]sideStats // by side: [0]=second-action, [1]=first-action
 	hits          atomic.Int64
 	waitNanos     atomic.Int64 // total time spent postponed
 	maxWaitNanos  atomic.Int64
@@ -34,25 +35,43 @@ type BPStats struct {
 	waitObs  atomic.Int64 // total observations (addWait calls)
 
 	// Hardening counters (hardening.go): absorbed user-closure panics,
-	// arrivals shed by an open circuit breaker, breaker trips and
-	// re-arms.
+	// breaker trips and re-arms.
 	panics atomic.Int64
-	sheds  [2]atomic.Int64
 	trips  atomic.Int64
 	rearms atomic.Int64
 }
 
-func sideIndex(first bool) int {
-	if first {
-		return 1
-	}
-	return 0
+// cacheLine is the coherence unit the per-side counters are padded
+// against (64 bytes on most amd64 and arm64 parts).
+const cacheLine = 64
+
+// sideStats holds the counters one side of a breakpoint writes on its
+// arrivals (sheds are arrivals an open circuit breaker or the overload
+// layer passed straight through). By the paper's definition a
+// breakpoint's two sides are reached by two different threads, so each
+// side's counters sit on a line of their own: the trailing pad keeps
+// the two sides' counters, and the shared counters after them, at
+// least a line apart wherever the allocator places the BPStats.
+type sideStats struct {
+	arrivals    atomic.Int64
+	localFalses atomic.Int64
+	postpones   atomic.Int64
+	timeouts    atomic.Int64
+	sheds       atomic.Int64
+	_           [cacheLine]byte
 }
 
-func (s *BPStats) arrived(first bool)    { s.arrivals[sideIndex(first)].Add(1) }
-func (s *BPStats) localFalse(first bool) { s.localFalses[sideIndex(first)].Add(1) }
-func (s *BPStats) postpone(first bool)   { s.postpones[sideIndex(first)].Add(1) }
-func (s *BPStats) timeout(first bool)    { s.timeouts[sideIndex(first)].Add(1) }
+func (s *BPStats) side(first bool) *sideStats {
+	if first {
+		return &s.sides[1]
+	}
+	return &s.sides[0]
+}
+
+func (s *BPStats) arrived(first bool)    { s.side(first).arrivals.Add(1) }
+func (s *BPStats) localFalse(first bool) { s.side(first).localFalses.Add(1) }
+func (s *BPStats) postpone(first bool)   { s.side(first).postpones.Add(1) }
+func (s *BPStats) timeout(first bool)    { s.side(first).timeouts.Add(1) }
 func (s *BPStats) hit() {
 	s.hits.Add(1)
 	s.lastHitUnixNs.Store(time.Now().UnixNano())
@@ -78,11 +97,11 @@ func (s *BPStats) addWait(d time.Duration) {
 }
 
 func (s *BPStats) panicked()       { s.panics.Add(1) }
-func (s *BPStats) shed(first bool) { s.sheds[sideIndex(first)].Add(1) }
+func (s *BPStats) shed(first bool) { s.side(first).sheds.Add(1) }
 func (s *BPStats) trip()           { s.trips.Add(1) }
 func (s *BPStats) rearm()          { s.rearms.Add(1) }
 
-func (s *BPStats) sideArrivals(first bool) int64 { return s.arrivals[sideIndex(first)].Load() }
+func (s *BPStats) sideArrivals(first bool) int64 { return s.side(first).arrivals.Load() }
 
 // Name returns the breakpoint name these statistics belong to.
 func (s *BPStats) Name() string { return s.name }
@@ -91,16 +110,18 @@ func (s *BPStats) Name() string { return s.name }
 func (s *BPStats) Hits() int64 { return s.hits.Load() }
 
 // Arrivals returns the total number of TriggerHere calls on both sides.
-func (s *BPStats) Arrivals() int64 { return s.arrivals[0].Load() + s.arrivals[1].Load() }
+func (s *BPStats) Arrivals() int64 { return s.sides[0].arrivals.Load() + s.sides[1].arrivals.Load() }
 
 // Timeouts returns how many postponements expired without a partner.
-func (s *BPStats) Timeouts() int64 { return s.timeouts[0].Load() + s.timeouts[1].Load() }
+func (s *BPStats) Timeouts() int64 { return s.sides[0].timeouts.Load() + s.sides[1].timeouts.Load() }
 
 // Postpones returns how many arrivals were postponed.
-func (s *BPStats) Postpones() int64 { return s.postpones[0].Load() + s.postpones[1].Load() }
+func (s *BPStats) Postpones() int64 { return s.sides[0].postpones.Load() + s.sides[1].postpones.Load() }
 
 // LocalFalses returns how many arrivals failed the local predicate.
-func (s *BPStats) LocalFalses() int64 { return s.localFalses[0].Load() + s.localFalses[1].Load() }
+func (s *BPStats) LocalFalses() int64 {
+	return s.sides[0].localFalses.Load() + s.sides[1].localFalses.Load()
+}
 
 // TotalWait returns the cumulative time goroutines spent postponed on
 // this breakpoint; this is the breakpoint's contribution to runtime
@@ -116,7 +137,7 @@ func (s *BPStats) Panics() int64 { return s.panics.Load() }
 
 // Sheds returns how many arrivals an open circuit breaker passed
 // straight through.
-func (s *BPStats) Sheds() int64 { return s.sheds[0].Load() + s.sheds[1].Load() }
+func (s *BPStats) Sheds() int64 { return s.sides[0].sheds.Load() + s.sides[1].sheds.Load() }
 
 // Trips returns how many times the breakpoint's circuit breaker
 // opened (initial trips and failed-probe re-opens).

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cbreak/internal/guard"
+	"cbreak/internal/telemetry"
 )
 
 // TestShardLifecycleStress hammers the shard lifecycle from every
@@ -14,9 +16,10 @@ import (
 // many breakpoints, Reset swapping registries out from under them,
 // SetBreakerConfig flipping breakers on and off (epoch churn), the
 // watchdog scanning shards, handles re-resolving across generations,
-// and readers walking stats, events, and breaker snapshots. Run under
-// -race in CI, it pins the new concurrency contract; without -race it
-// is still a decent smoke for lost wakeups (every arrival must return).
+// readers walking stats and breaker snapshots, and a bus listener
+// coming and going. Run under -race in CI, it pins the new concurrency
+// contract; without -race it is still a decent smoke for lost wakeups
+// (every arrival must return).
 func TestShardLifecycleStress(t *testing.T) {
 	e := NewEngine()
 	e.DefaultTimeout = 2 * time.Millisecond
@@ -96,7 +99,6 @@ func TestShardLifecycleStress(t *testing.T) {
 			default:
 			}
 			e.SnapshotAll()
-			e.Events()
 			e.IncidentCounts()
 			for _, n := range names {
 				e.PostponedCount(n)
@@ -105,6 +107,14 @@ func TestShardLifecycleStress(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}()
+
+	// Event history: a tap attached and detached in a loop, so arrivals
+	// race the bus's listener set going from empty to one and back.
+	churnWG.Add(1)
+	go func() {
+		defer churnWG.Done()
+		churnTap(e, stop, &recordingTap{})
 	}()
 
 	// The triggerers are the bounded part; a generous deadline bounds
@@ -118,4 +128,98 @@ func TestShardLifecycleStress(t *testing.T) {
 	}
 	close(stop)
 	churnWG.Wait()
+}
+
+// churnTap attaches tap to e's bus and detaches it again, in a loop,
+// until stop closes.
+func churnTap(e *Engine, stop <-chan struct{}, tap telemetry.Tap) {
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		h := e.Bus().AttachTap(tap)
+		time.Sleep(200 * time.Microsecond)
+		h.Detach()
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// TestTapChurnKeepsCountersExact: a listener attaching and detaching
+// while arrivals run changes what the bus carries, never what the
+// engine counts. Every outcome lands in exactly one counter, and no
+// two delivered events share a sequence number.
+func TestTapChurnKeepsCountersExact(t *testing.T) {
+	e := NewEngine()
+	e.DefaultTimeout = time.Millisecond
+	e.OrderWindow = 0
+	const (
+		nBreakpoints = 4
+		nTriggerers  = 4
+		iterations   = 2000
+	)
+	bps := make([]*Breakpoint, nBreakpoints)
+	objs := make([]*int, nBreakpoints)
+	for i := range bps {
+		bps[i] = e.Breakpoint(fmt.Sprintf("churn.bp%d", i))
+		objs[i] = new(int)
+	}
+	e.SetBreakpointEnabled(bps[nBreakpoints-1].Name(), false)
+
+	tap := &recordingTap{}
+	stop := make(chan struct{})
+	var churnWG sync.WaitGroup
+	churnWG.Add(1)
+	go func() {
+		defer churnWG.Done()
+		churnTap(e, stop, tap)
+	}()
+
+	never := Options{ExtraLocal: func() bool { return false }}
+	var outcomes [nBreakpoints][OutcomeShed + 1]atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < nTriggerers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iterations; i++ {
+				k, opts := (g+i)%nBreakpoints, never
+				if i%50 == 0 {
+					// Both sides postpone on bp0: hits and timeouts.
+					k, opts = 0, Options{}
+				}
+				out := bps[k].TriggerOutcome(NewConflictTrigger(bps[k].Name(), objs[k]), g%2 == 0, opts)
+				outcomes[k][out].Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	churnWG.Wait()
+
+	for k, bp := range bps {
+		n := func(o Outcome) int64 { return outcomes[k][o].Load() }
+		st := bp.Stats().Snapshot()
+		enabled := n(OutcomeLocalFalse) + n(OutcomeHit) + n(OutcomeTimeout)
+		if st.Arrivals != enabled || st.LocalFalses != n(OutcomeLocalFalse) ||
+			st.Hits*2 != n(OutcomeHit) || st.Timeouts != n(OutcomeTimeout) {
+			t.Errorf("%s: stats %+v disagree with outcomes local-false=%d hit=%d timeout=%d",
+				bp.Name(), st, n(OutcomeLocalFalse), n(OutcomeHit), n(OutcomeTimeout))
+		}
+		if other := n(OutcomePanic) + n(OutcomeShed); other != 0 {
+			t.Errorf("%s: %d arrivals returned an unexpected outcome", bp.Name(), other)
+		}
+	}
+	if off := &outcomes[nBreakpoints-1]; off[OutcomeDisabled].Load() == 0 || off[OutcomeLocalFalse].Load() != 0 {
+		t.Errorf("disabled breakpoint: %d disabled, %d local-false outcomes",
+			off[OutcomeDisabled].Load(), off[OutcomeLocalFalse].Load())
+	}
+	seen := make(map[uint64]bool)
+	for _, ev := range tap.events() {
+		if seen[ev.Seq] {
+			t.Fatalf("Seq %d delivered twice", ev.Seq)
+		}
+		seen[ev.Seq] = true
+	}
 }

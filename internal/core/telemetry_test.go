@@ -37,6 +37,16 @@ func (r *recordingTap) Deliver(rec telemetry.Record) {
 	r.mu.Unlock()
 }
 
+// events returns the engine events the tap received, in delivery
+// order.
+func (r *recordingTap) events() []Event {
+	var out []Event
+	for _, rec := range r.byKind(telemetry.RecordEvent) {
+		out = append(out, rec.Event)
+	}
+	return out
+}
+
 func (r *recordingTap) byKind(k telemetry.RecordKind) []telemetry.Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -54,6 +64,8 @@ func TestBusCarriesEventsAndIncidents(t *testing.T) {
 	tap := &recordingTap{}
 	h := e.Bus().AttachTap(tap)
 	defer h.Detach()
+	sub := e.Bus().Subscribe(64) // room for every record of one hit pair
+	defer sub.Cancel()
 
 	hitPair(t, e, "bus.bp")
 	e.RecordIncident(guard.KindStall, "bus.bp", 0, "test incident")
@@ -71,9 +83,20 @@ func TestBusCarriesEventsAndIncidents(t *testing.T) {
 	if !sawHit {
 		t.Error("bus missed the hit event")
 	}
-	// Bus events and the in-memory ring must agree (same emission site).
-	if ringN, busN := len(e.Events()), len(evs); ringN != busN {
-		t.Errorf("ring has %d events, bus saw %d", ringN, busN)
+	// The tap and the subscription must agree (same emission site).
+	subN := 0
+	for drained := false; !drained; {
+		select {
+		case rec := <-sub.C():
+			if rec.Kind == telemetry.RecordEvent {
+				subN++
+			}
+		default:
+			drained = true
+		}
+	}
+	if tapN := len(evs); subN != tapN {
+		t.Errorf("subscription has %d events, tap saw %d", subN, tapN)
 	}
 
 	ins := tap.byKind(telemetry.RecordIncident)

@@ -76,6 +76,12 @@ func (b *Bus) Publish(rec Record) {
 	}
 }
 
+// Listening reports whether any tap or subscription is attached: the
+// same single atomic load Publish starts with. A publisher whose record
+// costs something to build (a clock read, a sequence number) checks it
+// first and builds nothing when nobody listens.
+func (b *Bus) Listening() bool { return b.set.Load() != nil }
+
 // Dropped returns how many records were dropped across all of the bus's
 // subscriptions (monotonic; taps never drop).
 func (b *Bus) Dropped() int64 { return b.dropped.Load() }

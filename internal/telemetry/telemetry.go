@@ -22,8 +22,8 @@
 // through the bus as they happen; *metrics* are pulled at scrape time
 // by collectors that read the engine's existing atomic counters, so the
 // trigger hot path acquires no new lock and pays one atomic pointer
-// load when nobody is listening — the same price the old durable-sink
-// check cost.
+// load when nobody is listening: the engine then builds no event at
+// all (Bus.Listening).
 //
 // Layering: this package imports only internal/guard and the standard
 // library. internal/core imports it (Event and EventKind live here and
@@ -74,14 +74,17 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one entry of the engine's event log. It is the canonical
-// engine-event shape: internal/core aliases it (core.Event) and every
-// bus consumer — the durable journal sink, the NDJSON stream, the
-// registry's stream counters — sees the same value the shard ring
-// retained.
+// Event is one breakpoint event as the engine publishes it. It is the
+// canonical engine-event shape: internal/core aliases it (core.Event)
+// and every bus consumer — the durable journal sink, the NDJSON
+// stream, the registry's stream counters — sees the same value. The
+// engine keeps no copy: an event exists only if a listener was
+// attached when it happened.
 type Event struct {
 	// Seq is the engine-wide event sequence number; it totally orders
-	// events across breakpoints (When has only clock resolution).
+	// events across breakpoints (When has only clock resolution). It
+	// counts published events only, so a listener attached before the
+	// first arrival sees 1, 2, 3, ... with no gaps.
 	Seq uint64
 	// When is the event timestamp.
 	When time.Time

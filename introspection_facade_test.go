@@ -42,12 +42,25 @@ func TestIntrospectionPassthroughs(t *testing.T) {
 		t.Fatalf("Overload() = %+v, %v", ov, ok)
 	}
 
+	sub := cbreak.Telemetry().Subscribe(64) // room for every record of one hit pair
 	hitDefault(t, "facade.intro")
+	sub.Cancel()
 	if cbreak.Stats("facade.intro").Hits() != 1 {
 		t.Fatal("Stats passthrough missed the hit")
 	}
-	if len(cbreak.Events()) == 0 {
-		t.Fatal("Events passthrough empty after a hit")
+	events := 0
+	for drained := false; !drained; {
+		select {
+		case rec := <-sub.C():
+			if rec.Kind == cbreak.RecordEvent && rec.Event.Breakpoint == "facade.intro" {
+				events++
+			}
+		default:
+			drained = true
+		}
+	}
+	if events == 0 {
+		t.Fatal("Telemetry passthrough carried no events for a hit")
 	}
 	if cbreak.PostponedCount("facade.intro") != 0 || cbreak.MultiPostponedCount("facade.intro") != 0 {
 		t.Fatal("postponed counts nonzero at rest")
