@@ -140,7 +140,9 @@ func TriggerHereAnd(t Trigger, first bool, opts Options, action func()) bool {
 
 // TriggerHereMulti announces that the caller reached slot `slot` of the
 // n-way breakpoint t (the paper's more-than-two-threads generalization);
-// slots are released in order on a hit.
+// slots are released in order on a hit. Arity 2 is the two-way
+// breakpoint: slot 0 is TriggerHere's first-action side, slot 1 its
+// second.
 func TriggerHereMulti(t Trigger, slot, arity int, opts Options) bool {
 	return core.Default().TriggerHereMulti(t, slot, arity, opts)
 }
@@ -426,11 +428,9 @@ func Overload() (OverloadConfig, bool) { return core.Default().Overload() }
 func Stats(name string) *BPStats { return core.Default().Stats(name) }
 
 // PostponedCount returns how many goroutines are currently postponed at
-// the named two-way breakpoint on the default engine.
+// the named breakpoint on the default engine, at every slot of every
+// arity.
 func PostponedCount(name string) int { return core.Default().PostponedCount(name) }
-
-// MultiPostponedCount is PostponedCount for the n-way generalization.
-func MultiPostponedCount(name string) int { return core.Default().MultiPostponedCount(name) }
 
 // IncidentCounts returns the default engine's monotonic incident totals
 // keyed by kind label, only kinds seen at least once.

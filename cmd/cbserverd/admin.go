@@ -293,7 +293,7 @@ func (d *daemon) handleBreakpoints(w http.ResponseWriter, r *http.Request) {
 		out = append(out, breakpointView{
 			StatsSnapshot: s,
 			Enabled:       d.e.BreakpointEnabled(s.Name),
-			Postponed:     d.e.PostponedCount(s.Name) + d.e.MultiPostponedCount(s.Name),
+			Postponed:     d.e.PostponedCount(s.Name),
 		})
 	}
 	writeJSON(w, out)

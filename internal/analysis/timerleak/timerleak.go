@@ -1,8 +1,8 @@
 // Package timerleak flags time.After calls inside loops. Each call
 // allocates a timer that is not collected until it fires, so a
 // select-in-a-loop that takes the other branch leaks one timer per
-// iteration — the leak class PR 3 removed from the engine's awaitFirst
-// and chain stages by hand, enforced mechanically from now on. The fix
+// iteration — the leak class once removed by hand from the engine's
+// release-chain waits, enforced mechanically from now on. The fix
 // is a single time.NewTimer (or Ticker) hoisted out of the loop, with
 // Stop/Reset per iteration.
 package timerleak

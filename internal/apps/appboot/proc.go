@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"cbreak/internal/proc"
 )
 
 // This file is the process-worker launcher: the hosted app runs in a
@@ -16,8 +18,8 @@ import (
 // supervisor can observe and survive real process death — SIGKILL,
 // SIGSTOP wedges, crash-loops — the faults the scenario harness
 // injects. The child is placed in its own process group with the
-// parent-death signal armed (procattr_*.go, the campaign worker's
-// pattern), so killing the daemon never strands a worker.
+// parent-death signal armed (internal/proc, shared with the campaign's
+// trial workers), so killing the daemon never strands a worker.
 
 // HandshakePrefix opens the one line a worker prints to stdout once its
 // socket is listening; the launcher parses the address out of it.
@@ -75,7 +77,7 @@ func ProcLauncher(cfg ProcConfig) Launcher {
 	}
 	return func(prevAddr string) (Instance, error) {
 		cmd := exec.Command(cfg.Bin, cfg.Args(prevAddr)...)
-		cmd.SysProcAttr = workerSysProcAttr()
+		cmd.SysProcAttr = proc.WorkerAttr()
 		cmd.Stderr = cfg.Output
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
@@ -152,7 +154,7 @@ func (p *procInstance) ExitErr() error {
 // Stop asks the worker to drain (SIGTERM), escalating to a group kill
 // at the stop timeout.
 func (p *procInstance) Stop() error {
-	if err := terminateWorker(p.cmd); err != nil {
+	if err := proc.Terminate(p.cmd); err != nil {
 		return p.Kill()
 	}
 	select {
@@ -166,7 +168,7 @@ func (p *procInstance) Stop() error {
 // Kill kills the worker's whole process group and waits for the reap.
 func (p *procInstance) Kill() error {
 	var err error
-	p.killOnce.Do(func() { err = killWorkerTree(p.cmd) })
+	p.killOnce.Do(func() { err = proc.KillTree(p.cmd) })
 	select {
 	case <-p.done:
 	case <-time.After(5 * time.Second):

@@ -481,17 +481,9 @@ func (h *Host) quarantineWait() (revived bool) {
 // backoff sleeps the jittered exponential restart delay; false means
 // the host was stopped mid-backoff.
 func (h *Host) backoff(streak int) bool {
-	d := h.cfg.RestartBackoff
-	for i := 1; i < streak && d < h.cfg.MaxRestartBackoff; i++ {
-		d *= 2
-	}
-	if d > h.cfg.MaxRestartBackoff {
-		d = h.cfg.MaxRestartBackoff
-	}
-	// Jitter into [d/2, d): herds of workers relaunching in lockstep
-	// would re-synchronize the very contention that killed them.
-	half := d / 2
-	d = half + h.jitter.Duration(half+1)
+	// Jittered: herds of workers relaunching in lockstep would
+	// re-synchronize the very contention that killed them.
+	d := h.jitter.Backoff(h.cfg.RestartBackoff, h.cfg.MaxRestartBackoff, streak-1)
 	select {
 	case <-h.stop:
 		h.state.Store(int32(StateStopped))

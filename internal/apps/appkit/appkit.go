@@ -273,6 +273,23 @@ func (s *Stream) Duration(scale time.Duration) time.Duration {
 	return time.Duration(s.Next() % uint64(scale))
 }
 
+// Backoff returns the jittered exponential delay after n failures: base
+// doubled n times (none when n <= 0), capped at max (a non-positive
+// delay also becomes max), then jittered into [d/2, d] by one draw from
+// the stream. Retry loops seeded from one stream replay identical
+// delays, and herds of clients backing off together spread out.
+func (s *Stream) Backoff(base, max time.Duration, n int) time.Duration {
+	d := base
+	for i := 0; i < n && d < max; i++ {
+		d *= 2
+	}
+	if d <= 0 || d > max {
+		d = max
+	}
+	half := d / 2
+	return half + s.Duration(half+1)
+}
+
 // JitterDuration returns a pseudo-random duration in [0, scale) from the
 // seedable jitter stream (zero when scale <= 0).
 func JitterDuration(scale time.Duration) time.Duration {

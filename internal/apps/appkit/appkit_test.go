@@ -170,3 +170,42 @@ func TestSeededJitterIsDeterministic(t *testing.T) {
 		t.Fatal("non-positive scale should yield zero jitter")
 	}
 }
+
+func TestStreamBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	cases := []struct {
+		name        string
+		base, max   time.Duration
+		n           int
+		wantCeiling time.Duration // d before jitter: the delay lies in [d/2, d]
+	}{
+		{"no failures yet", 10 * ms, time.Second, 0, 10 * ms},
+		{"negative n is no doubling", 10 * ms, time.Second, -3, 10 * ms},
+		{"doubled per failure", 10 * ms, time.Second, 3, 80 * ms},
+		{"capped", 10 * ms, 100 * ms, 4, 100 * ms},
+		{"capped without overflow", 10 * ms, 100 * ms, 200, 100 * ms},
+		{"base above the cap", time.Second, 100 * ms, 0, 100 * ms},
+		{"non-positive base takes the cap", 0, 100 * ms, 2, 100 * ms},
+	}
+	for _, c := range cases {
+		for seed := int64(0); seed < 50; seed++ {
+			got := NewStream(seed).Backoff(c.base, c.max, c.n)
+			d := c.wantCeiling
+			if got < d/2 || got > d {
+				t.Fatalf("%s, seed %d: %v outside [%v, %v]", c.name, seed, got, d/2, d)
+			}
+			// One draw from the stream, the same for equal seeds.
+			if want := d/2 + NewStream(seed).Duration(d/2+1); got != want {
+				t.Fatalf("%s, seed %d: %v, want %v", c.name, seed, got, want)
+			}
+		}
+	}
+	// Backoff takes exactly one draw: the stream goes on where a single
+	// Duration draw would leave it.
+	a, b := NewStream(7), NewStream(7)
+	a.Backoff(10*ms, time.Second, 1)
+	b.Next()
+	if a.Next() != b.Next() {
+		t.Fatal("Backoff did not take exactly one draw from the stream")
+	}
+}

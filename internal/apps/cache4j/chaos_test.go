@@ -33,7 +33,7 @@ func assertEngineConsistent(t *testing.T, e *core.Engine, bp string, res appkit.
 	if res.Status == appkit.Stall || res.Status == appkit.Exception {
 		t.Fatalf("application did not survive the faults: %v", res)
 	}
-	if n := e.PostponedCount(bp) + e.MultiPostponedCount(bp); n != 0 {
+	if n := e.PostponedCount(bp); n != 0 {
 		t.Fatalf("%d waiters leaked on %s", n, bp)
 	}
 }

@@ -327,16 +327,12 @@ func (s *Supervisor) nextDispatch() int {
 }
 
 // backoff returns the jittered exponential delay for the given retry
-// attempt (0-based): base<<attempt capped at MaxBackoff, jittered to
-// [d/2, d] by the appkit stream derived from (trial seed, attempt).
+// attempt (0-based): Config.Backoff doubled per attempt, capped at
+// MaxBackoff, jittered to [d/2, d] by the appkit stream derived from
+// (trial seed, attempt).
 // The same splitmix64 stream that seeds trial workloads seeds the
 // retry timing, so a -resume of a seeded campaign replays identical
 // backoff delays — pure in (seed, attempt), no process-global RNG.
 func (s *Supervisor) backoff(trialSeed int64, attempt int) time.Duration {
-	d := s.cfg.Backoff << uint(attempt)
-	if d <= 0 || d > s.cfg.MaxBackoff {
-		d = s.cfg.MaxBackoff
-	}
-	half := d / 2
-	return half + appkit.DeriveStream(trialSeed, int64(attempt)).Duration(half+1)
+	return appkit.DeriveStream(trialSeed, int64(attempt)).Backoff(s.cfg.Backoff, s.cfg.MaxBackoff, attempt)
 }

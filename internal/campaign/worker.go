@@ -12,6 +12,7 @@ import (
 
 	"cbreak/internal/apps/appkit"
 	"cbreak/internal/harness"
+	"cbreak/internal/proc"
 )
 
 // WorkerRequest is the supervisor → worker message: the address of one
@@ -87,9 +88,9 @@ func SubprocessExecutor(bin string, args ...string) Executor {
 		// process group and the deadline kill targets the group, so
 		// grandchildren die with it; on Linux the parent-death signal
 		// additionally reaps workers whose supervisor was SIGKILLed and
-		// never ran this cancel at all (see procattr_linux.go).
-		cmd.SysProcAttr = workerSysProcAttr()
-		cmd.Cancel = func() error { return killWorkerTree(cmd) }
+		// never ran this cancel at all (see internal/proc).
+		cmd.SysProcAttr = proc.WorkerAttr()
+		cmd.Cancel = func() error { return proc.KillTree(cmd) }
 		cmd.Env = os.Environ()
 		if req.Chaos != "" {
 			cmd.Env = append(cmd.Env, ChaosEnv+"="+req.Chaos)

@@ -15,7 +15,7 @@ import (
 // enforces the ordering action of a hit breakpoint.
 //
 // State is sharded per breakpoint name (shard.go): each breakpoint owns
-// its own mutex, postponed lists, statistics, and circuit breaker, so
+// its own mutex, postponed set, statistics, and circuit breaker, so
 // arrivals on unrelated breakpoints never contend.
 // Shards are resolved through a lock-free registry and can be pinned on
 // a Breakpoint handle (handle.go) to skip even the registry lookup.
@@ -30,10 +30,11 @@ type Engine struct {
 	// is zero. The paper uses 100ms as the default.
 	DefaultTimeout time.Duration
 
-	// OrderWindow is how long the second-action goroutine yields after
-	// the first-action goroutine has been released, when the first side
-	// used plain TriggerHere (no explicit handshake). It gives the
-	// first side's next instruction time to execute first.
+	// OrderWindow is how long each later slot of a hit breakpoint (the
+	// second-action side of a two-way one) yields after the slot before
+	// it has been released. It gives the earlier side's next
+	// instruction time to execute first when that side used plain
+	// TriggerHere (no explicit handshake).
 	OrderWindow time.Duration
 
 	// registry maps breakpoint name → *bpState. Reset swaps the whole
@@ -41,7 +42,6 @@ type Engine struct {
 	// pointer indirection exists (see shard.go).
 	registry atomic.Pointer[sync.Map]
 
-	seq      atomic.Uint64 // arrival sequence, for deterministic matching order
 	eventSeq atomic.Uint64 // published-event sequence; taken only when the bus has a listener
 	onHit    atomic.Pointer[onHitBox]
 
@@ -54,8 +54,8 @@ type Engine struct {
 	durable durableState // tracks the durable sink's bus tap (durable.go)
 
 	// postponedTotal counts currently-postponed goroutines across all
-	// shards (two-way and multi-way). Maintained at the shard append /
-	// remove sites; the overload layer (overload.go) and the wait-graph
+	// shards. Maintained where a shard's postponed set grows or is
+	// pruned; the overload layer (overload.go) and the wait-graph
 	// supervisor read it lock-free.
 	postponedTotal atomic.Int64
 
@@ -77,9 +77,6 @@ type Engine struct {
 	wdStop chan struct{}
 	wdDone chan struct{}
 }
-
-// yield gives other goroutines the processor during ordering windows.
-func yield() { runtime.Gosched() }
 
 // NewEngine returns an enabled engine with the paper's default pause
 // time of 100ms and a 100µs ordering window.
@@ -118,29 +115,25 @@ func (e *Engine) Reset() {
 	})
 }
 
-// matchResult is delivered to a postponed waiter when a partner arrives.
-type matchResult struct {
-	other     Trigger
-	iAmFirst  bool
-	firstDone chan struct{} // closed when the first side has proceeded
-}
-
-// waiter states, guarded by the owning shard's mutex.
+// waiter states, guarded by the owning shard's mutex. A waiter is in
+// its shard's postponed set exactly while it is waiterWaiting.
 const (
 	waiterWaiting = iota
 	waiterMatched
 	waiterCancelled
 )
 
+// waiter is one postponed arrival at slot slot of an arity-arity
+// breakpoint. A two-way call is slot 0 (the first-action side) or slot
+// 1 of arity 2.
 type waiter struct {
 	t        Trigger
-	first    bool
+	slot     int
+	arity    int
 	gid      uint64
-	seq      uint64
-	ch       chan matchResult // buffered, capacity 1
-	cancelCh chan struct{}    // closed by Reset/watchdog to release the waiter
-	state    int              // guarded by shard mu
-	action   func()           // optional first-action instruction (TriggerHereAnd)
+	ch       chan turn     // buffered, capacity 1: the waiter's turn when its group matches
+	cancelCh chan struct{} // closed by Reset/watchdog to release the waiter
+	state    int           // guarded by shard mu
 
 	// deadline is when the requested postponement budget expires; the
 	// watchdog force-releases waiters stuck past it (plus grace).
@@ -151,6 +144,30 @@ type waiter struct {
 	// The close of cancelCh publishes it, so the released goroutine
 	// reads it without re-taking the lock.
 	cancelOutcome Outcome
+}
+
+// cancel releases a postponed waiter with the given outcome; the
+// caller then prunes the postponed set. Caller holds the shard mutex.
+func (w *waiter) cancel(out Outcome) {
+	w.state = waiterCancelled
+	w.cancelOutcome = out
+	close(w.cancelCh)
+}
+
+// turn is one participant's place in a hit's release chain: it waits
+// for prev to close (nil for slot 0, which goes at once) and closes
+// next once it has proceeded (nil for the last slot).
+type turn struct {
+	prev, next chan struct{}
+}
+
+// slotOf returns a two-way call's slot: the first-action side is slot 0
+// of an arity-2 breakpoint, the second-action side slot 1.
+func slotOf(first bool) int {
+	if first {
+		return 0
+	}
+	return 1
 }
 
 // TriggerHere announces that the calling goroutine has reached one side
@@ -165,6 +182,8 @@ type waiter struct {
 // Postponed set. If a partner with a satisfied joint predicate arrives
 // in the meantime, the breakpoint is hit; otherwise the goroutine times
 // out and continues, so a breakpoint can never deadlock the program.
+// The two sides are slots 0 and 1 of an arity-2 breakpoint, so a
+// TriggerHereMulti call at either slot of arity 2 is a partner too.
 //
 // TriggerHere resolves the breakpoint's shard by name on every call;
 // hot call sites can hoist the lookup with Engine.Breakpoint.
@@ -172,7 +191,7 @@ func (e *Engine) TriggerHere(t Trigger, first bool, opts Options) bool {
 	if !e.enabled.Load() {
 		return false
 	}
-	return e.trigger(e.shard(t.Name()), t, first, opts, nil) == OutcomeHit
+	return e.shard(t.Name()).trigger(t, slotOf(first), 2, opts, nil) == OutcomeHit
 }
 
 // TriggerHereAnd is TriggerHere with a strict ordering handshake: when
@@ -189,7 +208,7 @@ func (e *Engine) TriggerHereAnd(t Trigger, first bool, opts Options, action func
 		}
 		return false
 	}
-	return e.trigger(e.shard(t.Name()), t, first, opts, action) == OutcomeHit
+	return e.shard(t.Name()).trigger(t, slotOf(first), 2, opts, action) == OutcomeHit
 }
 
 // TriggerOutcome is TriggerHere returning the full outcome rather than
@@ -198,28 +217,36 @@ func (e *Engine) TriggerOutcome(t Trigger, first bool, opts Options) Outcome {
 	if !e.enabled.Load() {
 		return OutcomeDisabled
 	}
-	return e.trigger(e.shard(t.Name()), t, first, opts, nil)
+	return e.shard(t.Name()).trigger(t, slotOf(first), 2, opts, nil)
 }
 
-// trigger is the two-way arrival path. s is the breakpoint's shard,
-// resolved by the caller (by name, or pinned on a handle); all state the
-// arrival touches lives on it. A disabled arrival returns here, without
-// setting up the stack frame of the rendezvous body (arrive).
-func (e *Engine) trigger(s *bpState, t Trigger, first bool, opts Options, action func()) Outcome {
-	if !e.enabled.Load() || s.disabled.Load() {
+// trigger is the arrival path of every call, whatever its arity: slot
+// slot of an arity-arity breakpoint on shard s, resolved by the caller
+// (by name, or pinned on a handle); all state the arrival touches lives
+// on it or its engine. A disabled arrival returns here, without setting
+// up the stack frame of the rendezvous body (arrive). trigger and
+// arrive are shard methods so that their arguments fit the amd64
+// register ABI's nine integer registers: an engine argument as well
+// would push the Options onto the stack on every call.
+func (s *bpState) trigger(t Trigger, slot, arity int, opts Options, action func()) Outcome {
+	if !s.eng.enabled.Load() || s.disabled.Load() {
 		if action != nil {
 			action()
 		}
 		return OutcomeDisabled
 	}
-	return e.arrive(s, t, first, opts, action)
+	return s.arrive(t, slot, arity, opts, action)
 }
 
-// arrive is an enabled two-way arrival: breaker admission, the local
-// predicate, then matching or postponement on the shard.
-func (e *Engine) arrive(s *bpState, t Trigger, first bool, opts Options, action func()) Outcome {
+// arrive is an enabled arrival: breaker admission, the local predicate,
+// then matching or postponement on the shard. Slot 0 counts as the
+// breakpoint's first-action side and every other slot as its second,
+// in the statistics, the fault hooks and the published events.
+func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()) Outcome {
+	e := s.eng
 	name := s.name
 	st := s.stats
+	first := slot == 0
 	br := s.breakerFor(e)
 	st.arrived(first)
 	fault := e.faultFor(name, first)
@@ -266,48 +293,37 @@ func (e *Engine) arrive(s *bpState, t Trigger, first bool, opts Options, action 
 	// case we continue on its replacement (and its counters).
 	s = e.lockLive(s)
 	st = s.stats
-	// Try to match an already-postponed partner.
-	w, poisoned, gpv := s.findPartner(t, first, gid, fault)
+	// Try to complete a group with already-postponed waiters. The
+	// matcher's index stack lives in idx, so it allocates nothing up to
+	// arity 9.
+	var idx [8]int
+	group, poisoned, gpv := s.match(idx[:0], t, slot, arity, gid, fault)
 	if poisoned != nil {
-		// The joint predicate panicked against this waiter: release the
-		// partner so nothing stays postponed behind a broken predicate,
-		// and absorb the panic.
-		s.releaseWaiterLocked(poisoned, OutcomePanic)
+		// The joint predicate panicked against this waiter: release it
+		// so nothing stays postponed behind a broken predicate, and
+		// absorb the panic.
+		poisoned.cancel(OutcomePanic)
+		s.prune()
 		s.mu.Unlock()
 		return e.absorbPredPanic(name, "global", gid, st, fault, gpv, action)
 	}
-	if w != nil {
-		s.removeWaiter(w)
-		w.state = waiterMatched
+	if group != nil {
 		st.hit()
 		e.logEvent(s, EventHit, gid, first)
-		e.emitHit(name, t, w.t)
-		fd := make(chan struct{})
-		if first {
-			// We are the first-action side; the postponed partner is second.
-			w.ch <- matchResult{other: t, iAmFirst: false, firstDone: fd}
-			s.mu.Unlock()
-			e.reportBreaker(br, name, st, true)
-			return e.runFirst(name, gid, st, fault, timeout, fd, action)
-		}
-		// The postponed partner is the first-action side.
-		w.ch <- matchResult{other: t, iAmFirst: true, firstDone: fd}
+		e.emitHit(name, t, s.postponed[group[0]].t)
+		tn := s.chain(group, slot, arity)
 		s.mu.Unlock()
 		e.reportBreaker(br, name, st, true)
-		e.awaitFirst(fd, timeout)
-		if e.execAction(name, gid, st, fault, timeout, action) {
-			return OutcomePanic
-		}
-		return OutcomeHit
+		return e.proceed(name, gid, st, fault, tn, action, timeout)
 	}
 
-	// No partner yet: postpone ourselves — if the overload layer admits
+	// No group yet: postpone ourselves — if the overload layer admits
 	// another waiter. At the bound the arrival is shed instead: it
 	// passes straight through like a tripped breaker's, trading hit
 	// probability for a bounded postponed population.
 	ov := s.overloadFor(e)
 	global := e.postponedTotal.Load()
-	if reason, shed := ov.shedReason(len(s.postponed)+len(s.multi), global); shed {
+	if reason, shed := ov.shedReason(len(s.postponed), global); shed {
 		s.mu.Unlock()
 		st.shed(first)
 		e.recordIncident(guard.KindOverloadShed, name, gid, reason)
@@ -319,8 +335,8 @@ func (e *Engine) arrive(s *bpState, t Trigger, first bool, opts Options, action 
 	// Under pressure the granted budget shrinks below the requested
 	// timeout (overload.go), draining the backlog faster as it grows.
 	budget := ov.budget(timeout, global)
-	w = &waiter{t: t, first: first, gid: gid, seq: e.seq.Add(1),
-		ch: make(chan matchResult, 1), cancelCh: make(chan struct{}), action: action,
+	w := &waiter{t: t, slot: slot, arity: arity, gid: gid,
+		ch: make(chan turn, 1), cancelCh: make(chan struct{}),
 		deadline: time.Now().Add(budget)}
 	s.postponed = append(s.postponed, w)
 	e.postponedTotal.Add(1)
@@ -337,99 +353,88 @@ func (e *Engine) arrive(s *bpState, t Trigger, first bool, opts Options, action 
 	timer := time.NewTimer(selectTimeout)
 	defer timer.Stop()
 	start := time.Now()
+	out := OutcomeHit
+	var tn turn
 	select {
-	case res := <-w.ch:
-		st.addWait(time.Since(start))
-		e.reportBreaker(br, name, st, true)
-		return e.finishMatch(name, gid, st, fault, res, action, timeout)
+	case tn = <-w.ch:
 	case <-w.cancelCh:
 		// Reset, the watchdog, or a poisoned-predicate release freed us.
 		// The close happens after cancelOutcome was set under the shard
 		// mutex, so the plain read is ordered.
-		st.addWait(time.Since(start))
-		out := w.cancelOutcome
-		if out == OutcomeDisabled { // never set: defensive default
-			out = OutcomeTimeout
-		}
-		if out == OutcomeTimeout {
-			e.reportBreaker(br, name, st, false)
-		}
-		if e.execAction(name, gid, st, fault, timeout, action) {
-			return OutcomePanic
-		}
-		return out
+		out = w.cancelOutcome
 	case <-timer.C:
 		s.mu.Lock()
 		if w.state == waiterMatched {
 			// Matched concurrently with the timeout; honor the match.
 			s.mu.Unlock()
-			res := <-w.ch
-			st.addWait(time.Since(start))
-			e.reportBreaker(br, name, st, true)
-			return e.finishMatch(name, gid, st, fault, res, action, timeout)
+			tn = <-w.ch
+			break
 		}
-		s.removeWaiter(w)
 		w.state = waiterCancelled
+		s.prune()
 		s.mu.Unlock()
-		st.addWait(time.Since(start))
 		st.timeout(first)
 		e.logEvent(s, EventTimeout, gid, first)
-		e.reportBreaker(br, name, st, false)
-		if e.execAction(name, gid, st, fault, timeout, action) {
-			return OutcomePanic
-		}
-		return OutcomeTimeout
+		out = OutcomeTimeout
 	}
+	st.addWait(time.Since(start))
+	if out == OutcomeHit {
+		e.reportBreaker(br, name, st, true)
+		return e.proceed(name, gid, st, fault, tn, action, timeout)
+	}
+	if out == OutcomeTimeout {
+		e.reportBreaker(br, name, st, false)
+	}
+	if e.execAction(name, gid, st, fault, timeout, action) {
+		return OutcomePanic
+	}
+	return out
 }
 
-func (e *Engine) finishMatch(name string, gid uint64, st *BPStats, fault guard.Fault, res matchResult, action func(), timeout time.Duration) Outcome {
-	if res.iAmFirst {
-		return e.runFirst(name, gid, st, fault, timeout, res.firstDone, action)
+// proceed runs one participant's turn in a hit's release chain. Slot 0
+// goes at once; every later slot waits for the slot before it (awaitTurn)
+// and then runs its action. Each slot releases the next after its
+// action; the release is deferred so a panicking action (e.g. the
+// guarded instruction throwing the very exception the breakpoint
+// reproduces) still frees the rest of the chain, whether the panic is
+// re-thrown or absorbed (SetIsolateActionPanics). Without an action the
+// next slot is released at once, and its ordering window gives this
+// goroutine's next instruction time to run first.
+func (e *Engine) proceed(name string, gid uint64, st *BPStats, fault guard.Fault, tn turn, action func(), timeout time.Duration) Outcome {
+	if tn.prev != nil {
+		e.awaitTurn(tn.prev, timeout)
 	}
-	e.awaitFirst(res.firstDone, timeout)
+	if tn.next != nil {
+		if action == nil && fault.Zero() {
+			close(tn.next)
+			return OutcomeHit
+		}
+		defer close(tn.next)
+	}
 	if e.execAction(name, gid, st, fault, timeout, action) {
 		return OutcomePanic
 	}
 	return OutcomeHit
 }
 
-// runFirst executes the first-action side's next instruction (if the
-// caller supplied one) and then releases the second side. The release is
-// deferred so a panicking action (e.g. the guarded instruction throwing
-// the very exception the breakpoint reproduces) still frees the partner
-// whether the panic is re-thrown or absorbed (SetIsolateActionPanics).
-func (e *Engine) runFirst(name string, gid uint64, st *BPStats, fault guard.Fault, budget time.Duration, firstDone chan struct{}, action func()) Outcome {
-	if action == nil && fault.Zero() {
-		// No explicit next instruction: release the partner immediately;
-		// the partner additionally yields for OrderWindow so that this
-		// goroutine's next instruction very likely runs first.
-		close(firstDone)
-		return OutcomeHit
-	}
-	defer close(firstDone)
-	if e.execAction(name, gid, st, fault, budget, action) {
-		return OutcomePanic
-	}
-	return OutcomeHit
-}
-
-// awaitFirst blocks the second-action side until the first side has
-// proceeded, then yields for the ordering window. The window is a
-// Gosched spin rather than a sleep: OS timer quantization would stretch
-// a sub-millisecond sleep to a full tick, letting the first side's
-// *subsequent* instructions win the race against the second side's next
+// awaitTurn blocks a later slot until the slot before it has proceeded,
+// then yields for the ordering window. The window is a Gosched spin
+// rather than a sleep: OS timer quantization would stretch a
+// sub-millisecond sleep to a full tick, letting the earlier side's
+// *subsequent* instructions win the race against this side's next
 // instruction and undoing the ordering the breakpoint promised.
-func (e *Engine) awaitFirst(firstDone chan struct{}, timeout time.Duration) {
+func (e *Engine) awaitTurn(prev chan struct{}, timeout time.Duration) {
 	select {
-	case <-firstDone:
-		// Common case: the first side has already proceeded (it releases
-		// immediately when it has no action), so no timer is ever built.
+	case <-prev:
+		// Common case: the earlier slot has already proceeded (it
+		// releases immediately when it has no action), so no timer is
+		// ever built.
 	default:
 		timer := time.NewTimer(timeout)
 		select {
-		case <-firstDone:
+		case <-prev:
 		case <-timer.C:
-			// Defensive: never block forever even if the first side stalls.
+			// Defensive: never block forever even if the earlier slot stalls.
 		}
 		timer.Stop()
 	}
@@ -441,42 +446,123 @@ func (e *Engine) awaitFirst(firstDone chan struct{}, timeout time.Duration) {
 	}
 }
 
-// findPartner scans the shard's postponed set for the oldest waiter that
-// is a valid partner for t: the opposite side of the breakpoint (the
-// paper's i != j condition), a different goroutine, and a satisfied
-// joint predicate (evaluated, as in the paper's library, as the arriving
-// side's predicateGlobal against the postponed side). The predicate
-// runs isolated: if it panics, the scan stops and the waiter whose
-// pairing panicked is returned as poisoned along with the panic value,
-// so the caller can release it and absorb the failure. Caller holds
-// s.mu.
-func (s *bpState) findPartner(t Trigger, first bool, gid uint64, fault guard.Fault) (best, poisoned *waiter, pv any) {
-	for _, w := range s.postponed {
-		if w.state != waiterWaiting || w.gid == gid || w.first == first {
-			continue
+// match looks in the postponed set for the group that an arrival of t
+// at slot of an arity-n breakpoint completes: one waiter of that arity
+// at every other slot, all on distinct goroutines (the paper's i != j
+// and t1 != t2 conditions), with the joint predicate holding for every
+// pair. Each pair is checked once, as the later arrival's
+// PredicateGlobal against the earlier one's; the arriving trigger is
+// the latest of all, so at arity 2 this is the paper's library's check
+// of the arriving side against the postponed side. The set is kept in
+// arrival order and the search fills the slots in order, backtracking
+// and trying older waiters first, so the oldest partner that matches
+// wins. match appends the group's postponed-set indexes to idx in slot
+// order (the arriving slot left out) and returns them, or nil when no
+// group is complete. Predicates run isolated: on a panic the search
+// stops and returns the waiter whose pairing panicked as poisoned,
+// with the panic value. Caller holds s.mu.
+func (s *bpState) match(idx []int, t Trigger, slot, arity int, gid uint64, fault guard.Fault) (group []int, poisoned *waiter, pv any) {
+	ws := s.postponed
+	from := 0 // first postponed index to try for the slot being filled
+	for len(idx) < arity-1 {
+		want := len(idx)
+		if want >= slot {
+			want++
 		}
-		other := w.t
-		ok, p, panicked := protectBool(func() bool {
-			if fault.PanicGlobal {
-				panic(guard.InjectedPanic{Breakpoint: s.name, Site: "global"})
+		i := from
+		for ; i < len(ws); i++ {
+			w := ws[i]
+			if w.arity != arity || w.slot != want || w.gid == gid {
+				continue
 			}
-			return t.PredicateGlobal(other)
-		})
-		if panicked {
-			return nil, w, p
+			ok, p, panicked := s.fits(ws, idx, i, t, fault)
+			if panicked {
+				return nil, w, p
+			}
+			if ok {
+				break
+			}
 		}
-		if !ok {
+		if i < len(ws) {
+			idx = append(idx, i)
+			from = 0
 			continue
 		}
-		if best == nil || w.seq < best.seq {
-			best = w
+		// Nothing fits this slot beside the waiters chosen so far:
+		// retry the previous slot with its next candidate.
+		if len(idx) == 0 {
+			return nil, nil, nil
+		}
+		from = idx[len(idx)-1] + 1
+		idx = idx[:len(idx)-1]
+	}
+	return idx, nil, nil
+}
+
+// fits reports whether ws[i] can join the waiters chosen (indexes into
+// ws) in the group the arriving trigger t completes: its goroutine is
+// not theirs, and the joint predicate holds against t and each of them,
+// checked as the later arrival's against the earlier one's.
+func (s *bpState) fits(ws []*waiter, chosen []int, i int, t Trigger, fault guard.Fault) (ok bool, pv any, panicked bool) {
+	w := ws[i]
+	if ok, pv, panicked = s.joint(t, w.t, fault); !ok {
+		return
+	}
+	for _, j := range chosen {
+		c := ws[j]
+		if c.gid == w.gid {
+			return false, nil, false
+		}
+		later, earlier := w, c
+		if j > i {
+			later, earlier = c, w
+		}
+		if ok, pv, panicked = s.joint(later.t, earlier.t, fault); !ok {
+			return
 		}
 	}
-	return best, nil, nil
+	return true, nil, false
+}
+
+// joint evaluates later's joint predicate against earlier in isolation:
+// a panic, or an injected PanicGlobal fault, is returned, not thrown.
+func (s *bpState) joint(later, earlier Trigger, fault guard.Fault) (ok bool, pv any, panicked bool) {
+	return protectBool(func() bool {
+		if fault.PanicGlobal {
+			panic(guard.InjectedPanic{Breakpoint: s.name, Site: "global"})
+		}
+		return later.PredicateGlobal(earlier)
+	})
+}
+
+// chain hands every waiter of a matched group its turn in the release
+// chain and prunes the group from the postponed set; it returns the
+// arriving participant's turn. group holds the waiters' postponed-set
+// indexes in slot order, the arriving slot left out. One channel links
+// each slot to the next, so an arity-2 hit makes one. Caller holds s.mu.
+func (s *bpState) chain(group []int, slot, arity int) (mine turn) {
+	var prev chan struct{}
+	for k := 0; k < arity; k++ {
+		var next chan struct{}
+		if k < arity-1 {
+			next = make(chan struct{})
+		}
+		if k == slot {
+			mine = turn{prev, next}
+		} else {
+			w := s.postponed[group[0]]
+			group = group[1:]
+			w.state = waiterMatched
+			w.ch <- turn{prev, next}
+		}
+		prev = next
+	}
+	s.prune()
+	return mine
 }
 
 // PostponedCount returns the number of goroutines currently postponed on
-// the named breakpoint (both sides). Mainly for tests and diagnostics.
+// the named breakpoint, at every slot. Mainly for tests and diagnostics.
 func (e *Engine) PostponedCount(name string) int {
 	s, ok := e.lookupShard(name)
 	if !ok {

@@ -94,20 +94,20 @@ func TestSameGoroutineNeverMatches(t *testing.T) {
 	// Two sequential arrivals from the same goroutine: the first times
 	// out before the second arrives, but even a postponed entry from the
 	// same goroutine must not match (t1 != t2). Exercise the gid check
-	// directly through findPartner.
+	// directly through the matcher.
 	gid := goroutineID()
-	w := &waiter{t: NewConflictTrigger("bp", obj), first: false, gid: gid, ch: make(chan matchResult, 1)}
+	w := &waiter{t: NewConflictTrigger("bp", obj), slot: 1, arity: 2, gid: gid, ch: make(chan turn, 1)}
 	s := e.shard("bp")
 	s.mu.Lock()
 	s.postponed = append(s.postponed, w)
-	got, _, _ := s.findPartner(NewConflictTrigger("bp", obj), true, gid, guard.Fault{})
-	sameSide, _, _ := s.findPartner(NewConflictTrigger("bp", obj), false, gid+1, guard.Fault{})
+	got, _, _ := s.match(nil, NewConflictTrigger("bp", obj), 0, 2, gid, guard.Fault{})
+	sameSide, _, _ := s.match(nil, NewConflictTrigger("bp", obj), 1, 2, gid+1, guard.Fault{})
 	s.mu.Unlock()
 	if got != nil {
-		t.Fatal("findPartner matched a waiter from the same goroutine")
+		t.Fatal("match paired a waiter with its own goroutine")
 	}
 	if sameSide != nil {
-		t.Fatal("findPartner matched a waiter from the same breakpoint side")
+		t.Fatal("match paired a waiter with its own breakpoint side")
 	}
 }
 

@@ -63,31 +63,31 @@ func (b *Breakpoint) Stats() *BPStats { return b.state().stats }
 // Trigger is Engine.TriggerHere through the handle: no per-call shard
 // lookup, same semantics.
 func (b *Breakpoint) Trigger(t Trigger, first bool, opts Options) bool {
-	return b.e.trigger(b.state(), t, first, opts, nil) == OutcomeHit
+	return b.state().trigger(t, slotOf(first), 2, opts, nil) == OutcomeHit
 }
 
 // TriggerAnd is Engine.TriggerHereAnd through the handle.
 func (b *Breakpoint) TriggerAnd(t Trigger, first bool, opts Options, action func()) bool {
-	return b.e.trigger(b.state(), t, first, opts, action) == OutcomeHit
+	return b.state().trigger(t, slotOf(first), 2, opts, action) == OutcomeHit
 }
 
 // TriggerOutcome is Engine.TriggerOutcome through the handle.
 func (b *Breakpoint) TriggerOutcome(t Trigger, first bool, opts Options) Outcome {
-	return b.e.trigger(b.state(), t, first, opts, nil)
+	return b.state().trigger(t, slotOf(first), 2, opts, nil)
 }
 
 // TriggerMulti is Engine.TriggerHereMulti through the handle.
 func (b *Breakpoint) TriggerMulti(t Trigger, slot, arity int, opts Options) bool {
-	return b.e.triggerMulti(b.state(), t, slot, arity, opts, nil) == OutcomeHit
+	return b.state().triggerMulti(t, slot, arity, opts, nil) == OutcomeHit
 }
 
 // TriggerMultiAnd is Engine.TriggerHereMultiAnd through the handle.
 func (b *Breakpoint) TriggerMultiAnd(t Trigger, slot, arity int, opts Options, action func()) bool {
-	return b.e.triggerMulti(b.state(), t, slot, arity, opts, action) == OutcomeHit
+	return b.state().triggerMulti(t, slot, arity, opts, action) == OutcomeHit
 }
 
 // PostponedCount returns how many goroutines are currently postponed on
-// this breakpoint (both sides, two-way waiters).
+// this breakpoint, at every slot.
 func (b *Breakpoint) PostponedCount() int {
 	s := b.state()
 	s.mu.Lock()

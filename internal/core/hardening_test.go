@@ -151,11 +151,11 @@ func TestActionPanicPolicies(t *testing.T) {
 func TestMultiPredicatePanic(t *testing.T) {
 	e := newTestEngine()
 	e.SetInjector(faultinject.NewPlan().PanicLocal("bp", faultinject.BothSides))
-	out := e.triggerMulti(e.shard("bp"), NewConflictTrigger("bp", new(int)), 0, 3, Options{}, nil)
+	out := e.shard("bp").triggerMulti(NewConflictTrigger("bp", new(int)), 0, 3, Options{}, nil)
 	if out != OutcomePanic {
 		t.Fatalf("multi outcome = %v, want panic", out)
 	}
-	if got := e.MultiPostponedCount("bp"); got != 0 {
+	if got := e.PostponedCount("bp"); got != 0 {
 		t.Fatalf("multi postponed = %d, want 0", got)
 	}
 }
@@ -189,7 +189,7 @@ func TestBreakerTripShedsArrivals(t *testing.T) {
 	// Arrivals now shed: no postponement, action still runs, near-instant.
 	start := time.Now()
 	ran := false
-	out := e.trigger(e.shard("bp"), NewConflictTrigger("bp", new(int)), true, Options{Timeout: time.Second}, func() { ran = true })
+	out := e.shard("bp").trigger(NewConflictTrigger("bp", new(int)), 0, 2, Options{Timeout: time.Second}, func() { ran = true })
 	if out != OutcomeShed {
 		t.Fatalf("outcome = %v, want shed", out)
 	}
@@ -292,7 +292,7 @@ func TestBreakerDisabledByDefault(t *testing.T) {
 func waitForPostponed(t *testing.T, e *Engine, name string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for e.PostponedCount(name)+e.MultiPostponedCount(name) < n {
+	for e.PostponedCount(name) < n {
 		if time.Now().After(deadline) {
 			t.Fatalf("never saw %d postponed on %q", n, name)
 		}
@@ -340,7 +340,7 @@ func TestWatchdogForceReleasesWedgedMultiWaiter(t *testing.T) {
 
 	out := make(chan Outcome, 1)
 	go func() {
-		out <- e.triggerMulti(e.shard("bp"), NewConflictTrigger("bp", new(int)), 0, 3, Options{Timeout: 30 * time.Millisecond}, nil)
+		out <- e.shard("bp").triggerMulti(NewConflictTrigger("bp", new(int)), 0, 3, Options{Timeout: 30 * time.Millisecond}, nil)
 	}()
 	select {
 	case got := <-out:
@@ -350,7 +350,7 @@ func TestWatchdogForceReleasesWedgedMultiWaiter(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("watchdog never released the wedged multi waiter")
 	}
-	if got := e.MultiPostponedCount("bp"); got != 0 {
+	if got := e.PostponedCount("bp"); got != 0 {
 		t.Fatalf("multi postponed = %d, want 0", got)
 	}
 }
@@ -458,7 +458,7 @@ func TestResetDuringPostponementNeverLeaks(t *testing.T) {
 		obj := new(int)
 		go func() { outs <- e.TriggerOutcome(NewConflictTrigger("two", obj), true, Options{}) }()
 		go func() {
-			outs <- e.triggerMulti(e.shard("multi"), NewConflictTrigger("multi", obj), 0, 3, Options{}, nil)
+			outs <- e.shard("multi").triggerMulti(NewConflictTrigger("multi", obj), 0, 3, Options{}, nil)
 		}()
 	}
 	waitForPostponed(t, e, "two", pairs)
@@ -476,7 +476,7 @@ func TestResetDuringPostponementNeverLeaks(t *testing.T) {
 			t.Fatalf("waiter %d still blocked after Reset: leak", i)
 		}
 	}
-	if n := e.PostponedCount("two") + e.MultiPostponedCount("multi"); n != 0 {
+	if n := e.PostponedCount("two") + e.PostponedCount("multi"); n != 0 {
 		t.Fatalf("%d waiters left in postponed sets after Reset", n)
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // TestStatsConservation checks the engine's accounting invariant: every
 // arrival either fails the local predicate, is postponed, or matches
-// instantly (one instant match per hit). So for any workload:
+// instantly (one instant match per hit, the arrival that completes the
+// group at any arity). So for any workload:
 //
 //	Arrivals == LocalFalses + Postpones + Hits
 func TestStatsConservation(t *testing.T) {
@@ -18,14 +19,17 @@ func TestStatsConservation(t *testing.T) {
 		e.DefaultTimeout = 5 * time.Millisecond
 		rng := rand.New(rand.NewSource(seed))
 		objs := []*int{new(int), new(int), new(int)}
+		// One arrival in three is a slot of an arity-3 group on the same
+		// breakpoint; the rest are two-way.
 		plan := make([]struct {
-			obj   *int
-			first bool
-			delay time.Duration
+			obj         *int
+			slot, arity int
+			delay       time.Duration
 		}, 40)
 		for i := range plan {
 			plan[i].obj = objs[rng.Intn(len(objs))]
-			plan[i].first = rng.Intn(2) == 0
+			plan[i].arity = 2 + rng.Intn(3)/2
+			plan[i].slot = rng.Intn(plan[i].arity)
 			plan[i].delay = time.Duration(rng.Intn(3000)) * time.Microsecond
 		}
 		var wg sync.WaitGroup
@@ -35,7 +39,12 @@ func TestStatsConservation(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				time.Sleep(p.delay)
-				e.TriggerHere(NewConflictTrigger("inv", p.obj), p.first, Options{})
+				tr := NewConflictTrigger("inv", p.obj)
+				if p.arity == 2 {
+					e.TriggerHere(tr, p.slot == 0, Options{})
+				} else {
+					e.TriggerHereMulti(tr, p.slot, p.arity, Options{})
+				}
 			}()
 		}
 		wg.Wait()
@@ -45,7 +54,7 @@ func TestStatsConservation(t *testing.T) {
 			t.Fatalf("seed %d: arrivals=%d != localFalse+postpones+hits=%d (%s)",
 				seed, st.Arrivals(), got, st)
 		}
-		// Each hit pairs one instant-matcher with one postponed waiter.
+		// Each hit joins one instant matcher to at least one postponed waiter.
 		if st.Hits() > st.Postpones() {
 			t.Fatalf("seed %d: hits=%d > postpones=%d", seed, st.Hits(), st.Postpones())
 		}

@@ -1,46 +1,20 @@
 package core
 
-import (
-	"time"
-
-	"cbreak/internal/guard"
-)
-
-// This file implements the paper's section 2 generalization: concurrent
-// breakpoints over more than two threads. A breakpoint of arity n is a
-// tuple (l1, ..., ln, phi); it is reached when n distinct goroutines sit
-// at their slots with phi satisfied, and the action releases them in
-// slot order (slot 0's next instruction first, then slot 1's, ...).
+// This file holds the entry points of the paper's section 2
+// generalization: concurrent breakpoints over more than two threads. A
+// breakpoint of arity n is a tuple (l1, ..., ln, phi); it is reached
+// when n distinct goroutines sit at their slots with phi satisfied, and
+// the action releases them in slot order (slot 0's next instruction
+// first, then slot 1's, ...). A two-way breakpoint is the arity-2 case:
+// TriggerHere's first-action side is slot 0 and its second-action side
+// slot 1, and every arity takes the same arrival path (engine.go).
 //
 // The joint predicate phi is evaluated pairwise: a group matches when
-// PredicateGlobal holds between every pair of participants, which for
-// the built-in trigger classes coincides with the natural group
-// predicate (e.g. all sides referencing the same object).
-
-// mwaiter is one postponed participant of a multi-way breakpoint.
-type mwaiter struct {
-	t        Trigger
-	slot     int
-	arity    int
-	gid      uint64
-	seq      uint64
-	ch       chan mmatch
-	cancelCh chan struct{}
-	state    int // guarded by engine mu
-	action   func()
-
-	// deadline/cancelOutcome mirror the waiter fields (engine.go): the
-	// watchdog budget and the outcome a cancelled waiter reports
-	// (published by the close of cancelCh).
-	deadline      time.Time
-	cancelOutcome Outcome
-}
-
-// mmatch tells a matched participant its release chain position.
-type mmatch struct {
-	prev chan struct{} // closed when the previous slot has proceeded
-	self chan struct{} // this participant closes it after its action
-}
+// PredicateGlobal holds for every pair of participants, each pair
+// checked once as the later arrival's predicate against the earlier
+// one's (match, engine.go). For the built-in trigger classes, whose
+// joint predicates are symmetric, this coincides with the natural
+// group predicate (e.g. all sides referencing the same object).
 
 // TriggerHereMulti announces that the calling goroutine reached slot
 // `slot` of the n-way breakpoint t (slots are 0-based; slot order is the
@@ -49,7 +23,7 @@ func (e *Engine) TriggerHereMulti(t Trigger, slot, arity int, opts Options) bool
 	if !e.enabled.Load() {
 		return false
 	}
-	return e.triggerMulti(e.shard(t.Name()), t, slot, arity, opts, nil) == OutcomeHit
+	return e.shard(t.Name()).triggerMulti(t, slot, arity, opts, nil) == OutcomeHit
 }
 
 // TriggerHereMultiAnd is TriggerHereMulti with the slot's guarded next
@@ -62,311 +36,18 @@ func (e *Engine) TriggerHereMultiAnd(t Trigger, slot, arity int, opts Options, a
 		}
 		return false
 	}
-	return e.triggerMulti(e.shard(t.Name()), t, slot, arity, opts, action) == OutcomeHit
+	return e.shard(t.Name()).triggerMulti(t, slot, arity, opts, action) == OutcomeHit
 }
 
-// triggerMulti is the N-way arrival path; like trigger (engine.go) it
-// operates on the breakpoint's shard, resolved by the caller.
-func (e *Engine) triggerMulti(s *bpState, t Trigger, slot, arity int, opts Options, action func()) Outcome {
+// triggerMulti checks an n-way call's slot and arity, then arrives like
+// every other call (trigger). An invalid call runs its action and
+// reports OutcomeLocalFalse.
+func (s *bpState) triggerMulti(t Trigger, slot, arity int, opts Options, action func()) Outcome {
 	if arity < 2 || slot < 0 || slot >= arity {
 		if action != nil {
 			action()
 		}
 		return OutcomeLocalFalse
 	}
-	if !e.enabled.Load() || s.disabled.Load() {
-		if action != nil {
-			action()
-		}
-		return OutcomeDisabled
-	}
-	name := s.name
-	st := s.stats
-	br := s.breakerFor(e)
-	st.arrived(slot == 0)
-	fault := e.faultFor(name, slot == 0)
-
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = e.DefaultTimeout
-	}
-
-	if br != nil {
-		admit, tr := br.Allow(time.Now())
-		e.noteBreakerTransition(name, st, br, tr)
-		if !admit {
-			st.shed(slot == 0)
-			if e.execAction(name, 0, st, fault, 0, action) {
-				return OutcomePanic
-			}
-			return OutcomeShed
-		}
-	}
-
-	ok, pv, panicked := e.evalLocal(t, slot == 0, opts, st, fault)
-	if panicked {
-		return e.absorbPredPanic(name, "local", 0, st, fault, pv, action)
-	}
-	if !ok || fault.Drop {
-		st.localFalse(slot == 0)
-		if e.execAction(name, 0, st, fault, 0, action) {
-			return OutcomePanic
-		}
-		return OutcomeLocalFalse
-	}
-	gid := goroutineID()
-	e.logEvent(s, EventArrived, gid, slot == 0)
-
-	s = e.lockLive(s)
-	st = s.stats
-	group, poisoned, gpv := s.findGroup(t, slot, arity, gid, fault)
-	if poisoned != nil {
-		s.releaseMultiWaiterLocked(poisoned, OutcomePanic)
-		s.mu.Unlock()
-		return e.absorbPredPanic(name, "global", gid, st, fault, gpv, action)
-	}
-	if group != nil {
-		st.hit()
-		e.logEvent(s, EventHit, gid, slot == 0)
-		e.emitHit(name, t, group[0].t)
-		// Build the release chain: chain[i] is closed when slot i may
-		// proceed; chain[0] starts closed.
-		chain := make([]chan struct{}, arity+1)
-		for i := range chain {
-			chain[i] = make(chan struct{})
-		}
-		close(chain[0])
-		for _, w := range group {
-			w.state = waiterMatched
-			s.removeMultiWaiter(w)
-			w.ch <- mmatch{prev: chain[w.slot], self: chain[w.slot+1]}
-		}
-		s.mu.Unlock()
-		e.reportBreaker(br, name, st, true)
-		return e.runChainStage(name, gid, st, fault, chain[slot], chain[slot+1], action, timeout)
-	}
-
-	// Postpone — subject to the same overload bounds and adaptive
-	// budget as the two-way path (engine.go).
-	ov := s.overloadFor(e)
-	global := e.postponedTotal.Load()
-	if reason, shed := ov.shedReason(len(s.postponed)+len(s.multi), global); shed {
-		s.mu.Unlock()
-		st.shed(slot == 0)
-		e.recordIncident(guard.KindOverloadShed, name, gid, reason)
-		if e.execAction(name, gid, st, fault, 0, action) {
-			return OutcomePanic
-		}
-		return OutcomeShed
-	}
-	budget := ov.budget(timeout, global)
-	w := &mwaiter{t: t, slot: slot, arity: arity, gid: gid, seq: e.seq.Add(1),
-		ch: make(chan mmatch, 1), cancelCh: make(chan struct{}), action: action,
-		deadline: time.Now().Add(budget)}
-	s.multi = append(s.multi, w)
-	e.postponedTotal.Add(1)
-	st.postpone(slot == 0)
-	s.mu.Unlock()
-
-	selectTimeout := budget
-	if fault.WedgeWait {
-		selectTimeout = wedgedTimeout
-	}
-	timer := time.NewTimer(selectTimeout)
-	defer timer.Stop()
-	start := time.Now()
-	select {
-	case mm := <-w.ch:
-		st.addWait(time.Since(start))
-		e.reportBreaker(br, name, st, true)
-		return e.runChainStage(name, gid, st, fault, mm.prev, mm.self, action, timeout)
-	case <-w.cancelCh:
-		st.addWait(time.Since(start))
-		out := w.cancelOutcome
-		if out == OutcomeDisabled { // never set: defensive default
-			out = OutcomeTimeout
-		}
-		if out == OutcomeTimeout {
-			e.reportBreaker(br, name, st, false)
-		}
-		if e.execAction(name, gid, st, fault, timeout, action) {
-			return OutcomePanic
-		}
-		return out
-	case <-timer.C:
-		s.mu.Lock()
-		if w.state == waiterMatched {
-			s.mu.Unlock()
-			mm := <-w.ch
-			st.addWait(time.Since(start))
-			e.reportBreaker(br, name, st, true)
-			return e.runChainStage(name, gid, st, fault, mm.prev, mm.self, action, timeout)
-		}
-		s.removeMultiWaiter(w)
-		w.state = waiterCancelled
-		s.mu.Unlock()
-		st.addWait(time.Since(start))
-		st.timeout(slot == 0)
-		e.logEvent(s, EventTimeout, gid, slot == 0)
-		e.reportBreaker(br, name, st, false)
-		if e.execAction(name, gid, st, fault, timeout, action) {
-			return OutcomePanic
-		}
-		return OutcomeTimeout
-	}
-}
-
-// runChainStage waits for the previous slot, runs this slot's action,
-// and releases the next slot. Without an action the release happens
-// immediately and the ordering window gives the earlier slots' next
-// instructions time to run first. The release is deferred so a
-// panicking or stalling action cannot wedge the rest of the chain.
-func (e *Engine) runChainStage(name string, gid uint64, st *BPStats, fault guard.Fault, prev, self chan struct{}, action func(), timeout time.Duration) Outcome {
-	select {
-	case <-prev:
-		// Previous slot already proceeded; skip the timer entirely (the
-		// common case for slot 0 and tight chains).
-	default:
-		timer := time.NewTimer(timeout)
-		select {
-		case <-prev:
-		case <-timer.C:
-			// Defensive: an earlier stage stalled; proceed anyway.
-		}
-		timer.Stop()
-	}
-	defer close(self)
-	if action != nil || !fault.Zero() {
-		if e.execAction(name, gid, st, fault, timeout, action) {
-			return OutcomePanic
-		}
-		if action != nil {
-			return OutcomeHit
-		}
-	}
-	if e.OrderWindow > 0 {
-		// Plain call sites: yield briefly so earlier slots' next
-		// instructions win the race against this goroutine's.
-		deadline := time.Now().Add(e.OrderWindow)
-		for time.Now().Before(deadline) {
-			yield()
-		}
-	}
-	return OutcomeHit
-}
-
-// findGroup searches the postponed multi-waiters for a full group
-// complement: one participant per slot other than `slot`, all with
-// distinct goroutines and pairwise-satisfied joint predicates (including
-// against the arriving trigger). It returns nil if no complete group
-// exists. Slots are filled by backtracking over the (small) candidate
-// lists, preferring older waiters. Joint predicates run isolated, like
-// findPartner's: on a panic the search aborts and the waiter whose
-// pairing panicked is returned as poisoned with the panic value. Caller
-// holds s.mu.
-func (s *bpState) findGroup(t Trigger, slot, arity int, gid uint64, fault guard.Fault) (group []*mwaiter, poisoned *mwaiter, pv any) {
-	pair := func(a, b Trigger) (bool, any, bool) {
-		return protectBool(func() bool {
-			if fault.PanicGlobal {
-				panic(guard.InjectedPanic{Breakpoint: s.name, Site: "global"})
-			}
-			return a.PredicateGlobal(b)
-		})
-	}
-	// Candidates per missing slot.
-	cands := make(map[int][]*mwaiter)
-	for _, w := range s.multi {
-		if w.state != waiterWaiting || w.arity != arity || w.slot == slot || w.gid == gid {
-			continue
-		}
-		fwd, p, panicked := pair(t, w.t)
-		if panicked {
-			return nil, w, p
-		}
-		var rev bool
-		if fwd {
-			rev, p, panicked = pair(w.t, t)
-			if panicked {
-				return nil, w, p
-			}
-		}
-		if !fwd || !rev {
-			continue
-		}
-		cands[w.slot] = append(cands[w.slot], w)
-	}
-	need := make([]int, 0, arity-1)
-	for s := 0; s < arity; s++ {
-		if s == slot {
-			continue
-		}
-		if len(cands[s]) == 0 {
-			return nil, nil, nil
-		}
-		need = append(need, s)
-	}
-	chosen := make([]*mwaiter, 0, arity-1)
-	var pick func(i int) bool
-	pick = func(i int) bool {
-		if i == len(need) {
-			return true
-		}
-		for _, w := range cands[need[i]] {
-			if poisoned != nil {
-				return false
-			}
-			ok := true
-			for _, c := range chosen {
-				if c.gid == w.gid {
-					ok = false
-					break
-				}
-				fwd, p, panicked := pair(c.t, w.t)
-				if panicked {
-					poisoned, pv = w, p
-					return false
-				}
-				var rev bool
-				if fwd {
-					rev, p, panicked = pair(w.t, c.t)
-					if panicked {
-						poisoned, pv = w, p
-						return false
-					}
-				}
-				if !fwd || !rev {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			chosen = append(chosen, w)
-			if pick(i + 1) {
-				return true
-			}
-			chosen = chosen[:len(chosen)-1]
-		}
-		return false
-	}
-	if !pick(0) {
-		if poisoned != nil {
-			return nil, poisoned, pv
-		}
-		return nil, nil, nil
-	}
-	return chosen, nil, nil
-}
-
-// MultiPostponedCount returns the number of goroutines postponed on the
-// named multi-way breakpoint.
-func (e *Engine) MultiPostponedCount(name string) int {
-	s, ok := e.lookupShard(name)
-	if !ok {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.multi)
+	return s.trigger(t, slot, arity, opts, action)
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cbreak/internal/guard"
 )
 
 func TestThreeWayRendezvousOrdersAllSlots(t *testing.T) {
@@ -67,7 +71,7 @@ func TestMultiIncompleteGroupTimesOut(t *testing.T) {
 	if hits.Load() != 0 {
 		t.Fatalf("incomplete group hit: %d", hits.Load())
 	}
-	if e.MultiPostponedCount("3way-short") != 0 {
+	if e.PostponedCount("3way-short") != 0 {
 		t.Fatal("timed-out waiters leaked")
 	}
 }
@@ -162,7 +166,7 @@ func TestMultiResetReleasesWaiters(t *testing.T) {
 			Options{Timeout: time.Hour})
 	}()
 	waitFor(t, "multi waiter postponed", func() bool {
-		return e.MultiPostponedCount("multi-reset") == 1
+		return e.PostponedCount("multi-reset") == 1
 	})
 	e.Reset()
 	select {
@@ -196,5 +200,108 @@ func TestFirstActionPanicStillReleasesPartner(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("partner stuck after first-action panic")
+	}
+}
+
+// TestEveryArityPublishesTheSameEvents: an arrival publishes the same
+// events at any arity — arrived for each local-false, breaker-shed and
+// postponed arrival, postponed for each postponed one, then timeout or
+// hit.
+func TestEveryArityPublishesTheSameEvents(t *testing.T) {
+	for _, arity := range []int{2, 3} {
+		t.Run(fmt.Sprintf("arity=%d", arity), func(t *testing.T) {
+			e := newTestEngine()
+			tap := &recordingTap{}
+			defer e.Bus().AttachTap(tap).Detach()
+			obj := new(int)
+			arrive := func(slot int, opts Options) Outcome {
+				return e.shard("parity").triggerMulti(NewConflictTrigger("parity", obj), slot, arity, opts, nil)
+			}
+			var want []EventKind
+			expect := func(kinds ...EventKind) {
+				t.Helper()
+				want = append(want, kinds...)
+				waitFor(t, fmt.Sprintf("%d events", len(want)), func() bool { return len(tap.events()) >= len(want) })
+				var got []EventKind
+				for _, ev := range tap.events() {
+					got = append(got, ev.Kind)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("events = %v, want %v", got, want)
+				}
+			}
+			lonely := Options{Timeout: 5 * time.Millisecond}
+			long := Options{Timeout: 10 * time.Second}
+
+			if out := arrive(0, Options{ExtraLocal: func() bool { return false }}); out != OutcomeLocalFalse {
+				t.Fatalf("local-false arrival: %v", out)
+			}
+			expect(EventArrived)
+			if out := arrive(arity-1, lonely); out != OutcomeTimeout {
+				t.Fatalf("lonely arrival: %v", out)
+			}
+			expect(EventArrived, EventPostponed, EventTimeout)
+
+			// A full group, one slot at a time.
+			outs := make(chan Outcome, arity)
+			for slot := 0; slot < arity-1; slot++ {
+				go func() { outs <- arrive(slot, long) }()
+				expect(EventArrived, EventPostponed)
+			}
+			if out := arrive(arity-1, long); out != OutcomeHit {
+				t.Fatalf("completing arrival: %v", out)
+			}
+			expect(EventArrived, EventHit)
+			for i := 0; i < arity-1; i++ {
+				if out := <-outs; out != OutcomeHit {
+					t.Fatalf("postponed member: %v", out)
+				}
+			}
+
+			// One lonely timeout trips the breaker; the next arrival is shed.
+			e.SetBreakerConfig(&guard.BreakerConfig{MinSamples: 1, TimeoutRate: 0.5, Backoff: time.Hour})
+			arrive(0, lonely)
+			expect(EventArrived, EventPostponed, EventTimeout)
+			if out := arrive(0, lonely); out != OutcomeShed {
+				t.Fatalf("arrival at an open breaker: %v", out)
+			}
+			expect(EventArrived)
+		})
+	}
+}
+
+// TestTwoWayIsArityTwo: TriggerHere's two sides are slots 0 and 1 of an
+// arity-2 breakpoint, so a two-way call and a TriggerHereMulti call at
+// the other slot of arity 2 hit each other, whichever arrives first.
+func TestTwoWayIsArityTwo(t *testing.T) {
+	opts := Options{Timeout: 5 * time.Second}
+	cases := []struct {
+		name                string
+		postponed, arriving func(e *Engine, tr Trigger) bool
+	}{
+		{"TriggerHere first, then slot 1",
+			func(e *Engine, tr Trigger) bool { return e.TriggerHere(tr, true, opts) },
+			func(e *Engine, tr Trigger) bool { return e.TriggerHereMulti(tr, 1, 2, opts) }},
+		{"slot 0, then TriggerHere second",
+			func(e *Engine, tr Trigger) bool { return e.TriggerHereMulti(tr, 0, 2, opts) },
+			func(e *Engine, tr Trigger) bool { return e.TriggerHere(tr, false, opts) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := newTestEngine()
+			obj := new(int)
+			done := make(chan bool, 1)
+			go func() { done <- c.postponed(e, NewConflictTrigger("mixed", obj)) }()
+			waitFor(t, "first call postponed", func() bool { return e.PostponedCount("mixed") == 1 })
+			if !c.arriving(e, NewConflictTrigger("mixed", obj)) {
+				t.Fatal("arriving call missed")
+			}
+			if !<-done {
+				t.Fatal("postponed call missed")
+			}
+			if got := e.Stats("mixed").Hits(); got != 1 {
+				t.Fatalf("hits = %d, want 1", got)
+			}
+		})
 	}
 }

@@ -28,8 +28,8 @@ import (
 // OverloadConfig bounds the engine's postponed populations. Zero-value
 // fields disable the corresponding bound.
 type OverloadConfig struct {
-	// MaxPerShard caps one breakpoint's postponed population (two-way
-	// plus multi-way waiters). An arrival that would exceed it is shed.
+	// MaxPerShard caps one breakpoint's postponed population (waiters
+	// of every slot). An arrival that would exceed it is shed.
 	// 0 disables the per-shard bound.
 	MaxPerShard int
 
@@ -67,7 +67,7 @@ func (e *Engine) SetOverloadConfig(cfg *OverloadConfig) {
 }
 
 // PostponedTotal returns the engine-wide count of currently postponed
-// goroutines (two-way and multi-way, all breakpoints).
+// goroutines (every arity, all breakpoints).
 func (e *Engine) PostponedTotal() int64 { return e.postponedTotal.Load() }
 
 // Overload returns a copy of the engine's installed overload bounds;

@@ -184,7 +184,7 @@ func TestPostponedWaitersSnapshot(t *testing.T) {
 		e.TriggerHereMulti(NewConflictTrigger("ov-snap-multi", new(int)), 1, 3,
 			Options{Timeout: 10 * time.Second})
 	}()
-	for e.MultiPostponedCount("ov-snap-multi") == 0 {
+	for e.PostponedCount("ov-snap-multi") == 0 {
 		time.Sleep(time.Millisecond)
 	}
 

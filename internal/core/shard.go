@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the engine's sharded breakpoint registry. Every
-// breakpoint name owns a bpState shard: its own mutex, postponed lists,
+// breakpoint name owns a bpState shard: its own mutex, postponed set,
 // statistics, and circuit breaker. Arrivals on distinct
 // breakpoints therefore never contend on a shared lock — the property
 // that lets breakpoints stay in hot production code the way the paper
@@ -36,13 +36,13 @@ type bpState struct {
 	// breakpoint's state.
 	disabled atomic.Bool
 
-	// mu guards the postponed lists, the waiter state machines, and the
+	// mu guards the postponed set, the waiter state machines, and the
 	// retired flag. It is the only lock on the rendezvous path, and it
-	// is private to this breakpoint.
+	// is private to this breakpoint. The postponed set holds the waiters
+	// of every slot and arity, in arrival order (match relies on it).
 	mu        sync.Mutex
 	retired   atomic.Bool // written under mu; read lock-free by handles
 	postponed []*waiter
-	multi     []*mwaiter
 
 	// Circuit breaker cache, rebuilt lazily when the engine's breaker
 	// epoch moves (SetBreakerConfig). Guarded by brMu, not mu, so
@@ -114,25 +114,10 @@ func (e *Engine) lockLive(s *bpState) *bpState {
 func (s *bpState) retire() {
 	s.mu.Lock()
 	s.retired.Store(true)
-	var released int64
 	for _, w := range s.postponed {
-		if w.state == waiterWaiting {
-			w.state = waiterCancelled
-			w.cancelOutcome = OutcomeTimeout
-			close(w.cancelCh)
-			released++
-		}
+		w.cancel(OutcomeTimeout)
 	}
-	for _, w := range s.multi {
-		if w.state == waiterWaiting {
-			w.state = waiterCancelled
-			w.cancelOutcome = OutcomeTimeout
-			close(w.cancelCh)
-			released++
-		}
-	}
-	s.postponed, s.multi = nil, nil
-	s.eng.postponedTotal.Add(-released)
+	s.prune()
 	s.mu.Unlock()
 }
 
@@ -157,44 +142,16 @@ func (s *bpState) breakerFor(e *Engine) *guard.Breaker {
 	return br
 }
 
-// releaseWaiterLocked cancels a postponed two-way waiter with the given
-// outcome. Caller holds s.mu.
-func (s *bpState) releaseWaiterLocked(w *waiter, out Outcome) {
-	s.removeWaiter(w)
-	w.state = waiterCancelled
-	w.cancelOutcome = out
-	close(w.cancelCh)
-}
-
-// releaseMultiWaiterLocked is releaseWaiterLocked for multi-way
-// waiters. Caller holds s.mu.
-func (s *bpState) releaseMultiWaiterLocked(w *mwaiter, out Outcome) {
-	s.removeMultiWaiter(w)
-	w.state = waiterCancelled
-	w.cancelOutcome = out
-	close(w.cancelCh)
-}
-
-func (s *bpState) removeWaiter(w *waiter) {
-	ws := s.postponed
-	for i, x := range ws {
-		if x == w {
-			ws[i] = ws[len(ws)-1]
-			s.postponed = ws[:len(ws)-1]
-			s.eng.postponedTotal.Add(-1)
-			return
+// prune drops the waiters that have left the waiting state from the
+// postponed set, keeping the rest in arrival order. Caller holds s.mu.
+func (s *bpState) prune() {
+	kept := s.postponed[:0]
+	for _, w := range s.postponed {
+		if w.state == waiterWaiting {
+			kept = append(kept, w)
 		}
 	}
-}
-
-func (s *bpState) removeMultiWaiter(w *mwaiter) {
-	ws := s.multi
-	for i, x := range ws {
-		if x == w {
-			ws[i] = ws[len(ws)-1]
-			s.multi = ws[:len(ws)-1]
-			s.eng.postponedTotal.Add(-1)
-			return
-		}
-	}
+	clear(s.postponed[len(kept):])
+	s.eng.postponedTotal.Add(int64(len(kept) - len(s.postponed)))
+	s.postponed = kept
 }

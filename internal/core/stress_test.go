@@ -102,7 +102,6 @@ func TestShardLifecycleStress(t *testing.T) {
 			e.IncidentCounts()
 			for _, n := range names {
 				e.PostponedCount(n)
-				e.MultiPostponedCount(n)
 				e.BreakerSnapshot(n)
 			}
 			time.Sleep(time.Millisecond)

@@ -11,11 +11,11 @@ import (
 // release path shared by the watchdog and the supervisor.
 //
 // Forced release is deliberately funneled through one helper,
-// forceReleaseShard: the waiter state machine under the shard mutex
-// (waiterWaiting → waiterCancelled, cancelCh closed exactly once) makes
-// a release idempotent, so the watchdog, a cycle-breaking supervisor,
-// and a racing Reset can all target the same goroutine without a
-// double close or a double count.
+// forceReleaseShard: a waiter leaves its shard's postponed set, under
+// the shard mutex, as soon as it stops waiting, and releases only ever
+// touch that set, so a release is idempotent. The watchdog, a
+// cycle-breaking supervisor, and a racing Reset can all target the same
+// goroutine without a double close or a double count.
 
 // PostponedWaiter describes one currently-postponed goroutine, as seen
 // by the wait-graph supervisor: which breakpoint it is parked on, which
@@ -25,37 +25,23 @@ type PostponedWaiter struct {
 	Breakpoint string
 	// GID is the postponed goroutine.
 	GID uint64
-	// Slot is the arrival's slot (for two-way breakpoints: 0 for the
-	// first-action side, 1 for the second) and Arity the breakpoint's
-	// arity (2 for two-way).
+	// Slot is the arrival's slot and Arity the breakpoint's arity; a
+	// two-way breakpoint has arity 2, its first-action side at slot 0
+	// and its second at slot 1.
 	Slot, Arity int
 	// Deadline is when the postponement budget expires.
 	Deadline time.Time
 }
 
 // PostponedWaiters snapshots every currently-postponed goroutine across
-// all shards, two-way and multi-way. The snapshot locks one shard at a
-// time, so assembling it never stops the world; entries may be stale by
-// the time the caller acts on them, which forced release tolerates.
+// all shards. The snapshot locks one shard at a time, so assembling it
+// never stops the world; entries may be stale by the time the caller
+// acts on them, which forced release tolerates.
 func (e *Engine) PostponedWaiters() []PostponedWaiter {
 	var out []PostponedWaiter
 	for _, s := range e.shards() {
 		s.mu.Lock()
 		for _, w := range s.postponed {
-			if w.state != waiterWaiting {
-				continue
-			}
-			slot := 1
-			if w.first {
-				slot = 0
-			}
-			out = append(out, PostponedWaiter{Breakpoint: s.name, GID: w.gid,
-				Slot: slot, Arity: 2, Deadline: w.deadline})
-		}
-		for _, w := range s.multi {
-			if w.state != waiterWaiting {
-				continue
-			}
 			out = append(out, PostponedWaiter{Breakpoint: s.name, GID: w.gid,
 				Slot: w.slot, Arity: w.arity, Deadline: w.deadline})
 		}
@@ -70,29 +56,23 @@ type releasedWaiter struct {
 	deadline time.Time
 }
 
-// forceReleaseShard force-releases every currently-waiting waiter on s
-// (two-way and multi-way) matched by the predicate, with a timeout
-// outcome — the released goroutine observes exactly what an expired
-// postponement budget would have produced, which is the paper's safety
-// argument for early release. This is the only forced-release path:
-// the watchdog and ForceRelease both go through it, and the state check
-// under the shard mutex makes concurrent releases of the same waiter
-// idempotent.
+// forceReleaseShard force-releases every postponed waiter on s matched
+// by the predicate, with a timeout outcome — the released goroutine
+// observes exactly what an expired postponement budget would have
+// produced, which is the paper's safety argument for early release.
+// This is the only forced-release path: the watchdog and ForceRelease
+// both go through it, and because it only touches waiters still in the
+// postponed set, concurrent releases of the same waiter are idempotent.
 func (e *Engine) forceReleaseShard(s *bpState, match func(gid uint64, deadline time.Time) bool) []releasedWaiter {
 	var out []releasedWaiter
 	s.mu.Lock()
-	for _, w := range append([]*waiter(nil), s.postponed...) {
-		if w.state == waiterWaiting && match(w.gid, w.deadline) {
-			s.releaseWaiterLocked(w, OutcomeTimeout)
+	for _, w := range s.postponed {
+		if match(w.gid, w.deadline) {
+			w.cancel(OutcomeTimeout)
 			out = append(out, releasedWaiter{w.gid, w.deadline})
 		}
 	}
-	for _, w := range append([]*mwaiter(nil), s.multi...) {
-		if w.state == waiterWaiting && match(w.gid, w.deadline) {
-			s.releaseMultiWaiterLocked(w, OutcomeTimeout)
-			out = append(out, releasedWaiter{w.gid, w.deadline})
-		}
-	}
+	s.prune()
 	s.mu.Unlock()
 	return out
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // edgesFor filters the global wait-edge snapshot down to one lock name;
-// other tests deliberately leak blocked goroutines into the registry,
-// so assertions must scope to this test's locks.
+// the registry is shared by every test in the process, so assertions
+// must scope to this test's locks.
 func edgesFor(name string) []WaitEdge {
 	var out []WaitEdge
 	for _, e := range WaitEdges() {
@@ -150,5 +150,38 @@ func TestRWMutexWriteOwnerVisibleThroughShadow(t *testing.T) {
 	rw.Unlock()
 	if owner, _ := rw.Shadow().Owner(); owner != 0 {
 		t.Fatalf("shadow owner = %d after unlock, want 0", owner)
+	}
+}
+
+func TestWaitingClearedAfterAcquisition(t *testing.T) {
+	m := NewMutex("wc")
+	m.Lock()
+	gidCh := make(chan uint64, 1)
+	done := make(chan struct{})
+	go func() {
+		gidCh <- GoroutineID()
+		m.Lock()
+		m.Unlock()
+		close(done)
+	}()
+	gid := <-gidCh
+	// The registry is shared by every test in the process, so assert
+	// only on this goroutine's entry.
+	waitingOn := func() *Mutex {
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		return reg.waiting[gid].m
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for waitingOn() != m {
+		if time.Now().After(deadline) {
+			t.Fatal("blocked goroutine not registered as waiting")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.Unlock()
+	<-done
+	if waitingOn() != nil {
+		t.Fatal("waiting entry not cleared after acquisition")
 	}
 }

@@ -178,12 +178,7 @@ func (c *Client) roundTrip(line string, reqDeadline time.Time) (string, error) {
 // backoff returns the jittered exponential delay for the given 0-based
 // retry ordinal, drawn from the client's seeded stream.
 func (c *Client) backoff(retry int) time.Duration {
-	d := c.cfg.Backoff << uint(retry)
-	if d <= 0 || d > c.cfg.MaxBackoff {
-		d = c.cfg.MaxBackoff
-	}
-	half := d / 2
-	return half + c.stream.Duration(half+1)
+	return c.stream.Backoff(c.cfg.Backoff, c.cfg.MaxBackoff, retry)
 }
 
 // LoadConfig parameterizes RunLoad: Clients concurrent clients, each

@@ -1,16 +1,16 @@
 //go:build linux
 
-package campaign
+package proc
 
 import (
 	"os/exec"
 	"syscall"
 )
 
-// workerSysProcAttr places each trial worker in its own process group
-// and arms the parent-death signal, the belt-and-braces answer to
-// orphaned reproductions (issue: workers must be reaped even when the
-// supervisor dies without running its own cleanup):
+// WorkerAttr places a worker in its own process group and arms the
+// parent-death signal, the belt-and-braces answer to orphaned workers
+// (they must be reaped even when the supervisor dies without running
+// its own cleanup):
 //
 //   - Setpgid: the worker and everything it forks share a process
 //     group, so the supervisor's kill reaches grandchildren too — a
@@ -18,13 +18,21 @@ import (
 //   - Pdeathsig: the kernel SIGKILLs the worker the moment its parent
 //     thread dies, so even `kill -9` of the supervisor (which runs no
 //     deferred cleanup at all) reaps the tree.
-func workerSysProcAttr() *syscall.SysProcAttr {
+func WorkerAttr() *syscall.SysProcAttr {
 	return &syscall.SysProcAttr{Setpgid: true, Pdeathsig: syscall.SIGKILL}
 }
 
-// killWorkerTree kills the worker's whole process group (negative pid),
+// Terminate delivers the graceful-drain signal (SIGTERM).
+func Terminate(cmd *exec.Cmd) error {
+	if cmd.Process == nil {
+		return nil
+	}
+	return cmd.Process.Signal(syscall.SIGTERM)
+}
+
+// KillTree kills the worker's whole process group (negative pid),
 // falling back to a direct kill if the group is already gone.
-func killWorkerTree(cmd *exec.Cmd) error {
+func KillTree(cmd *exec.Cmd) error {
 	if cmd.Process == nil {
 		return nil
 	}

@@ -18,15 +18,15 @@
 //     paper's own timeout argument, since early release is
 //     indistinguishable from an expired budget.
 //
-// Edges come from three sources: the locks registry's waiter map
+// Edges come from two sources: the locks registry's waiter map
 // (goroutine → mutex → owners, with RWMutex ownership widened to the
-// reader set), the engine's postponed sets (goroutine → breakpoint
-// shard, two-way waiters), and the engine's multi/rendezvous waiters
-// (same enumeration, arity > 2). Snapshots are assembled lock-free or
-// one shard/registry at a time — capturing a graph never stops the
-// world, so a snapshot is a sample, not a transaction; the supervisor
-// compensates by requiring a finding to persist across consecutive
-// scans before acting on it.
+// reader set) and the engine's postponed sets (goroutine → breakpoint
+// shard; one set per shard holds the waiters of every slot and arity,
+// a two-way breakpoint having arity 2). Snapshots are assembled
+// lock-free or one shard/registry at a time — capturing a graph never
+// stops the world, so a snapshot is a sample, not a transaction; the
+// supervisor compensates by requiring a finding to persist across
+// consecutive scans before acting on it.
 package waitgraph
 
 import (
@@ -46,8 +46,8 @@ type Graph struct {
 	// LockEdges are the lock-wait edges: one per goroutine currently
 	// blocked inside an instrumented lock acquisition.
 	LockEdges []locks.WaitEdge
-	// Postponed are the engine's currently-postponed goroutines
-	// (two-way and multi-way waiters).
+	// Postponed are the engine's currently-postponed goroutines, at
+	// every slot and arity.
 	Postponed []core.PostponedWaiter
 	// Held maps each goroutine to its held-lock stack, for tracing
 	// which blocked goroutines a postponed goroutine is wedging.
