@@ -158,31 +158,31 @@ func main() {
 	appkit.SeedJitter(*seed)
 	switch *table {
 	case "1":
-		fmt.Print(render(harness.Table1With(*runs, run)))
+		fmt.Print(render(harness.Table1(*runs, run)))
 	case "2":
-		fmt.Print(render(harness.Table2With(*runs, run)))
+		fmt.Print(render(harness.Table2(*runs, run)))
 	case "log4j":
-		fmt.Print(render(harness.Log4jTableWith(*runs, run)))
+		fmt.Print(render(harness.Log4jTable(*runs, run)))
 	case "pause":
-		fmt.Print(render(harness.PauseSweepWith(*runs, run)))
+		fmt.Print(render(harness.PauseSweep(*runs, run)))
 	case "precision":
-		fmt.Print(render(harness.PrecisionAblationWith(*runs, run)))
+		fmt.Print(render(harness.PrecisionAblation(*runs, run)))
 	case "model":
-		fmt.Print(render(harness.ModelTableWith(20000, *runs, run)))
+		fmt.Print(render(harness.ModelTable(20000, *runs, run)))
 	case "netload":
-		fmt.Print(render(harness.NetLoadTableWith(*runs, run)))
+		fmt.Print(render(harness.NetLoadTable(*runs, run)))
 	case "all":
-		fmt.Print(render(harness.Table1With(*runs, run)))
+		fmt.Print(render(harness.Table1(*runs, run)))
 		fmt.Println()
-		fmt.Print(render(harness.Table2With(*runs, run)))
+		fmt.Print(render(harness.Table2(*runs, run)))
 		fmt.Println()
-		fmt.Print(render(harness.Log4jTableWith(*runs, run)))
+		fmt.Print(render(harness.Log4jTable(*runs, run)))
 		fmt.Println()
-		fmt.Print(render(harness.PauseSweepWith(*runs, run)))
+		fmt.Print(render(harness.PauseSweep(*runs, run)))
 		fmt.Println()
-		fmt.Print(render(harness.PrecisionAblationWith(*runs, run)))
+		fmt.Print(render(harness.PrecisionAblation(*runs, run)))
 		fmt.Println()
-		fmt.Print(render(harness.ModelTableWith(20000, *runs, run)))
+		fmt.Print(render(harness.ModelTable(20000, *runs, run)))
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		flag.Usage()

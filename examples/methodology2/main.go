@@ -46,7 +46,7 @@ func main() {
 
 	// Step 3: the resolve-order table.
 	fmt.Println("Step 3 — force each resolve order:")
-	fmt.Print(harness.Log4jTable(runs).Render())
+	fmt.Print(harness.Log4jTable(runs, harness.InProcess(nil, 0, 0)).Render())
 	fmt.Println()
 
 	// Step 4: conclusion.

@@ -29,6 +29,7 @@ import (
 	"cbreak/internal/analysis"
 	"cbreak/internal/analysis/astq"
 	"cbreak/internal/analysis/load"
+	"cbreak/internal/cycles"
 )
 
 // Analyzer reports lock-order cycles.
@@ -645,8 +646,9 @@ func (st *state) allEdges() []Edge {
 	return out
 }
 
-// cycles finds simple cycles in the class graph, deduplicated by
-// participant set, deterministic for a given state.
+// cycles finds the elementary cycles of at most six classes in the
+// class graph, deduplicated by participant set, deterministic for a
+// given state.
 func (st *state) cycles() []Cycle {
 	edges := st.allEdges()
 	// One representative edge per (from, to), earliest position wins.
@@ -664,46 +666,19 @@ func (st *state) cycles() []Cycle {
 	nodes := make([]string, 0, len(adj))
 	for n := range adj {
 		nodes = append(nodes, n)
-		sort.Strings(adj[n])
 	}
 	sort.Strings(nodes)
 
 	seen := map[string]bool{}
 	var out []Cycle
 	const maxLen = 6
-	for _, start := range nodes {
-		var path []string
-		onPath := map[string]int{}
-		var dfs func(n string)
-		dfs = func(n string) {
-			if at, ok := onPath[n]; ok {
-				if n == start && at == 0 {
-					cyc := append([]string(nil), path...)
-					key := canonical(cyc)
-					if !seen[key] {
-						seen[key] = true
-						out = append(out, st.buildCycle(cyc, best))
-					}
-				}
-				return
-			}
-			if len(path) >= maxLen {
-				return
-			}
-			// Only explore nodes >= start to canonicalize enumeration.
-			if n < start {
-				return
-			}
-			onPath[n] = len(path)
-			path = append(path, n)
-			for _, m := range adj[n] {
-				dfs(m)
-			}
-			path = path[:len(path)-1]
-			delete(onPath, n)
+	cycles.Find(nodes, func(n string) []string { return adj[n] }, maxLen, func(cyc []string) bool {
+		if key := canonical(cyc); !seen[key] {
+			seen[key] = true
+			out = append(out, st.buildCycle(cyc, best))
 		}
-		dfs(start)
-	}
+		return true
+	})
 	return out
 }
 

@@ -1,13 +1,11 @@
 package appboot
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 	"time"
 
 	"cbreak/internal/proc"
@@ -19,7 +17,8 @@ import (
 // SIGSTOP wedges, crash-loops — the faults the scenario harness
 // injects. The child is placed in its own process group with the
 // parent-death signal armed (internal/proc, shared with the campaign's
-// trial workers), so killing the daemon never strands a worker.
+// trial workers), so killing the daemon never strands a worker, and
+// runs behind proc.Start's ready-line handshake.
 
 // HandshakePrefix opens the one line a worker prints to stdout once its
 // socket is listening; the launcher parses the address out of it.
@@ -56,8 +55,8 @@ type ProcConfig struct {
 	// StopTimeout bounds graceful SIGTERM stop before the process group
 	// is killed (default 5s).
 	StopTimeout time.Duration
-	// Output receives the worker's stderr and post-handshake stdout
-	// (default os.Stderr).
+	// Output receives the worker's stderr and stdout (default
+	// os.Stderr).
 	Output io.Writer
 }
 
@@ -78,74 +77,36 @@ func ProcLauncher(cfg ProcConfig) Launcher {
 	return func(prevAddr string) (Instance, error) {
 		cmd := exec.Command(cfg.Bin, cfg.Args(prevAddr)...)
 		cmd.SysProcAttr = proc.WorkerAttr()
-		cmd.Stderr = cfg.Output
-		stdout, err := cmd.StdoutPipe()
+		child, line, err := proc.Start(cmd, cfg.Output, cfg.HandshakeTimeout, func(line string) bool {
+			_, ok := parseHandshake(line)
+			return ok
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("worker: %w", err)
 		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		inst := &procInstance{
-			cmd:         cmd,
-			stopTimeout: cfg.StopTimeout,
-			done:        make(chan struct{}),
-		}
-		// Reap in the background; the exit error is latched before done
-		// closes so ExitErr is race-free for watchers.
-		ready := make(chan string, 1)
-		go func() {
-			sc := bufio.NewScanner(stdout)
-			handshook := false
-			for sc.Scan() {
-				line := sc.Text()
-				if !handshook {
-					if addr, ok := parseHandshake(line); ok {
-						handshook = true
-						ready <- addr
-						continue
-					}
-				}
-				fmt.Fprintln(cfg.Output, line)
-			}
-			inst.exitErr = cmd.Wait()
-			if inst.exitErr == nil {
-				inst.exitErr = fmt.Errorf("worker exited")
-			}
-			close(inst.done)
-		}()
-		select {
-		case addr := <-ready:
-			inst.addr = addr
-			return inst, nil
-		case <-inst.done:
-			return nil, fmt.Errorf("worker died before handshake: %v", inst.exitErr)
-		case <-time.After(cfg.HandshakeTimeout):
-			_ = inst.Kill()
-			return nil, fmt.Errorf("worker handshake timed out after %s", cfg.HandshakeTimeout)
-		}
+		addr, _ := parseHandshake(line)
+		return &procInstance{Child: child, addr: addr, stopTimeout: cfg.StopTimeout}, nil
 	}
 }
 
 // procInstance is one live worker process.
 type procInstance struct {
-	cmd         *exec.Cmd
+	*proc.Child
 	addr        string
 	stopTimeout time.Duration
-
-	killOnce sync.Once
-	done     chan struct{}
-	exitErr  error
 }
 
-func (p *procInstance) Addr() string          { return p.addr }
-func (p *procInstance) Pid() int              { return p.cmd.Process.Pid }
-func (p *procInstance) Done() <-chan struct{} { return p.done }
+func (p *procInstance) Addr() string { return p.addr }
 
+// ExitErr reports why the worker died; a worker never exits cleanly on
+// its own, so a zero status is an error too.
 func (p *procInstance) ExitErr() error {
 	select {
-	case <-p.done:
-		return p.exitErr
+	case <-p.Done():
+		if err := p.Err(); err != nil {
+			return err
+		}
+		return fmt.Errorf("worker exited")
 	default:
 		return nil
 	}
@@ -153,25 +114,4 @@ func (p *procInstance) ExitErr() error {
 
 // Stop asks the worker to drain (SIGTERM), escalating to a group kill
 // at the stop timeout.
-func (p *procInstance) Stop() error {
-	if err := proc.Terminate(p.cmd); err != nil {
-		return p.Kill()
-	}
-	select {
-	case <-p.done:
-		return nil
-	case <-time.After(p.stopTimeout):
-		return p.Kill()
-	}
-}
-
-// Kill kills the worker's whole process group and waits for the reap.
-func (p *procInstance) Kill() error {
-	var err error
-	p.killOnce.Do(func() { err = proc.KillTree(p.cmd) })
-	select {
-	case <-p.done:
-	case <-time.After(5 * time.Second):
-	}
-	return err
-}
+func (p *procInstance) Stop() error { return p.Child.Stop(p.stopTimeout) }

@@ -17,7 +17,6 @@ package raytracer
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"time"
@@ -164,17 +163,6 @@ func (sc *Scene) RenderImage() []byte {
 		}
 	}
 	return img
-}
-
-// WritePGM writes the scene as a binary PGM (P5) image — a real artifact
-// a user of the benchmark can view.
-func (sc *Scene) WritePGM(w io.Writer) error {
-	img := sc.RenderImage()
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", sc.W, sc.H); err != nil {
-		return err
-	}
-	_, err := w.Write(img)
-	return err
 }
 
 // Stats are the render's validation statistics.

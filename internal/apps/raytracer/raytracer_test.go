@@ -1,7 +1,6 @@
 package raytracer
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -120,16 +119,5 @@ func TestRenderImageAndPGM(t *testing.T) {
 	}
 	if !hasBright || !hasDark {
 		t.Fatalf("implausible image: bright=%v dark=%v", hasBright, hasDark)
-	}
-	var buf bytes.Buffer
-	if err := sc.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !bytes.HasPrefix(out, []byte("P5\n16 12\n255\n")) {
-		t.Fatalf("PGM header: %q", out[:20])
-	}
-	if len(out) != len("P5\n16 12\n255\n")+16*12 {
-		t.Fatalf("PGM size = %d", len(out))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cbreak/internal/guard"
+	"cbreak/internal/locks"
 	"cbreak/internal/telemetry"
 )
 
@@ -60,10 +61,9 @@ type Engine struct {
 	postponedTotal atomic.Int64
 
 	// Overload protection (overload.go): bounded postponed populations
-	// and adaptive postponement budgets, configured like the breaker
-	// (atomic pointer + lazy per-shard epoch rebuild).
+	// and adaptive postponement budgets. The pointed-to config is
+	// immutable; SetOverloadConfig swaps in a new one.
 	overloadCfg atomic.Pointer[OverloadConfig]
-	ovEpoch     atomic.Uint64
 
 	// Hardening layer (hardening.go): incident log, circuit-breaker
 	// configuration, fault injector, action-panic policy, watchdog.
@@ -286,7 +286,7 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 		return OutcomeLocalFalse
 	}
 
-	gid := goroutineID()
+	gid := locks.GoroutineID()
 	e.logEvent(s, EventArrived, gid, first)
 
 	// Lock the live shard; a racing Reset may have retired s, in which
@@ -321,7 +321,7 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 	// another waiter. At the bound the arrival is shed instead: it
 	// passes straight through like a tripped breaker's, trading hit
 	// probability for a bounded postponed population.
-	ov := s.overloadFor(e)
+	ov := e.overloadCfg.Load()
 	global := e.postponedTotal.Load()
 	if reason, shed := ov.shedReason(len(s.postponed), global); shed {
 		s.mu.Unlock()

@@ -183,13 +183,3 @@ func BenchmarkEngineRendezvous(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkGoroutineID backs the measured-cost claim in goroutineID's
-// comment; run with -benchmem to see the pooled buffer keeping it at 0
-// allocs.
-func BenchmarkGoroutineID(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink.Store(goroutineID())
-	}
-}

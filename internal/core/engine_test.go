@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cbreak/internal/guard"
+	"cbreak/internal/locks"
 )
 
 func newTestEngine() *Engine {
@@ -95,7 +96,7 @@ func TestSameGoroutineNeverMatches(t *testing.T) {
 	// out before the second arrives, but even a postponed entry from the
 	// same goroutine must not match (t1 != t2). Exercise the gid check
 	// directly through the matcher.
-	gid := goroutineID()
+	gid := locks.GoroutineID()
 	w := &waiter{t: NewConflictTrigger("bp", obj), slot: 1, arity: 2, gid: gid, ch: make(chan turn, 1)}
 	s := e.shard("bp")
 	s.mu.Lock()

@@ -52,9 +52,6 @@ func (b *Breakpoint) state() *bpState {
 // Name returns the breakpoint name the handle is bound to.
 func (b *Breakpoint) Name() string { return b.name }
 
-// Engine returns the engine the handle resolves against.
-func (b *Breakpoint) Engine() *Engine { return b.e }
-
 // Stats returns the breakpoint's live statistics record. After a Reset
 // the returned pointer keeps the old generation's (frozen) counters;
 // call Stats again for the fresh record.

@@ -52,9 +52,6 @@ func (e *Engine) faultFor(name string, first bool) guard.Fault {
 // must never crash on instrumentation bugs.
 func (e *Engine) SetIsolateActionPanics(v bool) { e.isolateActionPanics.Store(v) }
 
-// IsolateActionPanics reports the current action-panic policy.
-func (e *Engine) IsolateActionPanics() bool { return e.isolateActionPanics.Load() }
-
 // Incidents returns the engine's retained hardening incidents (absorbed
 // panics, stalls, watchdog releases, breaker transitions), oldest
 // first.

@@ -20,10 +20,10 @@ import (
 //     the high-water mark, granted budgets shrink linearly toward a
 //     floor, so the backlog drains faster the fuller it gets.
 //
-// Configuration uses the breaker's epoch plumbing (shard.breakerFor):
-// SetOverloadConfig stores the config behind an atomic pointer and
-// bumps an epoch; each shard revalidates its cached copy lazily on
-// next use, so reconfiguration never stops the world.
+// SetOverloadConfig stores an immutable copy of the config behind an
+// atomic pointer, and each postponement loads it, so reconfiguration
+// never stops the world. Unlike the breaker's, the config keeps no
+// per-shard state, so no shard caches it.
 
 // OverloadConfig bounds the engine's postponed populations. Zero-value
 // fields disable the corresponding bound.
@@ -53,17 +53,16 @@ type OverloadConfig struct {
 const defaultMinBudget = time.Millisecond
 
 // SetOverloadConfig installs (or, with nil, removes) the engine's
-// overload bounds. Reconfiguration follows the breaker's epoch scheme:
-// shards revalidate their cached config lazily, so this never stops
-// the world.
+// overload bounds. It stores a copy, which the engine never changes, so
+// arrivals read it lock-free and the next postponement sees the new
+// bounds.
 func (e *Engine) SetOverloadConfig(cfg *OverloadConfig) {
 	if cfg == nil {
 		e.overloadCfg.Store(nil)
-	} else {
-		c := *cfg
-		e.overloadCfg.Store(&c)
+		return
 	}
-	e.ovEpoch.Add(1)
+	c := *cfg
+	e.overloadCfg.Store(&c)
 }
 
 // PostponedTotal returns the engine-wide count of currently postponed
@@ -81,25 +80,6 @@ func (e *Engine) Overload() (OverloadConfig, bool) {
 		return OverloadConfig{}, false
 	}
 	return *cfg, true
-}
-
-// overloadFor returns the shard's cached overload config under the
-// engine's current epoch, or nil when overload protection is disabled.
-// Same lazy-rebuild scheme as breakerFor.
-func (s *bpState) overloadFor(e *Engine) *OverloadConfig {
-	cfg := e.overloadCfg.Load()
-	if cfg == nil {
-		return nil
-	}
-	epoch := e.ovEpoch.Load()
-	s.brMu.Lock()
-	if s.overload == nil || s.ovEpoch != epoch {
-		s.overload = cfg
-		s.ovEpoch = epoch
-	}
-	cfg = s.overload
-	s.brMu.Unlock()
-	return cfg
 }
 
 // shedReason reports whether an arrival must be shed instead of

@@ -50,11 +50,6 @@ type bpState struct {
 	brMu    sync.Mutex
 	breaker *guard.Breaker
 	brEpoch uint64
-
-	// Overload-config cache, same lazy-epoch scheme as the breaker
-	// (overload.go). Guarded by brMu.
-	overload *OverloadConfig
-	ovEpoch  uint64
 }
 
 func newShard(e *Engine, name string) *bpState {

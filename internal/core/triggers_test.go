@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"cbreak/internal/locks"
 )
 
 func TestConflictGlobalSymmetric(t *testing.T) {
@@ -108,16 +110,16 @@ func TestPredTriggerNilPredicates(t *testing.T) {
 }
 
 func TestGoroutineIDStableAndDistinct(t *testing.T) {
-	id1 := goroutineID()
-	id2 := goroutineID()
+	id1 := locks.GoroutineID()
+	id2 := locks.GoroutineID()
 	if id1 == 0 {
-		t.Fatal("goroutineID returned 0")
+		t.Fatal("GoroutineID returned 0")
 	}
 	if id1 != id2 {
-		t.Fatalf("goroutineID not stable within a goroutine: %d vs %d", id1, id2)
+		t.Fatalf("GoroutineID not stable within a goroutine: %d vs %d", id1, id2)
 	}
 	ch := make(chan uint64)
-	go func() { ch <- goroutineID() }()
+	go func() { ch <- locks.GoroutineID() }()
 	if other := <-ch; other == id1 {
 		t.Fatalf("two goroutines share id %d", other)
 	}

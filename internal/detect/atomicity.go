@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"cbreak/internal/locks"
 	"cbreak/internal/memory"
 )
 
@@ -39,7 +40,7 @@ type blockAccess struct {
 // should be serializable. Blocks do not nest; a second BeginAtomic
 // replaces the first.
 func (d *Detector) BeginAtomic(name string) {
-	gid := gidOf()
+	gid := locks.GoroutineID()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.atomic == nil {
@@ -55,7 +56,7 @@ func (d *Detector) BeginAtomic(name string) {
 
 // EndAtomic closes the calling goroutine's atomic block.
 func (d *Detector) EndAtomic() {
-	gid := gidOf()
+	gid := locks.GoroutineID()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.atomic, gid)

@@ -17,13 +17,12 @@ package detect
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
+	"cbreak/internal/cycles"
 	"cbreak/internal/locks"
 	"cbreak/internal/memory"
-	"cbreak/internal/vclock"
 )
 
 // Kind labels a conflict report.
@@ -126,8 +125,13 @@ type Detector struct {
 	useEraser bool
 	useHB     bool
 
-	// lock-order graph: edge held -> want with the sites involved.
+	// lock-order graph: edge held -> want with the sites involved. succ
+	// holds the same edges for the cycle search and nodes the locks with
+	// an edge out, in the order their first edge appeared, which fixes
+	// the chain a cycle reports.
 	edges map[edgeKey]edgeInfo
+	succ  map[*locks.Mutex][]*locks.Mutex
+	nodes []*locks.Mutex
 
 	// atomic tracks each goroutine's active atomic block (atomicity.go).
 	atomic map[uint64]*atomicBlock
@@ -135,10 +139,6 @@ type Detector struct {
 	// conds tracks observed condition variables (notify.go).
 	conds map[*locks.Cond]*condState
 }
-
-// gidOf returns the calling goroutine's id (alias of the locks package's
-// parser, re-exported for the atomicity detector).
-func gidOf() uint64 { return locks.GoroutineID() }
 
 type edgeKey struct {
 	held, want *locks.Mutex
@@ -164,6 +164,7 @@ func New(opts ...Option) *Detector {
 		hb:        newFastTrack(),
 		seen:      make(map[string]Report),
 		edges:     make(map[edgeKey]edgeInfo),
+		succ:      make(map[*locks.Mutex][]*locks.Mutex),
 		useEraser: true,
 		useHB:     true,
 	}
@@ -258,6 +259,10 @@ func (d *Detector) BeforeLock(m *locks.Mutex, gid uint64, site string) {
 		if _, ok := d.edges[k]; !ok {
 			_, hSite := h.Owner()
 			d.edges[k] = edgeInfo{heldSite: hSite, wantSite: site}
+			if _, ok := d.succ[h]; !ok {
+				d.nodes = append(d.nodes, h)
+			}
+			d.succ[h] = append(d.succ[h], m)
 		}
 		if rev, ok := d.edges[edgeKey{held: m, want: h}]; ok {
 			d.report(Report{
@@ -270,7 +275,7 @@ func (d *Detector) BeforeLock(m *locks.Mutex, gid uint64, site string) {
 			})
 			continue
 		}
-		if chain := d.findCycle(m, h); chain != nil {
+		if chain := d.chain(h, m); chain != nil {
 			d.report(Report{
 				Kind:  KindLockOrder,
 				Var:   m.Name(),
@@ -284,38 +289,29 @@ func (d *Detector) BeforeLock(m *locks.Mutex, gid uint64, site string) {
 	}
 }
 
-// findCycle searches the lock-order graph for a path from `from` back to
-// `to` of length >= 2 edges (longer cycles than the direct reversal,
-// which is handled separately). It returns the lock-name chain or nil.
-func (d *Detector) findCycle(from, to *locks.Mutex) []string {
-	visited := map[*locks.Mutex]bool{}
-	var path []string
-	var dfs func(cur *locks.Mutex, depth int) bool
-	dfs = func(cur *locks.Mutex, depth int) bool {
-		if depth > 8 {
-			return false // bound the search; real chains are short
-		}
-		for k := range d.edges {
-			if k.held != cur || visited[k.want] {
-				continue
-			}
-			if k.want == to && depth >= 1 {
-				path = append(path, cur.Name(), to.Name())
-				return true
-			}
-			visited[k.want] = true
-			if dfs(k.want, depth+1) {
-				path = append([]string{cur.Name()}, path...)
-				return true
+// maxChain bounds a reported chain: the wanted lock, at most eight
+// locks between, and the held one.
+const maxChain = 10
+
+// chain returns the first lock-order cycle, in the cycle search's fixed
+// order, that closes through the edge held -> want: the lock names from
+// want round to held, or nil. The caller has ruled out the two-lock
+// cycle, so a chain has at least three locks.
+func (d *Detector) chain(held, want *locks.Mutex) []string {
+	var chain []string
+	succ := func(m *locks.Mutex) []*locks.Mutex { return d.succ[m] }
+	cycles.Find(d.nodes, succ, maxChain, func(c []*locks.Mutex) bool {
+		for i, m := range c {
+			if m == held && c[(i+1)%len(c)] == want {
+				for j := range c {
+					chain = append(chain, c[(i+1+j)%len(c)].Name())
+				}
+				return false
 			}
 		}
-		return false
-	}
-	visited[from] = true
-	if dfs(from, 0) {
-		return path
-	}
-	return nil
+		return true
+	})
+	return chain
 }
 
 // AfterLock implements locks.Observer: acquire edge for happens-before.
@@ -368,36 +364,4 @@ func (d *Detector) Instrument(sp *memory.Space, ms ...*locks.Mutex) {
 	for _, m := range ms {
 		m.Observe(d)
 	}
-}
-
-// Summary returns per-kind report counts, formatted.
-func (d *Detector) Summary() string {
-	counts := map[Kind]int{}
-	for _, r := range d.Reports() {
-		counts[r.Kind]++
-	}
-	kinds := []Kind{KindRace, KindContention, KindLockOrder}
-	var parts []string
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%s: %d", k, counts[k]))
-	}
-	return strings.Join(parts, ", ")
-}
-
-// sortedNames is a helper used by sub-detectors for deterministic
-// diagnostics.
-func sortedNames(ms map[*locks.Mutex]struct{}) []string {
-	out := make([]string, 0, len(ms))
-	for m := range ms {
-		out = append(out, m.Name())
-	}
-	sort.Strings(out)
-	return out
-}
-
-// hbVC exposes the detector's current clock for a goroutine (testing).
-func (d *Detector) hbVC(gid uint64) vclock.VC {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.hb.threadVC(gid).Clone()
 }

@@ -12,10 +12,7 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -124,8 +121,8 @@ func Aggregate(outs []TrialOutcome) Measurement {
 }
 
 // Measure runs fn `runs` times with fresh engines and aggregates. Each
-// trial executes in the calling goroutine with no deadline — the
-// historical behaviour; use MeasureCtx when a hung RunFunc must not
+// trial executes in the calling goroutine with no deadline; use a
+// Runner from InProcess with a deadline when a hung RunFunc must not
 // hang the caller.
 func Measure(runs int, breakpoint bool, timeout time.Duration, fn RunFunc) Measurement {
 	outs := make([]TrialOutcome, 0, runs)
@@ -133,15 +130,6 @@ func Measure(runs int, breakpoint bool, timeout time.Duration, fn RunFunc) Measu
 		outs = append(outs, RunTrial(TrialSpec{Breakpoint: breakpoint, Timeout: timeout, Run: fn}))
 	}
 	return Aggregate(outs)
-}
-
-// MeasureCtx is Measure with context cancellation and a hard per-trial
-// wall-clock deadline (0 = unbounded): a RunFunc that deadlocks is
-// abandoned at the deadline and counted as appkit.TrialTimeout instead
-// of wedging the measurement.
-func MeasureCtx(ctx context.Context, deadline time.Duration, runs int, breakpoint bool, timeout time.Duration, fn RunFunc) Measurement {
-	spec := TrialSpec{Runs: runs, Breakpoint: breakpoint, Timeout: timeout, Run: fn}
-	return InProcess(ctx, deadline, 0)(spec)
 }
 
 // DominantError returns the most frequent buggy status label, or "".
@@ -162,28 +150,6 @@ func Overhead(without, with time.Duration) float64 {
 		return 0
 	}
 	return 100 * (float64(with) - float64(without)) / float64(without)
-}
-
-// CountLoC counts non-test Go source lines under dir (recursively); it
-// fills the LoC column of the result tables. Returns 0 when the tree is
-// unreadable (e.g. the binary runs away from the repo).
-func CountLoC(dir string) int {
-	total := 0
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return nil
-		}
-		if info.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil
-		}
-		total += strings.Count(string(data), "\n")
-		return nil
-	})
-	return total
 }
 
 // Table is a rendered result table.

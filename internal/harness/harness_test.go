@@ -67,16 +67,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestCountLoC(t *testing.T) {
-	n := CountLoC(".")
-	if n < 100 {
-		t.Fatalf("CountLoC(.) = %d, suspiciously small", n)
-	}
-	if CountLoC("/nonexistent-path-xyz") != 0 {
-		t.Fatal("missing dir should count 0")
-	}
-}
-
 func TestTable1RowsComplete(t *testing.T) {
 	// 33 rows: 31 distinct breakpoints plus the two pause-time repeat
 	// rows (hedc race1 and swing deadlock1 appear at two waits), as in
@@ -122,7 +112,7 @@ func TestSmokeSmallTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table smoke test is slow")
 	}
-	t2 := Table2(1)
+	t2 := Table2(1, InProcess(nil, 0, 0))
 	if len(t2.Rows) != 7 {
 		t.Fatalf("Table2 rows = %d", len(t2.Rows))
 	}
@@ -131,7 +121,7 @@ func TestSmokeSmallTables(t *testing.T) {
 			t.Errorf("Table2 %s did not reproduce: %v", row[0], row)
 		}
 	}
-	model := ModelTable(2000, 2)
+	model := ModelTable(2000, 2, InProcess(nil, 0, 0))
 	if len(model.Rows) != 10 {
 		t.Fatalf("ModelTable rows = %d", len(model.Rows))
 	}

@@ -280,11 +280,8 @@ func netloadSpecs(runs int) []TrialSpec {
 	return specs
 }
 
-// NetLoadTable measures the chaos rows with the default runner.
-func NetLoadTable(runs int) Table { return NetLoadTableWith(runs, defaultRunner()) }
-
-// NetLoadTableWith is NetLoadTable with a pluggable trial runner.
-func NetLoadTableWith(runs int, run Runner) Table {
+// NetLoadTable measures the chaos rows.
+func NetLoadTable(runs int, run Runner) Table {
 	t := Table{
 		Title:   "Network chaos: socket servers under fault injection",
 		Headers: []string{"Benchmark", "Error", "MTTE(s)", "Reproduced", "Comments"},

@@ -152,9 +152,6 @@ func raytracerRun(bug raytracer.Bug) RunFunc {
 	}
 }
 
-// defaultRunner is the classic in-process, no-deadline execution path.
-func defaultRunner() Runner { return InProcess(nil, 0, 0) }
-
 // partialMark appends the explicit partial-data marker to a row's first
 // cell when any of its measurements is missing trials (quarantined
 // configuration or infrastructure failures): degraded campaign rows
@@ -169,12 +166,9 @@ func partialMark(cell string, ms ...Measurement) string {
 }
 
 // Table1 measures every row with and without breakpoints and renders the
-// paper's Table 1 columns.
-func Table1(runs int) Table { return Table1With(runs, defaultRunner()) }
-
-// Table1With is Table1 with a pluggable trial runner (e.g. a campaign
-// supervisor's subprocess-isolated runner).
-func Table1With(runs int, run Runner) Table {
+// paper's Table 1 columns. run executes each configuration: InProcess,
+// or a campaign supervisor's subprocess-isolated runner.
+func Table1(runs int, run Runner) Table {
 	t := Table{
 		Title:   "Table 1: Java benchmark results",
 		Headers: []string{"Benchmark", "Normal(s)", "w/ctr(s)", "Overhead", "Breakpoint", "Error", "Prob.", "Comments"},
@@ -248,10 +242,7 @@ func Table2Rows() []struct {
 
 // Table2 measures the C/C++-analog rows: error kind, MTTE, and
 // breakpoint count.
-func Table2(runs int) Table { return Table2With(runs, defaultRunner()) }
-
-// Table2With is Table2 with a pluggable trial runner.
-func Table2With(runs int, run Runner) Table {
+func Table2(runs int, run Runner) Table {
 	t := Table{
 		Title:   "Table 2: C/C++ benchmark results",
 		Headers: []string{"Benchmark", "Error", "MTTE(s)", "#CBR", "Reproduced", "Comments"},
@@ -274,10 +265,7 @@ func Table2With(runs int, run Runner) Table {
 // Log4jTable reproduces the section 5 resolve-order table: for each of
 // the eight contention resolutions, the stall rate and breakpoint hit
 // rate over `runs` executions.
-func Log4jTable(runs int) Table { return Log4jTableWith(runs, defaultRunner()) }
-
-// Log4jTableWith is Log4jTable with a pluggable trial runner.
-func Log4jTableWith(runs int, run Runner) Table {
+func Log4jTable(runs int, run Runner) Table {
 	t := Table{
 		Title:   "Section 5: log4j conflict resolve orders",
 		Headers: []string{"Conflict resolve order", "System stall (%)", "BP hit (%)"},
@@ -300,7 +288,19 @@ func Log4jTableWith(runs int, run Runner) Table {
 // Each benchmark sweeps pauses spanning its workload's jitter scale, so
 // the short end misses the rendezvous sometimes (the paper's 0.87 and
 // 0.63) and the long end essentially never does.
-func PauseSweep(runs int) Table { return PauseSweepWith(runs, defaultRunner()) }
+func PauseSweep(runs int, run Runner) Table {
+	t := Table{
+		Title:   "Section 6.2: pause time vs probability",
+		Headers: []string{"Benchmark", "Pause", "Prob.", "Runtime(s)"},
+	}
+	specs := pauseSpecs(runs)
+	for i, pt := range pauseSweepPoints() {
+		m := run(specs[i])
+		t.Rows = append(t.Rows, []string{
+			partialMark(pt.name, m), pt.pause.String(), fmtProb(m.Probability()), fmtDur(m.MedianTime)})
+	}
+	return t
+}
 
 // pauseSweepPoint is one (benchmark, pause) cell of the sweep.
 type pauseSweepPoint struct {
@@ -334,21 +334,6 @@ func pauseSweepPoints() []pauseSweepPoint {
 		}
 	}
 	return points
-}
-
-// PauseSweepWith is PauseSweep with a pluggable trial runner.
-func PauseSweepWith(runs int, run Runner) Table {
-	t := Table{
-		Title:   "Section 6.2: pause time vs probability",
-		Headers: []string{"Benchmark", "Pause", "Prob.", "Runtime(s)"},
-	}
-	specs := pauseSpecs(runs)
-	for i, pt := range pauseSweepPoints() {
-		m := run(specs[i])
-		t.Rows = append(t.Rows, []string{
-			partialMark(pt.name, m), pt.pause.String(), fmtProb(m.Probability()), fmtDur(m.MedianTime)})
-	}
-	return t
 }
 
 // PrecisionVariant is one configuration of the section 6.3 ablation.
@@ -387,11 +372,7 @@ func PrecisionVariants() []PrecisionVariant {
 // local-predicate refinements (ignoreFirst for cache4j, bound for
 // moldyn, isLockTypeHeld for swing), with the reproduction probability
 // alongside to show precision does not cost probability.
-func PrecisionAblation(runs int) Table { return PrecisionAblationWith(runs, defaultRunner()) }
-
-// PrecisionAblationWith is PrecisionAblation with a pluggable trial
-// runner.
-func PrecisionAblationWith(runs int, run Runner) Table {
+func PrecisionAblation(runs int, run Runner) Table {
 	t := Table{
 		Title:   "Section 6.3: precision refinements",
 		Headers: []string{"Benchmark", "Refinement", "Prob.", "Runtime(s)", "BPWait(s)"},
@@ -407,15 +388,10 @@ func PrecisionAblationWith(runs int, run Runner) Table {
 
 // ModelTable reproduces the section 3 analysis around Figure 4: the
 // closed-form probabilities, their Monte Carlo validation, and the
-// empirical Figure 4 program with and without its breakpoint.
-func ModelTable(mcRuns, fig4Runs int) Table {
-	return ModelTableWith(mcRuns, fig4Runs, defaultRunner())
-}
-
-// ModelTableWith is ModelTable with a pluggable trial runner for its
-// empirical Figure 4 measurements (the closed-form and Monte Carlo rows
-// are deterministic and always computed in-process).
-func ModelTableWith(mcRuns, fig4Runs int, run Runner) Table {
+// empirical Figure 4 program with and without its breakpoint. run
+// executes the Figure 4 measurements; the closed-form and Monte Carlo
+// rows are deterministic and always computed in-process.
+func ModelTable(mcRuns, fig4Runs int, run Runner) Table {
 	t := Table{
 		Title:   "Section 3 / Figure 4: model vs measurement",
 		Headers: []string{"Quantity", "Value"},

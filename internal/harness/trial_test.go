@@ -54,13 +54,13 @@ func TestMeasureCtxDeadlineProducesPartialMeasurement(t *testing.T) {
 	hang := make(chan struct{})
 	defer close(hang)
 	var calls atomic.Int32
-	m := MeasureCtx(context.Background(), 20*time.Millisecond, 3, true, time.Millisecond,
-		func(e *core.Engine, bp bool, to time.Duration) appkit.Result {
+	m := InProcess(context.Background(), 20*time.Millisecond, 0)(TrialSpec{Runs: 3, Breakpoint: true, Timeout: time.Millisecond,
+		Run: func(e *core.Engine, bp bool, to time.Duration) appkit.Result {
 			if calls.Add(1) == 2 {
 				<-hang // trial 2 hangs; the deadline must rescue Measure
 			}
 			return appkit.Result{Status: appkit.TestFail, Elapsed: time.Millisecond, BPHit: true}
-		})
+		}})
 	if m.Completed != 2 || m.InfraFailures != 1 {
 		t.Fatalf("completed/infra = %d/%d, want 2/1 (m=%+v)", m.Completed, m.InfraFailures, m)
 	}
@@ -212,7 +212,7 @@ func TestQuarantinedRowRendersPartialMarker(t *testing.T) {
 		}
 		return m
 	}
-	tbl := Table1With(2, run)
+	tbl := Table1(2, run)
 	text := tbl.Render()
 	if !strings.Contains(text, "(partial)") {
 		t.Fatalf("quarantined rows missing partial marker:\n%s", text)

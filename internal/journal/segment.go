@@ -53,9 +53,6 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// frameSize returns the on-disk size of a payload's frame.
-func frameSize(payload []byte) int64 { return int64(frameHeader + len(payload)) }
-
 // segName formats the file name of segment seq.
 func segName(seq uint64) string {
 	return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix)

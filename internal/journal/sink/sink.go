@@ -1,8 +1,10 @@
 // Package sink adapts the crash-safe write-ahead journal
 // (internal/journal) to the engine's DurableSink interface: every
-// engine event and guard incident is framed as one JSON record, so a
-// post-mortem on a crashed trial replays exactly the breakpoint history
-// the in-memory rings lost with the process.
+// engine event and guard incident is framed as one JSON record, the
+// telemetry package's NDJSON object for it (telemetry.MarshalNDJSON),
+// so a post-mortem on a crashed trial replays exactly the breakpoint
+// history the in-memory rings lost with the process, in the shape the
+// live stream serves.
 //
 // Payloads are JSON text inside the journal's binary frames, so the
 // usual field tricks work on raw segments: `grep -a '"panic"'
@@ -13,41 +15,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"cbreak/internal/core"
 	"cbreak/internal/guard"
 	"cbreak/internal/journal"
+	"cbreak/internal/telemetry"
 )
-
-// Record kinds, the "kind" discriminator of every payload.
-const (
-	// KindEvent marks an engine event record.
-	KindEvent = "engine-event"
-	// KindIncident marks a guard incident record.
-	KindIncident = "guard-incident"
-)
-
-// EventRecord is the JSON shape of one journaled engine event.
-type EventRecord struct {
-	Kind       string    `json:"kind"` // KindEvent
-	Seq        uint64    `json:"seq"`
-	When       time.Time `json:"when"`
-	Event      string    `json:"event"` // arrived|postponed|hit|timeout
-	Breakpoint string    `json:"breakpoint"`
-	GID        uint64    `json:"gid"`
-	First      bool      `json:"first"`
-}
-
-// IncidentRecord is the JSON shape of one journaled guard incident.
-type IncidentRecord struct {
-	Kind       string    `json:"kind"` // KindIncident
-	When       time.Time `json:"when"`
-	Incident   string    `json:"incident"` // guard.IncidentKind label
-	Breakpoint string    `json:"breakpoint"`
-	GID        uint64    `json:"gid"`
-	Detail     string    `json:"detail,omitempty"`
-}
 
 // Sink journals engine events and guard incidents. It implements
 // core.DurableSink and is safe for concurrent use (the journal
@@ -82,22 +55,16 @@ func OpenOptions(opts journal.Options) (*Sink, error) {
 
 // RecordEvent journals one engine event (core.DurableSink).
 func (s *Sink) RecordEvent(ev core.Event) {
-	s.append(EventRecord{
-		Kind: KindEvent, Seq: ev.Seq, When: ev.When, Event: ev.Kind.String(),
-		Breakpoint: ev.Breakpoint, GID: ev.GID, First: ev.First,
-	})
+	s.append(telemetry.Record{Kind: telemetry.RecordEvent, Event: ev})
 }
 
 // RecordIncident journals one guard incident (core.DurableSink).
 func (s *Sink) RecordIncident(in guard.Incident) {
-	s.append(IncidentRecord{
-		Kind: KindIncident, When: in.When, Incident: in.Kind.String(),
-		Breakpoint: in.Breakpoint, GID: in.GID, Detail: in.Detail,
-	})
+	s.append(telemetry.Record{Kind: telemetry.RecordIncident, Incident: in})
 }
 
-func (s *Sink) append(v any) {
-	payload, err := json.Marshal(v)
+func (s *Sink) append(rec telemetry.Record) {
+	payload, err := telemetry.MarshalNDJSON(rec)
 	if err == nil {
 		_, err = s.j.Append(payload)
 	}
@@ -121,9 +88,6 @@ func (s *Sink) Err() error {
 // Len returns how many records the journal holds.
 func (s *Sink) Len() uint64 { return s.j.Len() }
 
-// Dir returns the journal directory.
-func (s *Sink) Dir() string { return s.j.Dir() }
-
 // Sync flushes every buffered record to stable storage without closing
 // the journal. Long-running daemons call it at drain time, before the
 // admin→proxy→app teardown severs the paths that produce records, so a
@@ -137,8 +101,8 @@ func (s *Sink) Close() error { return s.j.Close() }
 // is non-nil.
 type Entry struct {
 	LSN      uint64
-	Event    *EventRecord
-	Incident *IncidentRecord
+	Event    *telemetry.EventJSON
+	Incident *telemetry.IncidentJSON
 }
 
 // Replay reads a sink journal for post-mortem analysis. The journal
@@ -154,14 +118,14 @@ func Replay(dir string, fn func(Entry) error) (journal.RecoveryInfo, error) {
 			return fmt.Errorf("sink: record %d does not parse: %v", lsn, err)
 		}
 		switch probe.Kind {
-		case KindEvent:
-			var rec EventRecord
+		case telemetry.RecordEvent.String():
+			var rec telemetry.EventJSON
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				return fmt.Errorf("sink: event record %d: %v", lsn, err)
 			}
 			return fn(Entry{LSN: lsn, Event: &rec})
-		case KindIncident:
-			var rec IncidentRecord
+		case telemetry.RecordIncident.String():
+			var rec telemetry.IncidentJSON
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				return fmt.Errorf("sink: incident record %d: %v", lsn, err)
 			}

@@ -4,11 +4,48 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"cbreak/internal/core"
 	"cbreak/internal/guard"
 	"cbreak/internal/journal"
 )
+
+// TestPayloadBytesGolden pins the journaled bytes of one event and one
+// incident: journals written before the sink took its record shape from
+// the telemetry package hold exactly these payloads.
+func TestPayloadBytesGolden(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sink")
+	s, err := Open(dir, journal.SyncEachRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	when := time.Date(2024, 1, 2, 3, 4, 5, 6, time.UTC)
+	s.RecordEvent(core.Event{Seq: 7, When: when, Kind: core.EventHit, Breakpoint: "bp", GID: 42, First: true})
+	s.RecordIncident(guard.Incident{When: when, Kind: guard.KindPanic, Breakpoint: "bp", GID: 9, Detail: "absorbed: boom"})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`{"kind":"engine-event","seq":7,"when":"2024-01-02T03:04:05.000000006Z","event":"hit","breakpoint":"bp","gid":42,"first":true}`,
+		`{"kind":"guard-incident","when":"2024-01-02T03:04:05.000000006Z","incident":"panic","breakpoint":"bp","gid":9,"detail":"absorbed: boom"}`,
+	}
+	var got []string
+	if _, err := journal.Replay(dir, func(_ uint64, payload []byte) error {
+		got = append(got, string(payload))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("payloads = %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("payload %d:\n got  %s\n want %s", i, got[i], want[i])
+		}
+	}
+}
 
 // TestEngineTeeRoundTrip drives a real engine with the sink attached:
 // a breakpoint rendezvous plus an external incident must land in the

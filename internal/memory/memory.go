@@ -19,6 +19,8 @@ package memory
 import (
 	"fmt"
 	"sync/atomic"
+
+	"cbreak/internal/locks"
 )
 
 // Op is the kind of a memory access.
@@ -77,7 +79,7 @@ func (s *Space) emit(c *Cell, op Op, site string) {
 		return
 	}
 	if b := s.tracer.Load(); b != nil {
-		b.t.OnAccess(gid(), c, op, site)
+		b.t.OnAccess(locks.GoroutineID(), c, op, site)
 	}
 }
 
@@ -173,10 +175,4 @@ func (r *Ref[T]) Load(site string) *T {
 func (r *Ref[T]) Store(site string, p *T) {
 	r.space.emit(&r.id, Write, site)
 	r.v.Store(p)
-}
-
-// gid returns the current goroutine id; duplicated from internal/locks to
-// keep the packages independent.
-func gid() uint64 {
-	return goroutineID()
 }

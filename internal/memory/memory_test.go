@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"cbreak/internal/locks"
 )
 
 type recTracer struct {
@@ -213,8 +215,8 @@ func TestTracerSeesGoroutineID(t *testing.T) {
 	var got uint64
 	sp.Trace(tracerFunc(func(gid uint64) { got = gid }))
 	NewCell(sp, "g", 0).Load("g:1")
-	if got == 0 || got != goroutineID() {
-		t.Fatalf("tracer gid = %d, want %d", got, goroutineID())
+	if got == 0 || got != locks.GoroutineID() {
+		t.Fatalf("tracer gid = %d, want %d", got, locks.GoroutineID())
 	}
 }
 

@@ -182,12 +182,6 @@ type ConnPlan struct {
 	Partitioned bool
 }
 
-// Faulty reports whether the plan injects any fault at all.
-func (pl ConnPlan) Faulty() bool {
-	return pl.Latency > 0 || pl.ResetAfter >= 0 || pl.TruncateAfter >= 0 ||
-		pl.HalfOpenAfter >= 0 || pl.ThrottleBps > 0 || pl.SlowChunk > 0 || pl.Partitioned
-}
-
 // String renders the plan compactly (the unit of Schedule.Describe).
 func (pl ConnPlan) String() string {
 	var parts []string
@@ -231,9 +225,6 @@ type Schedule struct {
 func NewSchedule(seed int64, f Faults) *Schedule {
 	return &Schedule{seed: seed, faults: f}
 }
-
-// Seed returns the schedule's seed.
-func (s *Schedule) Seed() int64 { return s.seed }
 
 // PlanFor resolves the fault plan of the conn-th connection (1-based,
 // accept order). Pure: safe to call concurrently and repeatedly, and

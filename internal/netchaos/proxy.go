@@ -84,9 +84,6 @@ func Start(upstream string, cfg Config) (*Proxy, error) {
 // Addr returns the proxy's listen address (what clients dial).
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Schedule returns the proxy's deterministic fault schedule.
-func (p *Proxy) Schedule() *Schedule { return p.sched }
-
 // Connections returns how many connections the proxy has accepted.
 func (p *Proxy) Connections() int64 { return p.ordinal.Load() }
 

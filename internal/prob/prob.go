@@ -61,17 +61,6 @@ func ApproxBase(n, m int) float64 {
 	return math.Min(1, float64(m)*float64(m)/float64(n-m+1))
 }
 
-// UpperBase returns the paper's upper bound m/(N-m+1) on the probability
-// of a single placement colliding, scaled as in the text: the hit
-// probability is upper bounded by m * m/(N-m+1) which coincides with
-// ApproxBase; the per-state bound m/(N-m+1) is exposed for completeness.
-func UpperBase(n, m int) float64 {
-	if m <= 0 || n <= 0 {
-		return 0
-	}
-	return math.Min(1, float64(m)/float64(n-m+1))
-}
-
 // ExactTriggerLB returns the model lower bound with BTrigger pausing T
 // units at each of the M phi_t states: 1 - C(N'-mT, m)/C(N', m) with
 // N' = N + M*T - M.

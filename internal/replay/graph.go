@@ -2,8 +2,12 @@ package replay
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"time"
+
+	"cbreak/internal/cycles"
 )
 
 // Graph pins a *partial* order over named program points: each point
@@ -63,54 +67,36 @@ func (g *Graph) Point(name string, deps ...string) *Graph {
 // recorded, the point is marked done anyway, and Reach returns false.
 func (g *Graph) Reach(point string) bool {
 	start := time.Now()
-	deadline := start.Add(g.timeout)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	deps, declared := g.deps[point]
 	if !declared {
 		return true
 	}
-	for {
-		var unmet []string
-		for _, d := range deps {
-			if !g.done[d] {
-				unmet = append(unmet, d)
-			}
-		}
-		if len(unmet) == 0 {
-			g.done[point] = true
-			g.cond.Broadcast()
-			return true
-		}
-		if time.Now().After(deadline) {
-			g.violations = append(g.violations, Violation{
-				Point:   point,
-				Blocker: unmet[0],
-				Pending: unmet,
-				Wait:    time.Since(start),
-			})
-			g.done[point] = true
-			g.cond.Broadcast()
-			return false
-		}
-		g.timedWait(deadline)
+	ok := await(g.cond, start.Add(g.timeout), func() bool { return len(g.unmet(deps)) == 0 })
+	if !ok {
+		unmet := g.unmet(deps)
+		g.violations = append(g.violations, Violation{
+			Point:   point,
+			Blocker: unmet[0],
+			Pending: unmet,
+			Wait:    time.Since(start),
+		})
 	}
+	g.done[point] = true
+	g.cond.Broadcast()
+	return ok
 }
 
-// timedWait waits on the condition with a coarse poll so deadline checks
-// happen even without a Broadcast. Called with g.mu held.
-func (g *Graph) timedWait(deadline time.Time) {
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-time.After(10 * time.Millisecond):
-		case <-stop:
+// unmet lists the dependencies not yet reached. Called with g.mu held.
+func (g *Graph) unmet(deps []string) []string {
+	var out []string
+	for _, d := range deps {
+		if !g.done[d] {
+			out = append(out, d)
 		}
-		g.cond.Broadcast()
-	}()
-	g.cond.Wait()
-	close(stop)
-	_ = deadline
+	}
+	return out
 }
 
 // Reached reports whether the point has been reached.
@@ -140,34 +126,15 @@ func (g *Graph) ViolationDetails() []Violation {
 func (g *Graph) Validate() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[string]int, len(g.deps))
-	var cycle string
-	var dfs func(n string) bool
-	dfs = func(n string) bool {
-		color[n] = gray
-		for _, d := range g.deps[n] {
-			switch color[d] {
-			case gray:
-				cycle = fmt.Sprintf("%s -> %s", n, d)
-				return true
-			case white:
-				if dfs(d) {
-					return true
-				}
-			}
-		}
-		color[n] = black
+	points := make([]string, 0, len(g.deps))
+	for p := range g.deps {
+		points = append(points, p)
+	}
+	sort.Strings(points)
+	var err error
+	cycles.Find(points, func(p string) []string { return g.deps[p] }, 0, func(c []string) bool {
+		err = fmt.Errorf("schedule graph has a cycle through %s", strings.Join(append(c, c[0]), " -> "))
 		return false
-	}
-	for n := range g.deps {
-		if color[n] == white && dfs(n) {
-			return fmt.Errorf("schedule graph has a cycle through %s", cycle)
-		}
-	}
-	return nil
+	})
+	return err
 }

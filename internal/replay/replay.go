@@ -57,33 +57,20 @@ func NewSchedule(timeout time.Duration, points ...string) *Schedule {
 // order, and Reach returns false.
 func (s *Schedule) Reach(point string) bool {
 	start := time.Now()
-	deadline := start.Add(s.timeout)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	blocked := false
-	defer func() {
-		if blocked {
-			if s.waiting[point]--; s.waiting[point] == 0 {
-				delete(s.waiting, point)
-			}
+	// ready: point is next, or the schedule no longer constrains it
+	// (past its end, or no occurrence of point left).
+	ready := func() bool {
+		return s.next >= len(s.points) || s.points[s.next] == point || !s.contains(point)
+	}
+	if !ready() {
+		s.waiting[point]++
+		ok := await(s.cond, start.Add(s.timeout), ready)
+		if s.waiting[point]--; s.waiting[point] == 0 {
+			delete(s.waiting, point)
 		}
-	}()
-	for {
-		if s.next >= len(s.points) {
-			// Past the declared schedule: unconstrained.
-			return true
-		}
-		if s.points[s.next] == point {
-			s.next++
-			s.cond.Broadcast()
-			return true
-		}
-		if !s.contains(point) {
-			// Point not declared (or all its occurrences consumed):
-			// unconstrained.
-			return true
-		}
-		if time.Now().After(deadline) {
+		if !ok {
 			s.violations = append(s.violations, Violation{
 				Point:   point,
 				Blocker: s.points[s.next],
@@ -92,13 +79,35 @@ func (s *Schedule) Reach(point string) bool {
 			})
 			return false
 		}
-		if !blocked {
-			blocked = true
-			s.waiting[point]++
-		}
-		// Wake periodically to re-check the deadline.
-		s.timedWait(deadline)
 	}
+	if s.next < len(s.points) && s.points[s.next] == point {
+		s.next++
+		s.cond.Broadcast()
+	}
+	return true
+}
+
+// await waits on c, whose lock the caller holds, until ready reports
+// true (it returns true) or the deadline passes first (false). One timer
+// broadcasts under the lock at the deadline, so a waiter that no
+// Broadcast reaches still wakes to give up.
+func await(c *sync.Cond, deadline time.Time, ready func() bool) bool {
+	if ready() {
+		return true
+	}
+	t := time.AfterFunc(time.Until(deadline), func() {
+		c.L.Lock()
+		defer c.L.Unlock()
+		c.Broadcast()
+	})
+	defer t.Stop()
+	for !ready() {
+		if !time.Now().Before(deadline) {
+			return false
+		}
+		c.Wait()
+	}
+	return true
 }
 
 // otherWaiters lists the points (other than point) with a Reach call
@@ -122,22 +131,6 @@ func (s *Schedule) contains(point string) bool {
 		}
 	}
 	return false
-}
-
-// timedWait waits on the condition with a coarse poll so deadline checks
-// happen even if no Broadcast arrives. Called with s.mu held.
-func (s *Schedule) timedWait(deadline time.Time) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-time.After(10 * time.Millisecond):
-		case <-done:
-		}
-		s.cond.Broadcast()
-	}()
-	s.cond.Wait()
-	close(done)
-	_ = deadline
 }
 
 // Done reports whether every declared point has been reached in order.

@@ -12,11 +12,10 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
 
 	"cbreak/internal/journal/sink"
+	"cbreak/internal/proc"
 )
 
 // Daemon is one cbserverd process under scenario control, addressed
@@ -28,14 +27,8 @@ type Daemon struct {
 	// ProxyAddr is the chaos proxy host:port load clients dial.
 	ProxyAddr string
 
-	c    *Context
-	cmd  *exec.Cmd
-	log  *os.File
-	done chan struct{}
-
-	mu      sync.Mutex
-	waitErr error
-	killed  bool
+	*proc.Child
+	log *os.File
 }
 
 // StartDaemon boots c.Bin with the given args plus ephemeral admin and
@@ -49,62 +42,21 @@ func (c *Context) StartDaemon(name string, args ...string) (*Daemon, error) {
 		return nil, err
 	}
 	full := append([]string{"-addr", "127.0.0.1:0", "-proxy-addr", "127.0.0.1:0"}, args...)
-	cmd := exec.Command(c.Bin, full...)
-	cmd.Stderr = logFile
-	stdout, err := cmd.StdoutPipe()
+	child, banner, err := proc.Start(exec.Command(c.Bin, full...), logFile, 20*time.Second, func(line string) bool {
+		return strings.HasPrefix(line, "cbserverd: admin http://")
+	})
 	if err != nil {
 		logFile.Close()
+		return nil, fmt.Errorf("daemon %s: %w — see %s", name, err, logPath)
+	}
+	d := &Daemon{Child: child, log: logFile}
+	c.daemons = append(c.daemons, d)
+	c.Logf("daemon %s: pid %d (%s)", name, d.Pid(), strings.Join(full, " "))
+	if d.AdminAddr, d.ProxyAddr, err = parseBanner(banner); err != nil {
 		return nil, err
 	}
-	if err := cmd.Start(); err != nil {
-		logFile.Close()
-		return nil, fmt.Errorf("start %s: %w", name, err)
-	}
-	c.Logf("daemon %s: pid %d (%s)", name, cmd.Process.Pid, strings.Join(full, " "))
-
-	d := &Daemon{c: c, cmd: cmd, log: logFile, done: make(chan struct{})}
-	c.daemons = append(c.daemons, d)
-
-	banner := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		sc.Buffer(make([]byte, 64*1024), 1024*1024)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(logFile, line)
-			if strings.HasPrefix(line, "cbserverd: admin http://") {
-				select {
-				case banner <- line:
-				default:
-				}
-			}
-		}
-	}()
-	go func() {
-		err := cmd.Wait()
-		d.mu.Lock()
-		d.waitErr = err
-		d.mu.Unlock()
-		logFile.Sync()
-		close(d.done)
-	}()
-
-	select {
-	case line := <-banner:
-		admin, proxy, err := parseBanner(line)
-		if err != nil {
-			d.Kill()
-			return nil, err
-		}
-		d.AdminAddr, d.ProxyAddr = admin, proxy
-		c.Logf("daemon %s: admin %s proxy %s", name, admin, proxy)
-		return d, nil
-	case <-d.done:
-		return nil, fmt.Errorf("daemon %s exited before its banner (%v) — see %s", name, d.waitErrLocked(), logPath)
-	case <-time.After(20 * time.Second):
-		d.Kill()
-		return nil, fmt.Errorf("daemon %s: no boot banner within 20s — see %s", name, logPath)
-	}
+	c.Logf("daemon %s: admin %s proxy %s", name, d.AdminAddr, d.ProxyAddr)
+	return d, nil
 }
 
 // parseBanner extracts the admin and proxy addresses from
@@ -123,60 +75,6 @@ func parseBanner(line string) (admin, proxy string, err error) {
 		return "", "", fmt.Errorf("unparseable boot banner: %q", line)
 	}
 	return admin, proxy, nil
-}
-
-func (d *Daemon) waitErrLocked() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.waitErr
-}
-
-// Pid returns the daemon's own process id.
-func (d *Daemon) Pid() int { return d.cmd.Process.Pid }
-
-// Exited reports whether the daemon process has exited.
-func (d *Daemon) Exited() bool {
-	select {
-	case <-d.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Stop drains the daemon with SIGTERM and waits for a clean exit,
-// escalating to SIGKILL after the timeout.
-func (d *Daemon) Stop(timeout time.Duration) error {
-	if d.Exited() {
-		return d.waitErrLocked()
-	}
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	select {
-	case <-d.done:
-		return d.waitErrLocked()
-	case <-time.After(timeout):
-		d.Kill()
-		return fmt.Errorf("daemon did not drain within %s (killed)", timeout)
-	}
-}
-
-// Kill force-terminates the daemon (idempotent). Supervised workers die
-// with it via their parent-death signal.
-func (d *Daemon) Kill() {
-	d.mu.Lock()
-	killed := d.killed
-	d.killed = true
-	d.mu.Unlock()
-	if killed || d.Exited() {
-		return
-	}
-	d.cmd.Process.Kill()
-	select {
-	case <-d.done:
-	case <-time.After(5 * time.Second):
-	}
 }
 
 // Get performs one admin GET and returns the status code and body.

@@ -97,11 +97,12 @@ func (c *Context) Path(elem ...string) string {
 	return filepath.Join(append([]string{c.Dir}, elem...)...)
 }
 
-// Cleanup kills every daemon the context started (idempotent; Run
-// callers invoke it after the scenario returns).
+// Cleanup kills every daemon the context started and closes its log
+// (idempotent; Run callers invoke it after the scenario returns).
 func (c *Context) Cleanup() {
 	for _, d := range c.daemons {
 		d.Kill()
+		d.log.Close()
 	}
 }
 

@@ -7,13 +7,11 @@ import (
 )
 
 // This file is the NDJSON wire encoding of bus records: one JSON object
-// per line, discriminated by "kind". For events and incidents the
-// object shape is byte-compatible with internal/journal/sink's journaled
-// EventRecord/IncidentRecord (same kinds, same field names), so a
-// consumer of the live stream and a consumer of a replayed post-mortem
-// journal parse the same records. The shapes are duplicated rather than
-// imported because sink sits above core (and therefore above this
-// package) in the import graph; sink's tests pin the compatibility.
+// per line, discriminated by "kind". It is also the journal's record
+// shape: internal/journal/sink writes the bytes MarshalNDJSON produces
+// for events and incidents and replays them into EventJSON and
+// IncidentJSON, so a consumer of the live stream and a consumer of a
+// replayed post-mortem journal parse the same records.
 
 // EventJSON is the NDJSON shape of an engine-event record.
 type EventJSON struct {

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"cbreak/internal/core"
+	"cbreak/internal/cycles"
 	"cbreak/internal/locks"
 )
 
@@ -140,59 +141,41 @@ func (g Graph) Analyze() []Report {
 	return append(out, g.postponeStalls()...)
 }
 
-// deadlockCycles finds every cycle in the lock-wait digraph (waiter →
-// owner, with RWMutex edges fanning out to every reader). Self-edges —
-// a goroutine blocked on a lock it already owns, the re-entrant
-// acquisition case — are 1-cycles. A cycle of lock edges contains no
-// postponed goroutine (a postponed goroutine is parked in the engine,
-// not blocked in an acquisition), so every cycle found here is an
-// application-only deadlock.
+// deadlockCycles finds every elementary cycle in the lock-wait digraph
+// (waiter → owner, with RWMutex edges fanning out to every reader).
+// Self-edges — a goroutine blocked on a lock it already owns, the
+// re-entrant acquisition case — are 1-cycles. A cycle of lock edges
+// contains no postponed goroutine (a postponed goroutine is parked in
+// the engine, not blocked in an acquisition), so every cycle found here
+// is an application-only deadlock. Each report starts at the cycle's
+// least goroutine id.
 func (g Graph) deadlockCycles() []Report {
 	edgeBy := make(map[uint64]locks.WaitEdge, len(g.LockEdges))
 	for _, e := range g.LockEdges {
 		edgeBy[e.Waiter] = e
 	}
-	starts := make([]uint64, 0, len(edgeBy))
+	gids := make([]uint64, 0, len(edgeBy))
 	for gid := range edgeBy {
-		starts = append(starts, gid)
+		gids = append(gids, gid)
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 
 	seen := map[string]bool{}
 	var out []Report
-	for _, start := range starts {
-		var path []uint64
-		onPath := map[uint64]int{}
-		var dfs func(gid uint64)
-		dfs = func(gid uint64) {
-			if at, ok := onPath[gid]; ok {
-				r := g.cycleReport(path[at:], edgeBy)
-				if sig := r.signature(); !seen[sig] {
-					seen[sig] = true
-					out = append(out, r)
-				}
-				return
-			}
-			e, blocked := edgeBy[gid]
-			if !blocked {
-				return
-			}
-			onPath[gid] = len(path)
-			path = append(path, gid)
-			for _, o := range e.Owners {
-				dfs(o)
-			}
-			path = path[:len(path)-1]
-			delete(onPath, gid)
+	cycles.Find(gids, func(gid uint64) []uint64 { return edgeBy[gid].Owners }, 0, func(cycle []uint64) bool {
+		r := g.cycleReport(cycle, edgeBy)
+		if sig := r.signature(); !seen[sig] {
+			seen[sig] = true
+			out = append(out, r)
 		}
-		dfs(start)
-	}
+		return true
+	})
 	return out
 }
 
 // cycleReport renders one lock cycle as a deadlock report.
 func (g Graph) cycleReport(cycle []uint64, edgeBy map[uint64]locks.WaitEdge) Report {
-	r := Report{Kind: ReportDeadlock, GIDs: append([]uint64(nil), cycle...)}
+	r := Report{Kind: ReportDeadlock, GIDs: cycle}
 	var parts []string
 	for _, gid := range cycle {
 		e := edgeBy[gid]
