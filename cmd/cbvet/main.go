@@ -2,7 +2,8 @@
 // under internal/analysis: breakpoint-key hygiene (bpkeys), shared
 // cells with inconsistent locksets (conflicts), predicate purity
 // (predpure), raw-sync usage in app packages (rawsync), static
-// lock-order cycles (lockorder), and timer leaks in loops (timerleak).
+// lock-order cycles (lockorder), timer leaks in loops (timerleak), and
+// exported declarations that nothing reaches (unused).
 //
 // Standalone use:
 //
@@ -16,7 +17,7 @@
 //
 // In that mode each package is analyzed in isolation with the build
 // cache's export data, and the whole-program checks (orphaned
-// breakpoint keys) are disabled — see docs/USAGE.md, "Static analysis
+// breakpoint keys, unreached declarations) are disabled — see docs/USAGE.md, "Static analysis
 // with cbvet".
 //
 // Findings are suppressed with a trailing or preceding comment:
@@ -42,6 +43,7 @@ import (
 	"cbreak/internal/analysis/predpure"
 	"cbreak/internal/analysis/rawsync"
 	"cbreak/internal/analysis/timerleak"
+	"cbreak/internal/analysis/unused"
 )
 
 // all is the registered analyzer suite, alphabetical.
@@ -52,6 +54,7 @@ var all = []*analysis.Analyzer{
 	predpure.Analyzer,
 	rawsync.Analyzer,
 	timerleak.Analyzer,
+	unused.Analyzer,
 }
 
 func main() {

@@ -1,6 +1,7 @@
 // Package cbvettest is the fixture harness for the cbvet analyzers,
 // modeled on golang.org/x/tools/go/analysis/analysistest: a fixture is
-// a directory of Go files under testdata/ whose lines carry
+// a directory under testdata/ holding one or more packages (a go.mod
+// makes it a module of its own) whose lines carry
 //
 //	// want "substring"
 //
@@ -30,15 +31,16 @@ type want struct {
 	hit  bool
 }
 
-// Run loads dir as one fixture package and checks analyzer a against
-// its // want comments. It returns the result for extra assertions.
+// Run loads the fixture packages in dir and below it and checks
+// analyzer a against their // want comments. It returns the result for
+// extra assertions.
 func Run(t *testing.T, a *analysis.Analyzer, dir string) *analysis.Result {
 	t.Helper()
 	loader, err := load.New(dir)
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	units, err := loader.LoadDir(dir)
+	units, err := loader.Load(dir, "./...")
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}

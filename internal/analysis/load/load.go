@@ -255,11 +255,32 @@ func (l *Loader) importPathFor(dir string) string {
 	return filepath.Base(dir)
 }
 
+// Dirs returns root and every directory below it that the pattern
+// "root/..." expands to. Directories named testdata, vendor, or starting
+// with "." or "_" are skipped, matching the go tool.
+func Dirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if p != root && (name == "testdata" || name == "vendor" ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, p)
+		return nil
+	})
+	return dirs, err
+}
+
 // Load expands the given patterns and loads every matching package.
 // Supported patterns: a directory path, an import path inside the
-// module, and the "./..." / "dir/..." recursive forms. Directories named
-// testdata, vendor, or starting with "." or "_" are skipped during
-// expansion, matching the go tool.
+// module, and the "./..." / "dir/..." recursive forms (see Dirs).
 func (l *Loader) Load(baseDir string, patterns ...string) ([]*Unit, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -279,23 +300,12 @@ func (l *Loader) Load(baseDir string, patterns ...string) ([]*Unit, error) {
 			} else if !filepath.IsAbs(root) {
 				root = filepath.Join(baseDir, root)
 			}
-			err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if p != root && (name == "testdata" || name == "vendor" ||
-					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-					return filepath.SkipDir
-				}
-				add(p)
-				return nil
-			})
+			ds, err := Dirs(root)
 			if err != nil {
 				return nil, err
+			}
+			for _, d := range ds {
+				add(d)
 			}
 		case strings.HasPrefix(pat, l.modPath+"/") || pat == l.modPath:
 			d, err := l.resolveDir(pat)
