@@ -469,7 +469,7 @@ func BenchmarkTraceRecordOverhead(b *testing.B) {
 		benchTracedTraffic(b, memory.NewSpace(), locks.NewMutex("bench.mu"))
 	})
 	b.Run("RecorderOn", func(b *testing.B) {
-		rec, err := predict.NewRecorder(b.TempDir(), predict.RecorderOptions{})
+		rec, err := predict.NewRecorder(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
 		}

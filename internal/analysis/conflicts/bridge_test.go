@@ -1,10 +1,9 @@
-package conflicts_test
+package conflicts
 
 import (
 	"path/filepath"
 	"testing"
 
-	"cbreak/internal/analysis/conflicts"
 	"cbreak/internal/analysis/load"
 	"cbreak/internal/predict"
 )
@@ -27,8 +26,8 @@ func TestStaticCandidateMatchesDynamicPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading mysql package: %v", err)
 	}
-	cands := conflicts.Candidates(units)
-	var static *conflicts.Candidate
+	cands := unitCandidates(units)
+	var static *Candidate
 	for i := range cands {
 		if cands[i].Cell == "mysql.lsn" {
 			static = &cands[i]

@@ -58,10 +58,10 @@ type Candidate struct {
 	Accesses []lockorder.CellAccess
 }
 
-// Candidates runs the collection over already-loaded units and returns
-// every flagged cell, ignoring suppressions; the predict bridge test
-// compares this list with dynamic predictions.
-func Candidates(units []*load.Unit) []Candidate {
+// unitCandidates runs the collection over already-loaded units and
+// returns every flagged cell, ignoring suppressions; the predict bridge
+// test compares this list with dynamic predictions.
+func unitCandidates(units []*load.Unit) []Candidate {
 	s := lockorder.NewSummary()
 	for _, u := range units {
 		s.Collect(u)

@@ -1,4 +1,4 @@
-package conflicts_test
+package conflicts
 
 import (
 	"strings"
@@ -6,12 +6,11 @@ import (
 
 	"cbreak/internal/analysis"
 	"cbreak/internal/analysis/cbvettest"
-	"cbreak/internal/analysis/conflicts"
 	"cbreak/internal/analysis/load"
 )
 
 func TestFixtures(t *testing.T) {
-	res := cbvettest.Run(t, conflicts.Analyzer, "testdata/a")
+	res := cbvettest.Run(t, Analyzer, "testdata/a")
 	if n := len(res.Suppressed); n != 1 {
 		t.Errorf("suppressed findings = %d, want 1 (the annotated hush counter)", n)
 	}
@@ -31,7 +30,7 @@ func TestMalformedSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	runner := &analysis.Runner{Analyzers: []*analysis.Analyzer{conflicts.Analyzer}}
+	runner := &analysis.Runner{Analyzers: []*analysis.Analyzer{Analyzer}}
 	res, err := runner.Run(units)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -57,8 +56,8 @@ func TestMalformedSuppression(t *testing.T) {
 	}
 }
 
-// TestCandidates exercises the exported candidate API the bridge test
-// builds on.
+// TestCandidates exercises the candidate list the bridge test builds
+// on.
 func TestCandidates(t *testing.T) {
 	loader, err := load.New("testdata/a")
 	if err != nil {
@@ -68,7 +67,7 @@ func TestCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	cands := conflicts.Candidates(units)
+	cands := unitCandidates(units)
 	got := map[string]bool{}
 	for _, c := range cands {
 		got[c.Cell] = true

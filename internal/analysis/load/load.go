@@ -108,9 +108,6 @@ func findModule(dir string) (root, modPath string) {
 // module-internal imports against.
 func (l *Loader) ModuleRoot() string { return l.modRoot }
 
-// ModulePath returns the module path ("cbreak").
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // Import implements types.Importer for dependency resolution. It
 // type-checks dependencies from source, without test files, and caches
 // the result.

@@ -1,4 +1,4 @@
-package lockorder_test
+package lockorder
 
 import (
 	"path/filepath"
@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cbreak/internal/analysis/load"
-	"cbreak/internal/analysis/lockorder"
 	"cbreak/internal/apps/mysql"
 	"cbreak/internal/core"
 	"cbreak/internal/waitgraph"
@@ -31,7 +30,7 @@ func TestStaticCycleMatchesRuntimeWaitGraph(t *testing.T) {
 		t.Fatalf("loading mysql package: %v", err)
 	}
 	var static []string
-	for _, c := range lockorder.Cycles(units) {
+	for _, c := range staticCycles(units) {
 		for _, class := range c.Classes {
 			if class == "mysql.binlog" {
 				static = append([]string{}, c.Classes...)

@@ -47,9 +47,6 @@ func NewSummary() *Summary { return &Summary{st: newState()} }
 // Collect folds one loaded unit into the summary.
 func (s *Summary) Collect(u *load.Unit) { s.st.collectUnit(u) }
 
-// Cycles returns the lock-order cycles over everything collected.
-func (s *Summary) Cycles() []Cycle { return s.st.cycles() }
-
 // CellAccesses returns every static access instance, interprocedurally
 // expanded and deduplicated, in position order.
 func (s *Summary) CellAccesses() []CellAccess { return s.st.cellAccesses() }

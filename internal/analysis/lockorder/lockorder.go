@@ -8,7 +8,7 @@
 // identically.
 //
 // Lock identity is static: a struct field, a package-level variable, or
-// a local variable holding a locks.Mutex/RWMutex. Where the mutex is
+// a local variable holding a locks.Mutex. Where the mutex is
 // created with a constant name (locks.NewMutex("mysql.binlog")), the
 // diagnostic uses that runtime name, so static findings line up with
 // wait-graph reports and lock-class predicates. Analysis is
@@ -169,7 +169,7 @@ func (c *collector) lockCtor(e ast.Expr) (string, bool) {
 		return "", false
 	}
 	switch fn.Name() {
-	case "NewMutex", "NewClassMutex", "NewRWMutex", "NewClassRWMutex":
+	case "NewMutex", "NewClassMutex":
 	default:
 		return "", false
 	}
@@ -475,7 +475,7 @@ func (w *walker) call(call *ast.CallExpr) bool {
 	}
 	if astq.FuncPkgPath(fn) == locksPath {
 		recv := astq.RecvTypeName(fn)
-		if recv == "Mutex" || recv == "RWMutex" {
+		if recv == "Mutex" {
 			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 			if !ok {
 				return false
@@ -486,13 +486,13 @@ func (w *walker) call(call *ast.CallExpr) bool {
 				return false
 			}
 			switch fn.Name() {
-			case "Lock", "LockAt", "TryLock", "RLock", "RLockAt":
+			case "Lock", "LockAt", "TryLock":
 				w.acquire(ref, call.Pos())
 				return true
-			case "Unlock", "UnlockAt", "RUnlock", "RUnlockAt":
+			case "Unlock", "UnlockAt":
 				w.release(ref)
 				return true
-			case "With", "WithAt", "WithRead", "WithWrite":
+			case "With", "WithAt":
 				w.acquire(ref, call.Pos())
 				if len(call.Args) > 0 {
 					if lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit); ok {
@@ -697,11 +697,11 @@ func (st *state) buildCycle(classes []string, best map[[2]string]Edge) Cycle {
 	return c
 }
 
-// Cycles runs the collection and graph build over already-loaded units
-// and returns every lock-order cycle, ignoring suppressions. The
+// staticCycles runs the collection and graph build over already-loaded
+// units and returns every lock-order cycle, ignoring suppressions. The
 // lockorder↔waitgraph bridge test uses it to compare static findings
 // with runtime deadlock signatures.
-func Cycles(units []*load.Unit) []Cycle {
+func staticCycles(units []*load.Unit) []Cycle {
 	st := newState()
 	for _, u := range units {
 		st.collectUnit(u)

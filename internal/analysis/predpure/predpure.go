@@ -156,8 +156,8 @@ func checkPredicateCall(pass *analysis.Pass, role string, call *ast.CallExpr) {
 	switch pkg {
 	case locksPath:
 		switch fn.Name() {
-		case "Lock", "LockAt", "TryLock", "RLock", "RLockAt", "With", "WithAt",
-			"WithRead", "WithWrite", "Wait", "WaitAt", "WaitTimeout", "WaitTimeoutAt":
+		case "Lock", "LockAt", "TryLock", "With", "WithAt",
+			"Wait", "WaitAt", "WaitTimeout", "WaitTimeoutAt":
 			pass.Reportf(call.Pos(), "%s acquires %s.%s; lock acquisition inside a predicate can deadlock against the engine and biases BTrigger", role, recv, fn.Name())
 		}
 	case "sync":

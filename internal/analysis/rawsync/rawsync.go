@@ -56,7 +56,7 @@ func run(pass *analysis.Pass) error {
 		}
 		if tn.Name() == "Mutex" || tn.Name() == "RWMutex" {
 			pass.Reportf(sel.Pos(),
-				"raw sync.%s in an apps package is invisible to wait-edge tracking; use the internal/locks wrappers (locks.NewMutex / locks.NewRWMutex)",
+				"raw sync.%s in an apps package is invisible to wait-edge tracking; use the internal/locks wrappers (locks.NewMutex)",
 				tn.Name())
 		}
 		return true

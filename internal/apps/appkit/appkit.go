@@ -299,17 +299,6 @@ func JitterDuration(scale time.Duration) time.Duration {
 	return time.Duration(jitterNext() % uint64(scale))
 }
 
-// Capture runs f and converts a panic into an Exception result; a normal
-// return yields the given ok result.
-func Capture(f func() Result) (res Result) {
-	defer func() {
-		if p := recover(); p != nil {
-			res = Result{Status: Exception, Detail: fmt.Sprint(p)}
-		}
-	}()
-	return f()
-}
-
 // Busy performs n iterations of deterministic thread-local computation
 // and returns its result. Workloads use it for the local work a thread
 // does between its shared accesses. Unlike a sleep, it does not round up

@@ -61,17 +61,6 @@ func TestRunWithDeadlinePanic(t *testing.T) {
 	}
 }
 
-func TestCapture(t *testing.T) {
-	r := Capture(func() Result { return Result{Status: TestFail, Detail: "sum"} })
-	if r.Status != TestFail {
-		t.Fatalf("result = %+v", r)
-	}
-	r = Capture(func() Result { panic("boom") })
-	if r.Status != Exception || r.Detail != "boom" {
-		t.Fatalf("result = %+v", r)
-	}
-}
-
 func TestResultString(t *testing.T) {
 	r := Result{Status: OK, Elapsed: time.Second}
 	if !strings.Contains(r.String(), "ok") {

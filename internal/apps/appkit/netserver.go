@@ -103,9 +103,6 @@ func StartSocketServer(cfg SocketServerConfig) (*SocketServer, error) {
 // Addr returns the server's listen address.
 func (s *SocketServer) Addr() string { return s.ln.Addr().String() }
 
-// Accepted returns how many connections the server accepted.
-func (s *SocketServer) Accepted() int64 { return s.accepted.Load() }
-
 // Served returns how many request lines were answered.
 func (s *SocketServer) Served() int64 { return s.served.Load() }
 

@@ -57,8 +57,8 @@ func TestSocketServerServesLines(t *testing.T) {
 			t.Fatalf("resp = %q, want %q", resp, want)
 		}
 	}
-	if s.Served() != 3 || s.Accepted() != 1 {
-		t.Fatalf("served=%d accepted=%d, want 3/1", s.Served(), s.Accepted())
+	if s.Served() != 3 || s.accepted.Load() != 1 {
+		t.Fatalf("served=%d accepted=%d, want 3/1", s.Served(), s.accepted.Load())
 	}
 }
 

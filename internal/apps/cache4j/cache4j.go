@@ -90,9 +90,6 @@ func NewCache(capacity int, cfg *Config) *Cache {
 	}
 }
 
-// Space exposes the cache's memory space so detectors can attach.
-func (c *Cache) Space() *memory.Space { return c.space }
-
 func (c *Cache) now() int64 { return c.clock.AtomicAdd("cache.go:now", 1) }
 
 // Put inserts a new object. Construction is two-step: the object is

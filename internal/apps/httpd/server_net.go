@@ -113,9 +113,6 @@ func engineShed(cfg *Config) func() (string, bool) {
 // Addr returns the server's listen address.
 func (ns *NetServer) Addr() string { return ns.kit.Addr() }
 
-// Server returns the underlying httpd reproduction (log inspection).
-func (ns *NetServer) Server() *Server { return ns.srv }
-
 // LogLines reports how many access-log lines are intact plus the raw
 // buffer — the corruption check, exported for socket-mode harness rows.
 func (ns *NetServer) LogLines() (intact int, raw string) { return ns.srv.log.Lines() }
@@ -132,12 +129,6 @@ func (ns *NetServer) Served() int64 { return ns.kit.Served() }
 
 // Close drains the server gracefully.
 func (ns *NetServer) Close() error { return ns.kit.Close() }
-
-// BackendStats reports the backend round-trip counters (zero unless
-// NetConfig.Backend is set).
-func (ns *NetServer) BackendStats() (ok, errs int64) {
-	return ns.backendOK.Load(), ns.backendErrs.Load()
-}
 
 // backendStatement derives the mysql statement a GET implies: even path
 // ordinals write (DML), odd ones rotate logs (FLUSH) — the crossing

@@ -115,7 +115,7 @@ func TestNetServerBackendWiring(t *testing.T) {
 	if len(got) != 2 || got[0] != "INSERT INTO t1 VALUES ('page-4')" || got[1] != "FLUSH LOGS" {
 		t.Fatalf("backend received %q, want [INSERT INTO t1 VALUES ('page-4') FLUSH LOGS]", got)
 	}
-	if ok, errs := ns.BackendStats(); ok != 2 || errs != 0 {
+	if ok, errs := ns.backendOK.Load(), ns.backendErrs.Load(); ok != 2 || errs != 0 {
 		t.Fatalf("backend stats = ok %d errs %d, want 2/0", ok, errs)
 	}
 }
@@ -145,7 +145,7 @@ func TestNetServerBackendDown(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("dead backend took %s, want bounded by the 500ms backend timeout", elapsed)
 	}
-	if ok, errs := ns.BackendStats(); ok != 0 || errs != 1 {
+	if ok, errs := ns.backendOK.Load(), ns.backendErrs.Load(); ok != 0 || errs != 1 {
 		t.Fatalf("backend stats = ok %d errs %d, want 0/1", ok, errs)
 	}
 }

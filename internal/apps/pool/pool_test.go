@@ -21,12 +21,12 @@ func TestBorrowReturnBasics(t *testing.T) {
 	if a == nil || b == nil || a == b {
 		t.Fatal("borrow broken")
 	}
-	if p.Active() != 2 || p.FreeCount() != 0 {
-		t.Fatalf("active=%d free=%d", p.Active(), p.FreeCount())
+	if p.active != 2 || len(p.free) != 0 {
+		t.Fatalf("active=%d free=%d", p.active, len(p.free))
 	}
 	p.Return(a)
-	if p.Active() != 1 || p.FreeCount() != 1 {
-		t.Fatalf("after return: active=%d free=%d", p.Active(), p.FreeCount())
+	if p.active != 1 || len(p.free) != 1 {
+		t.Fatalf("after return: active=%d free=%d", p.active, len(p.free))
 	}
 	c := p.Borrow()
 	if c != a {

@@ -149,22 +149,6 @@ func (sc *Scene) tracePixel(x, y int) (lum int64, rays int64, shadowed bool) {
 	return int64(val), rays, shadowed
 }
 
-// RenderImage renders the scene single-threaded into a luminance image
-// (row-major, one byte per pixel).
-func (sc *Scene) RenderImage() []byte {
-	img := make([]byte, sc.W*sc.H)
-	for y := 0; y < sc.H; y++ {
-		for x := 0; x < sc.W; x++ {
-			lum, _, _ := sc.tracePixel(x, y)
-			if lum > 255 {
-				lum = 255
-			}
-			img[y*sc.W+x] = byte(lum)
-		}
-	}
-	return img
-}
-
 // Stats are the render's validation statistics.
 type Stats struct {
 	Checksum   int64

@@ -100,24 +100,3 @@ func TestBoundRespected(t *testing.T) {
 		t.Fatalf("bound=2 exceeded: %d", hits)
 	}
 }
-
-func TestRenderImageAndPGM(t *testing.T) {
-	sc := DefaultScene(16, 12)
-	img := sc.RenderImage()
-	if len(img) != 16*12 {
-		t.Fatalf("image size = %d", len(img))
-	}
-	// The scene has bright sphere pixels and dark sky pixels.
-	var hasBright, hasDark bool
-	for _, p := range img {
-		if p > 100 {
-			hasBright = true
-		}
-		if p < 32 {
-			hasDark = true
-		}
-	}
-	if !hasBright || !hasDark {
-		t.Fatalf("implausible image: bright=%v dark=%v", hasBright, hasDark)
-	}
-}

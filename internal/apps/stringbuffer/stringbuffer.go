@@ -75,11 +75,6 @@ func (b *Buffer) setLengthLocked(n int) {
 	b.data = b.data[:n]
 }
 
-// AppendString appends a plain string (synchronized).
-func (b *Buffer) AppendString(s string) {
-	b.mu.With(func() { b.data = append(b.data, s...) })
-}
-
 // String returns the buffer contents (synchronized).
 func (b *Buffer) String() string {
 	b.mu.Lock()
@@ -103,12 +98,12 @@ func (b *Buffer) Append(sb *Buffer, cfg *Config) {
 	b.mu.With(func() { b.data = append(b.data, tmp...) })
 }
 
-// AppendAtomic is the repaired append: it holds sb's monitor across the
+// appendAtomic is the repaired append: it holds sb's monitor across the
 // length read and the character copy, so no setLength can interleave.
 // With the fix in place the (239, 449) breakpoint can still be hit, but
 // hitting it no longer produces the exception — which is exactly what
 // the paper's regression-test use case checks for after a fix.
-func (b *Buffer) AppendAtomic(sb *Buffer, cfg *Config) {
+func (b *Buffer) appendAtomic(sb *Buffer, cfg *Config) {
 	sb.mu.LockAt("StringBuffer.java:appendAtomic")
 	ln := len(sb.data)
 	if cfg != nil && cfg.Breakpoint {

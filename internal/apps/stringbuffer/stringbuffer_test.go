@@ -19,7 +19,7 @@ func TestBufferBasics(t *testing.T) {
 	if string(dst) != "hello" {
 		t.Fatalf("GetChars = %q", dst)
 	}
-	b.AppendString(" world")
+	b.Append(New("w", " world"), nil)
 	if b.String() != "hello world" {
 		t.Fatalf("String = %q", b.String())
 	}
@@ -116,7 +116,7 @@ func TestAppendAtomicFixSurvivesTheScenario(t *testing.T) {
 		errCh := make(chan any, 2)
 		go func() {
 			defer func() { errCh <- recover() }()
-			dst.AppendAtomic(sb, cfg)
+			dst.appendAtomic(sb, cfg)
 		}()
 		go func() {
 			defer func() { errCh <- recover() }()

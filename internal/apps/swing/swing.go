@@ -151,13 +151,6 @@ func (rm *RepaintManager) PaintDirtyRegions() int {
 	return painted
 }
 
-// Painted returns the number of regions repainted so far.
-func (rm *RepaintManager) Painted() int {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return rm.painted
-}
-
 // Caret is a blinking text caret: each blink updates geometry under the
 // caret monitor and requests a repaint while still holding it.
 type Caret struct {

@@ -35,8 +35,8 @@ func TestRepaintPipeline(t *testing.T) {
 	if n := rm.PaintDirtyRegions(); n != 1 {
 		t.Fatalf("painted %d regions, want 1 (merged)", n)
 	}
-	if rm.Painted() != 1 {
-		t.Fatalf("Painted = %d", rm.Painted())
+	if rm.painted != 1 {
+		t.Fatalf("painted = %d", rm.painted)
 	}
 	if n := rm.PaintDirtyRegions(); n != 0 {
 		t.Fatalf("second paint repainted %d", n)

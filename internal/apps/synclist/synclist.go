@@ -61,26 +61,9 @@ func (l *List) Get(i int) int64 {
 	return l.items[i]
 }
 
-// Remove deletes element i (synchronized).
-func (l *List) Remove(i int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i < 0 || i >= len(l.items) {
-		panic(fmt.Sprintf("IndexOutOfBounds: index=%d size=%d", i, len(l.items)))
-	}
-	l.items = append(l.items[:i], l.items[i+1:]...)
-}
-
 // Clear removes all elements (synchronized).
 func (l *List) Clear() {
 	l.mu.With(func() { l.items = l.items[:0] })
-}
-
-// Snapshot returns a copy of the contents (synchronized).
-func (l *List) Snapshot() []int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]int64(nil), l.items...)
 }
 
 // AddAll appends every element of other, holding l's monitor and then

@@ -15,11 +15,7 @@ func TestListBasics(t *testing.T) {
 	l.Add(2)
 	l.Add(3)
 	if l.Size() != 3 || l.Get(0) != 1 || l.Get(2) != 3 {
-		t.Fatalf("list contents wrong: %v", l.Snapshot())
-	}
-	l.Remove(1)
-	if l.Size() != 2 || l.Get(1) != 3 {
-		t.Fatalf("Remove broken: %v", l.Snapshot())
+		t.Fatalf("list contents wrong: %v", l.items)
 	}
 	l.Clear()
 	if l.Size() != 0 {
@@ -37,16 +33,6 @@ func TestGetOutOfRangePanics(t *testing.T) {
 	l.Get(0)
 }
 
-func TestRemoveOutOfRangePanics(t *testing.T) {
-	l := NewList("l")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	l.Remove(5)
-}
-
 func TestAddAllSequential(t *testing.T) {
 	a, b := NewList("a"), NewList("b")
 	a.Add(1)
@@ -54,7 +40,7 @@ func TestAddAllSequential(t *testing.T) {
 	b.Add(3)
 	a.AddAll(b, nil)
 	if a.Size() != 3 || a.Get(2) != 3 {
-		t.Fatalf("AddAll: %v", a.Snapshot())
+		t.Fatalf("AddAll: %v", a.items)
 	}
 }
 

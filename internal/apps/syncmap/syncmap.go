@@ -81,20 +81,6 @@ func (s *Map) Remove(k string) {
 	})
 }
 
-// Size returns the entry count (synchronized).
-func (s *Map) Size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-// Keys returns the keys in insertion order (synchronized).
-func (s *Map) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
-}
-
 // PutAll copies every entry of other into s, holding s's monitor then
 // other's — the nested acquisition that deadlocks when two maps
 // cross-call PutAll.

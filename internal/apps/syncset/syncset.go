@@ -50,14 +50,6 @@ func (s *Set) Add(v int64) bool {
 	return added
 }
 
-// Contains reports membership (synchronized).
-func (s *Set) Contains(v int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.m[v]
-	return ok
-}
-
 // Remove deletes v and reports whether it was present (synchronized).
 func (s *Set) Remove(v int64) bool {
 	var had bool

@@ -14,6 +14,7 @@ import (
 	"cbreak/internal/core"
 	"cbreak/internal/guard/faultinject"
 	"cbreak/internal/harness"
+	"cbreak/internal/journal"
 )
 
 // wedgedSpec returns a spec whose trial deadlocks deterministically:
@@ -41,7 +42,7 @@ func TestDeadlockedTrialKilledRetriedAndQuarantined(t *testing.T) {
 	var mu sync.Mutex
 	var delays []time.Duration
 	sup, err := New(Config{
-		Execute:         InProcessExecutor(resolverFor(spec)),
+		Execute:         inProcessExecutor(resolverFor(spec)),
 		Seed:            42,
 		Deadline:        40 * time.Millisecond,
 		Retries:         1,
@@ -86,7 +87,7 @@ func TestDeadlockedTrialKilledRetriedAndQuarantined(t *testing.T) {
 func TestCrashRetriedThenSucceeds(t *testing.T) {
 	key := harness.TrialKey{Table: "test", Row: 1, Variant: "with"}
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	cp, err := Open(path, 1, false)
+	cp, err := OpenOptions(path, 1, false, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestCheckpointResumeSkipsCompletedAndMatchesUninterrupted(t *testing.T) {
 	var mu sync.Mutex
 
 	runCampaign := func(path string, resume bool, cancelAfter int) (harness.Measurement, int, int) {
-		cp, err := Open(path, seed, resume)
+		cp, err := OpenOptions(path, seed, resume, journal.SyncEachRecord)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func TestChaosCrashDispatchInjectsExactlyOnce(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndCapped(t *testing.T) {
-	sup, err := New(Config{Execute: InProcessExecutor(nil), Seed: 1,
+	sup, err := New(Config{Execute: inProcessExecutor(nil), Seed: 1,
 		Backoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -64,12 +64,6 @@ type Checkpoint struct {
 // a different seed.
 var ErrSeedMismatch = errors.New("campaign: checkpoint seed does not match -seed")
 
-// Open creates (resume=false) or resumes (resume=true) the checkpoint
-// journal at path with per-record fsync. See OpenOptions.
-func Open(path string, seed int64, resume bool) (*Checkpoint, error) {
-	return OpenOptions(path, seed, resume, journal.SyncEachRecord)
-}
-
 // OpenOptions creates or resumes the checkpoint journal at path (a
 // directory). Resuming a path that does not exist starts a fresh
 // journal; resuming one whose header seed differs from seed fails with

@@ -50,7 +50,7 @@ func writeLegacyCheckpoint(t *testing.T, path string, seed int64, recs ...Record
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	cp, err := Open(path, 7, false)
+	cp, err := OpenOptions(path, 7, false, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path, 7, true)
+	re, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointSeedMismatchRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	cp, err := Open(path, 7, false)
+	cp, err := OpenOptions(path, 7, false, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp.Append(testRecord(0, 0))
 	cp.Close()
 
-	_, err = Open(path, 8, true)
+	_, err = OpenOptions(path, 8, true, journal.SyncEachRecord)
 	if !errors.Is(err, ErrSeedMismatch) {
 		t.Fatalf("resume with wrong seed: err = %v, want ErrSeedMismatch", err)
 	}
@@ -106,7 +106,7 @@ func TestCheckpointSeedMismatchRefused(t *testing.T) {
 // before it.
 func TestCheckpointTornJournalTailTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	cp, err := Open(path, 7, false)
+	cp, err := OpenOptions(path, 7, false, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCheckpointTornJournalTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path, 7, true)
+	re, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatalf("torn journal tail should be tolerated: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestCheckpointLegacyMigration(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
 	writeLegacyCheckpoint(t, path, 7, testRecord(0, 0), testRecord(1, 0))
 
-	cp, err := Open(path, 7, true)
+	cp, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatalf("legacy resume: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestCheckpointLegacyMigration(t *testing.T) {
 	}
 
 	// A second resume reads the journal, not the legacy file.
-	re, err := Open(path, 7, true)
+	re, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestCheckpointLegacyTornFinalLineTolerated(t *testing.T) {
 	f.WriteString(`{"key":{"table":"test","row":0,"varia`)
 	f.Close()
 
-	re, err := Open(path, 7, true)
+	re, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatalf("torn final line should be tolerated: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestCheckpointLegacyMidFileCorruptionRejected(t *testing.T) {
 	f.WriteString(`{"key":{"table":"test","row":0,"variant":"with"},"trial":1,"seed":1,"attempts":1,"outcome":{"result":{"status":"ok","elapsed_ns":0,"bp_hit":false},"bp_wait_ns":0}}` + "\n")
 	f.Close()
 
-	if _, err := Open(path, 7, true); err == nil {
+	if _, err := OpenOptions(path, 7, true, journal.SyncEachRecord); err == nil {
 		t.Fatal("mid-file corruption should be rejected, not silently skipped")
 	}
 	// The refused file must remain in place, untouched.
@@ -233,7 +233,7 @@ func TestCheckpointLegacyMidFileCorruptionRejected(t *testing.T) {
 
 func TestCheckpointResumeMissingPathStartsFresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "never-written")
-	cp, err := Open(path, 7, true)
+	cp, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
 	if err != nil {
 		t.Fatalf("resuming a missing checkpoint should start fresh: %v", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cbreak/internal/harness"
+	"cbreak/internal/journal"
 )
 
 // The kill-anywhere campaign harness re-execs this test binary as a
@@ -45,7 +46,7 @@ func killSpecs() []harness.TrialSpec {
 // synthetic executor and returns one Measurement per spec. counting, if
 // non-nil, receives the number of trials actually executed.
 func runKillCampaign(cpPath string, seed int64, resume bool, killAt int, counting *int) ([]harness.Measurement, error) {
-	cp, err := Open(cpPath, seed, resume)
+	cp, err := OpenOptions(cpPath, seed, resume, journal.SyncEachRecord)
 	if err != nil {
 		return nil, err
 	}

@@ -128,12 +128,12 @@ func lastLine(b []byte) []byte {
 // synthetic specs, production uses harness.ResolveSpec.
 type Resolver func(key harness.TrialKey) (harness.TrialSpec, bool)
 
-// InProcessExecutor returns an Executor that runs trials in this
+// inProcessExecutor returns an Executor that runs trials in this
 // process (no isolation: a crashing trial takes the supervisor with
 // it). It honours ctx via goroutine abandonment, so deadlines still
 // hold for deadlocked — if not crashing — trials. A nil resolver uses
 // harness.ResolveSpec. Chaos "crash" becomes a synthetic error.
-func InProcessExecutor(resolve Resolver) Executor {
+func inProcessExecutor(resolve Resolver) Executor {
 	if resolve == nil {
 		resolve = harness.ResolveSpec
 	}

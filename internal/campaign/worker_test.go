@@ -132,7 +132,7 @@ func TestSubprocessExecutorKilledAtDeadline(t *testing.T) {
 }
 
 func TestInProcessExecutorChaosCrash(t *testing.T) {
-	ex := InProcessExecutor(func(harness.TrialKey) (harness.TrialSpec, bool) {
+	ex := inProcessExecutor(func(harness.TrialKey) (harness.TrialSpec, bool) {
 		t.Fatal("chaos crash must not reach the resolver")
 		return harness.TrialSpec{}, false
 	})

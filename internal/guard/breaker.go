@@ -135,9 +135,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults()}
 }
 
-// State returns the current breaker state.
-func (b *Breaker) State() BreakerState { return BreakerState(b.state.Load()) }
-
 // Allow decides whether an arrival may enter the breakpoint machinery.
 // admit=false means the arrival must be shed (pass through without
 // postponement). The returned transition is TransitionProbe when this

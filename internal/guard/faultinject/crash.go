@@ -99,13 +99,6 @@ func (p *CrashPlan) Crashed() bool {
 	return p.crashed
 }
 
-// Points returns every sync point observed so far, in order.
-func (p *CrashPlan) Points() []CrashPoint {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]CrashPoint(nil), p.points...)
-}
-
 // Count returns how many sync points the plan has observed — run a
 // workload under NewCrashPlan(0) first, then iterate k over 1..Count()
 // to crash the same workload at every possible instant.

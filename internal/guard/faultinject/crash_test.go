@@ -41,7 +41,7 @@ func TestCrashPlanDiesAtKAndStaysDead(t *testing.T) {
 	if p.Count() != 3 {
 		t.Fatalf("Count = %d, want 3 (dead points don't count)", p.Count())
 	}
-	pts := p.Points()
+	pts := p.points
 	if len(pts) != 3 || !pts[2].Fatal || pts[2].Site != "sync" {
 		t.Fatalf("points = %+v", pts)
 	}

@@ -167,12 +167,3 @@ func (l *IncidentLog) Count(k IncidentKind) int64 {
 	}
 	return l.counts[k].Load()
 }
-
-// Total returns the running total across all kinds.
-func (l *IncidentLog) Total() int64 {
-	var n int64
-	for i := range l.counts {
-		n += l.counts[i].Load()
-	}
-	return n
-}

@@ -130,7 +130,7 @@ func TestCrashedJournalIsDead(t *testing.T) {
 	if j.Len() != lenAt {
 		t.Fatal("LSN advanced on a dead journal")
 	}
-	if j.Err() == nil {
+	if j.err == nil {
 		t.Fatal("sticky error not set")
 	}
 	j.Close()

@@ -197,23 +197,12 @@ func Open(opts Options) (*Journal, error) {
 // Recovery reports what Open found on disk.
 func (j *Journal) Recovery() RecoveryInfo { return j.rec }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.opts.Dir }
-
 // Len returns the number of records in the journal (recovered plus
 // appended).
 func (j *Journal) Len() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.lsn
-}
-
-// Err returns the journal's sticky error: the first filesystem failure
-// that killed it, if any.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }
 
 // Append journals one record and returns its LSN (1-based position).

@@ -15,7 +15,6 @@ package locks
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -63,13 +62,6 @@ type Mutex struct {
 	ownMu     sync.Mutex
 	owner     uint64
 	ownerSite string
-
-	// ownersFn, when set, supplies the full owner set instead of the
-	// single owner field. RWMutex shadows install it so a read-held
-	// lock reports every reader as an owner in wait-graph edges.
-	// Installed once at shadow creation, before the shadow is
-	// published; treated as immutable afterwards.
-	ownersFn func() []uint64
 
 	// observers are invoked on every Lock/Unlock transition; the
 	// detectors register themselves here.
@@ -198,23 +190,6 @@ func (m *Mutex) Owner() (uint64, string) {
 	return m.owner, m.ownerSite
 }
 
-// Owners returns every goroutine currently holding the lock. A plain
-// Mutex has at most one owner; an RWMutex shadow reports the writer or
-// the full reader set, so wait-graph edges see every goroutine a
-// blocked acquisition is actually waiting on.
-func (m *Mutex) Owners() []uint64 {
-	if fn := m.ownersFn; fn != nil {
-		return fn()
-	}
-	m.ownMu.Lock()
-	owner := m.owner
-	m.ownMu.Unlock()
-	if owner == 0 {
-		return nil
-	}
-	return []uint64{owner}
-}
-
 func (r *registry) push(gid uint64, m *Mutex) {
 	r.mu.Lock()
 	r.held[gid] = append(r.held[gid], m)
@@ -302,18 +277,6 @@ func IsClassHeld(c *Class) bool {
 // that is true while the calling goroutine holds a lock of class c.
 func ClassHeldPred(c *Class) func() bool {
 	return func() bool { return IsClassHeld(c) }
-}
-
-// HeldNames returns the names of the locks held by the calling goroutine,
-// sorted, for diagnostics.
-func HeldNames() []string {
-	hs := Held()
-	names := make([]string, len(hs))
-	for i, h := range hs {
-		names[i] = h.name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // String implements fmt.Stringer for diagnostics.

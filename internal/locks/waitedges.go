@@ -29,9 +29,8 @@ func (r *registry) setWaiting(gid uint64, m *Mutex, site string) {
 }
 
 // WaitEdge is one exported edge of the live wait-for graph: a blocked
-// goroutine, the lock it is blocked on, and the goroutines that
-// currently own that lock. Owners is multi-valued because a read-held
-// RWMutex is owned by every reader at once.
+// goroutine, the lock it is blocked on, and the goroutine that
+// currently owns that lock.
 type WaitEdge struct {
 	// Waiter is the blocked goroutine.
 	Waiter uint64
@@ -43,9 +42,10 @@ type WaitEdge struct {
 	// Since when the wait began.
 	Site  string
 	Since time.Time
-	// Owners are the goroutines currently holding the lock (empty if it
-	// was released while the snapshot was assembled) and OwnerSite the
-	// site label of the owning acquisition when a single owner is known.
+	// Owners holds the goroutine currently holding the lock (empty if
+	// it was released while the snapshot was assembled) and OwnerSite
+	// the site label of its acquisition. It is a slice so the edges
+	// serve as a successor list for a cycle search.
 	Owners    []uint64
 	OwnerSite string
 
@@ -85,13 +85,16 @@ func WaitEdges() []WaitEdge {
 		if c := rec.m.Class(); c != nil {
 			class = c.Name
 		}
-		_, ownerSite := rec.m.Owner()
-		out = append(out, WaitEdge{
+		owner, ownerSite := rec.m.Owner()
+		e := WaitEdge{
 			Waiter: g, Lock: rec.m.Name(), Class: class,
-			Site: rec.site, Since: rec.since,
-			Owners: rec.m.Owners(), OwnerSite: ownerSite,
+			Site: rec.site, Since: rec.since, OwnerSite: ownerSite,
 			lock: rec.m,
-		})
+		}
+		if owner != 0 {
+			e.Owners = []uint64{owner}
+		}
+		out = append(out, e)
 	}
 	return out
 }

@@ -71,88 +71,6 @@ func TestWaitEdgeCarriesSiteClassAndOwner(t *testing.T) {
 	}
 }
 
-// Regression: RWMutex read-side waiters must register in the registry's
-// waiting map like write-side ones, or the wait-for graph misses reader
-// edges entirely.
-func TestRWMutexReadWaiterRegisters(t *testing.T) {
-	rw := NewRWMutex("we-rw-read")
-	rw.Lock() // write-held: readers must queue
-	writerGID := GoroutineID()
-	done := make(chan struct{})
-	go func() {
-		rw.RLockAt("read-site")
-		rw.RUnlock()
-		close(done)
-	}()
-	es := waitForEdges(t, "we-rw-read", 1)
-	e := es[0]
-	if e.Site != "read-site" {
-		t.Fatalf("Site = %q", e.Site)
-	}
-	if len(e.Owners) != 1 || e.Owners[0] != writerGID {
-		t.Fatalf("Owners = %v, want writer %d", e.Owners, writerGID)
-	}
-	rw.Unlock()
-	<-done
-	if len(edgesFor("we-rw-read")) != 0 {
-		t.Fatal("reader edge not cleared after acquisition")
-	}
-}
-
-func TestRWMutexWriteWaiterSeesAllReaders(t *testing.T) {
-	rw := NewRWMutex("we-rw-write")
-	const readers = 3
-	gids := make(chan uint64, readers)
-	release := make(chan struct{})
-	for i := 0; i < readers; i++ {
-		go func() {
-			rw.RLock()
-			gids <- GoroutineID()
-			<-release
-			rw.RUnlock()
-		}()
-	}
-	want := map[uint64]bool{}
-	for i := 0; i < readers; i++ {
-		want[<-gids] = true
-	}
-	done := make(chan struct{})
-	go func() {
-		rw.LockAt("write-site")
-		rw.Unlock()
-		close(done)
-	}()
-	es := waitForEdges(t, "we-rw-write", 1)
-	e := es[0]
-	if len(e.Owners) != readers {
-		t.Fatalf("Owners = %v, want the %d readers", e.Owners, readers)
-	}
-	for _, g := range e.Owners {
-		if !want[g] {
-			t.Fatalf("owner %d is not one of the readers %v", g, want)
-		}
-	}
-	close(release)
-	<-done
-	if len(edgesFor("we-rw-write")) != 0 {
-		t.Fatal("writer edge not cleared after acquisition")
-	}
-}
-
-func TestRWMutexWriteOwnerVisibleThroughShadow(t *testing.T) {
-	rw := NewRWMutex("we-rw-owner")
-	rw.LockAt("w-site")
-	gid := GoroutineID()
-	owner, site := rw.Shadow().Owner()
-	if owner != gid || site != "w-site" {
-		t.Fatalf("shadow owner = %d@%q, want %d@w-site", owner, site, gid)
-	}
-	rw.Unlock()
-	if owner, _ := rw.Shadow().Owner(); owner != 0 {
-		t.Fatalf("shadow owner = %d after unlock, want 0", owner)
-	}
-}
-
 func TestWaitingClearedAfterAcquisition(t *testing.T) {
 	m := NewMutex("wc")
 	m.Lock()

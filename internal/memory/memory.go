@@ -162,9 +162,6 @@ func NewRef[T any](s *Space, name string, init *T) *Ref[T] {
 	return r
 }
 
-// Name returns the reference's name.
-func (r *Ref[T]) Name() string { return r.id.name }
-
 // Load reads the reference.
 func (r *Ref[T]) Load(site string) *T {
 	r.space.emit(&r.id, Read, site)

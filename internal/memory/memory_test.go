@@ -133,9 +133,6 @@ func TestRefLoadStore(t *testing.T) {
 	if got := r.Load("r:3"); got != o {
 		t.Fatal("ref did not round-trip")
 	}
-	if r.Name() != "ref" {
-		t.Errorf("Name = %q", r.Name())
-	}
 	if tr.len() != 3 {
 		t.Fatalf("ref tracer events = %d, want 3", tr.len())
 	}

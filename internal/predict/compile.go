@@ -87,19 +87,6 @@ func WritePlans(path string, plans []TriggerPlan) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadPlans loads a config file written by WritePlans.
-func ReadPlans(path string) ([]TriggerPlan, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var plans []TriggerPlan
-	if err := json.Unmarshal(data, &plans); err != nil {
-		return nil, fmt.Errorf("predict: parsing %s: %w", path, err)
-	}
-	return plans, nil
-}
-
 // armedPlan is one plan resolved against an engine.
 type armedPlan struct {
 	plan TriggerPlan

@@ -118,7 +118,6 @@ func orderedBy(a, b *access, pick func(*access) vclock.VC) bool {
 //
 //	weakHB = program order
 //	       ∪ fork/join edges
-//	       ∪ rendezvous edges
 //	       ∪ release→acquire edges between CONFLICTING critical
 //	         sections only
 //
@@ -168,10 +167,9 @@ func Predict(tr *Trace) *Result {
 	}
 	clocks := map[uint64]vclock.VC{}
 	forked := map[uint64]vclock.VC{}
-	releases := map[string][]release{}   // lock -> prior releases
-	rendezvous := map[string]vclock.VC{} // breakpoint -> last hit clock
-	held := map[uint64][]string{}        // per-gid held lock names
-	accesses := map[string][]*access{}   // cell -> accesses
+	releases := map[string][]release{} // lock -> prior releases
+	held := map[uint64][]string{}      // per-gid held lock names
+	accesses := map[string][]*access{} // cell -> accesses
 	truncated := map[string]bool{}
 
 	clock := func(gid uint64) vclock.VC {
@@ -218,14 +216,6 @@ func Predict(tr *Trace) *Result {
 				c.Join(child)
 			}
 			c.Tick(ev.Gid)
-		case EvRendezvous:
-			// A rendezvous synchronizes its participants; chain hits of
-			// one breakpoint like a lock the closure always keeps.
-			if prev, ok := rendezvous[ev.Obj]; ok {
-				c.Join(prev)
-			}
-			c.Tick(ev.Gid)
-			rendezvous[ev.Obj] = c.Clone()
 		case EvRead, EvWrite:
 			c.Tick(ev.Gid)
 			if len(accesses[ev.Obj]) >= maxAccessesPerVar {

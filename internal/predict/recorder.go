@@ -5,40 +5,31 @@ import (
 	"fmt"
 	"sync"
 
-	"cbreak/internal/core"
 	"cbreak/internal/journal"
 	"cbreak/internal/locks"
 	"cbreak/internal/memory"
 	"cbreak/internal/vclock"
 )
 
-// RecorderOptions parameterizes a Recorder.
-type RecorderOptions struct {
-	// Sync is the journal fsync policy (default SyncNone: traces are
-	// high-rate and a torn tail only shortens the recording).
-	Sync journal.SyncPolicy
-}
-
-// Recorder journals memory, lock, and rendezvous events into a trace.
-// It implements memory.Tracer and locks.Observer, so attaching is the
-// same Instrument dance the dynamic detectors use:
+// Recorder journals memory and lock events into a trace. It implements
+// memory.Tracer and locks.Observer, so attaching is the same Instrument
+// dance the dynamic detectors use:
 //
-//	rec, _ := predict.NewRecorder(dir, predict.RecorderOptions{})
+//	rec, _ := predict.NewRecorder(dir)
 //	sp.Trace(rec)
 //	mu.Observe(rec)
-//	rec.AttachEngine(eng) // optional: rendezvous events
 //
 // The recorder maintains full observed happens-before vector clocks at
 // record time (program order, every lock release→acquire edge,
-// fork/join, rendezvous), so each journaled event carries the clock of
-// its goroutine under the interleaving that actually ran.
+// fork/join), so each journaled event carries the clock of its
+// goroutine under the interleaving that actually ran.
 type Recorder struct {
 	mu     sync.Mutex
 	j      *journal.Journal
 	seq    uint64
 	clocks map[uint64]vclock.VC
-	// rel holds the last release clock per sync object (locks and
-	// rendezvous pseudo-locks), the standard vector-clock lock edge.
+	// rel holds the last release clock per lock, the standard
+	// vector-clock lock edge.
 	rel map[string]vclock.VC
 	// forked holds clocks for goroutines that were forked but have not
 	// yet produced their first event.
@@ -46,9 +37,11 @@ type Recorder struct {
 	err    error
 }
 
-// NewRecorder opens (or creates) a trace journal in dir.
-func NewRecorder(dir string, opts RecorderOptions) (*Recorder, error) {
-	j, err := journal.Open(journal.Options{Dir: dir, Sync: opts.Sync})
+// NewRecorder opens (or creates) a trace journal in dir. The journal is
+// never fsynced (SyncNone): traces are high-rate and a torn tail only
+// shortens the recording.
+func NewRecorder(dir string) (*Recorder, error) {
+	j, err := journal.Open(journal.Options{Dir: dir, Sync: journal.SyncNone})
 	if err != nil {
 		return nil, err
 	}
@@ -67,14 +60,6 @@ func (r *Recorder) Close() error {
 	if err := r.j.Close(); err != nil {
 		return err
 	}
-	return r.err
-}
-
-// Err returns the first append error, if any (recording continues past
-// errors so instrumented workloads never crash on a full disk).
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.err
 }
 
@@ -165,29 +150,6 @@ func (r *Recorder) Join(parent, child uint64) {
 		r.clock(parent).Join(c)
 	}
 	r.emit(Event{Gid: parent, Kind: EvJoin, Child: child})
-	r.mu.Unlock()
-}
-
-// AttachEngine subscribes the recorder to breakpoint hits: each
-// rendezvous is journaled as an EvRendezvous event on the arriving
-// goroutine and treated as a synchronization point on the breakpoint's
-// name (successive hits of one breakpoint chain their clocks).
-func (r *Recorder) AttachEngine(e *core.Engine) {
-	e.SetOnHit(func(name string, arriving, postponed core.Trigger) {
-		r.rendezvous(locks.GoroutineID(), name)
-	})
-}
-
-// rendezvous journals one breakpoint hit on gid, chaining successive
-// hits of the same breakpoint through a "bp:"-prefixed pseudo-lock.
-func (r *Recorder) rendezvous(gid uint64, name string) {
-	key := "bp:" + name
-	r.mu.Lock()
-	if rel, ok := r.rel[key]; ok {
-		r.clock(gid).Join(rel)
-	}
-	r.emit(Event{Gid: gid, Kind: EvRendezvous, Obj: name})
-	r.rel[key] = r.clocks[gid].Clone()
 	r.mu.Unlock()
 }
 

@@ -57,9 +57,6 @@ const (
 	// the workload via Recorder.Fork/Join.
 	EvFork EventKind = "fork"
 	EvJoin EventKind = "join"
-	// EvRendezvous is a breakpoint hit observed through the engine's
-	// OnHit callback: the arriving side of a rendezvous (core package).
-	EvRendezvous EventKind = "rendezvous"
 )
 
 // Event is one journaled trace record: per-goroutine streams are
@@ -91,9 +88,6 @@ type Trace struct {
 	// Events in recorded order.
 	Events []Event
 }
-
-// Len returns the number of events.
-func (t *Trace) Len() int { return len(t.Events) }
 
 // Gids returns the distinct goroutine ids appearing in the trace, in
 // first-appearance order.

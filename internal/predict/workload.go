@@ -7,7 +7,6 @@ import (
 	"cbreak/internal/apps/appkit"
 	"cbreak/internal/apps/mysql"
 	"cbreak/internal/core"
-	"cbreak/internal/journal"
 	"cbreak/internal/memory"
 )
 
@@ -26,7 +25,7 @@ import (
 // RecordRacyMySQL records the locked-commit vs plain-INSERT workload
 // into a trace journal at dir and returns the recorded event count.
 func RecordRacyMySQL(dir string) (int, error) {
-	rec, err := NewRecorder(dir, RecorderOptions{Sync: journal.SyncNone})
+	rec, err := NewRecorder(dir)
 	if err != nil {
 		return 0, err
 	}
@@ -63,7 +62,7 @@ func RecordRacyMySQL(dir string) (int, error) {
 // and the prediction closure keeps their ordering — no race may be
 // predicted from this trace.
 func RecordSyncedMySQL(dir string) (int, error) {
-	rec, err := NewRecorder(dir, RecorderOptions{Sync: journal.SyncNone})
+	rec, err := NewRecorder(dir)
 	if err != nil {
 		return 0, err
 	}

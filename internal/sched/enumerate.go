@@ -6,21 +6,21 @@ package sched
 // makes it the ground truth the probabilistic machinery is validated
 // against:
 //
-//   - Enumerate visits every interleaving (bounded) and counts how many
+//   - enumerate visits every interleaving (bounded) and counts how many
 //     satisfy a predicate.
-//   - RandomMeasure computes the exact probability that the *uniform
+//   - randomMeasure computes the exact probability that the *uniform
 //     random scheduler* (sched.Sched) produces a satisfying trace —
 //     which weights interleavings non-uniformly, since each step picks
 //     among the currently runnable threads.
 
-// Enumerate runs build() once per interleaving of the returned threads,
+// enumerate runs build() once per interleaving of the returned threads,
 // visiting every schedule (or up to limit schedules if limit > 0). It
 // returns the number of schedules visited and how many satisfied pred.
 //
 // The thread step functions must be deterministic for enumeration to be
 // meaningful. The number of interleavings is multinomial in the step
 // counts; keep programs small (e.g. two threads with <= 12 steps each).
-func Enumerate(limit int, build func() ([]*Thread, func() bool)) (visited, satisfied int) {
+func enumerate(limit int, build func() ([]*Thread, func() bool)) (visited, satisfied int) {
 	// First, discover the step counts with a probe instance.
 	probe, _ := build()
 	counts := make([]int, len(probe))
@@ -70,11 +70,11 @@ func Enumerate(limit int, build func() ([]*Thread, func() bool)) (visited, satis
 	return visited, satisfied
 }
 
-// RandomMeasure computes the exact probability that the uniform random
+// randomMeasure computes the exact probability that the uniform random
 // scheduler produces a trace satisfying pred, by weighted exploration:
 // at each decision point every runnable thread is taken with probability
 // 1/runnable. Exponential in program size; keep programs small.
-func RandomMeasure(build func() ([]*Thread, func() bool)) float64 {
+func randomMeasure(build func() ([]*Thread, func() bool)) float64 {
 	probe, _ := build()
 	counts := make([]int, len(probe))
 	for i, t := range probe {

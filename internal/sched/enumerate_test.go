@@ -20,7 +20,7 @@ func binom(n, k int) int {
 func TestEnumerateCountsAllInterleavings(t *testing.T) {
 	// Two threads with a and b steps have C(a+b, a) interleavings.
 	for _, tc := range []struct{ a, b int }{{1, 1}, {2, 3}, {4, 4}} {
-		visited, _ := Enumerate(0, func() ([]*Thread, func() bool) {
+		visited, _ := enumerate(0, func() ([]*Thread, func() bool) {
 			t1, t2 := NewThread("a"), NewThread("b")
 			for i := 0; i < tc.a; i++ {
 				t1.AddStep(func() {})
@@ -40,14 +40,14 @@ func TestEnumerateSatisfiedFraction(t *testing.T) {
 	// Figure 4 shape with prefix 2: read-before-write holds only in the
 	// schedule where all of t1's 3 steps precede t2's single step —
 	// 1 of the C(4,3)=4 interleavings.
-	visited, satisfied := Enumerate(0, fig4Build(2, 0))
+	visited, satisfied := enumerate(0, fig4Build(2, 0))
 	if visited != 4 || satisfied != 1 {
 		t.Fatalf("visited=%d satisfied=%d, want 4 and 1", visited, satisfied)
 	}
 }
 
 func TestEnumerateLimit(t *testing.T) {
-	visited, _ := Enumerate(3, func() ([]*Thread, func() bool) {
+	visited, _ := enumerate(3, func() ([]*Thread, func() bool) {
 		t1 := NewThread("a", func() {}, func() {}, func() {})
 		t2 := NewThread("b", func() {}, func() {}, func() {})
 		return []*Thread{t1, t2}, func() bool { return true }
@@ -62,7 +62,7 @@ func TestRandomMeasureMatchesClosedForm(t *testing.T) {
 	// scheduler satisfies read-before-write iff it picks thread1 for
 	// the first p+1 decisions: probability (1/2)^(p+1).
 	for p := 0; p <= 4; p++ {
-		got := RandomMeasure(fig4Build(p, 0))
+		got := randomMeasure(fig4Build(p, 0))
 		want := math.Pow(0.5, float64(p+1))
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("prefix %d: measure = %v, want %v", p, got, want)
@@ -74,7 +74,7 @@ func TestRandomMeasureMatchesEmpirical(t *testing.T) {
 	// The exact measure must agree with the sampling scheduler within
 	// binomial noise.
 	build := fig4Build(3, 2)
-	exact := RandomMeasure(build)
+	exact := randomMeasure(build)
 	const runs = 4000
 	hits := CountSchedules(11, runs, build)
 	emp := float64(hits) / float64(runs)
@@ -86,7 +86,7 @@ func TestRandomMeasureMatchesEmpirical(t *testing.T) {
 
 func TestRandomMeasureTotalsOne(t *testing.T) {
 	// With pred == always true, the measure must be exactly 1.
-	got := RandomMeasure(func() ([]*Thread, func() bool) {
+	got := randomMeasure(func() ([]*Thread, func() bool) {
 		t1 := NewThread("a", func() {}, func() {})
 		t2 := NewThread("b", func() {}, func() {}, func() {})
 		return []*Thread{t1, t2}, func() bool { return true }

@@ -75,9 +75,6 @@ func (s *Sched) Run(threads ...*Thread) []string {
 	}
 }
 
-// Trace returns the last run's trace.
-func (s *Sched) Trace() []string { return append([]string(nil), s.trace...) }
-
 // String renders the last trace compactly.
 func (s *Sched) String() string { return fmt.Sprint(s.trace) }
 

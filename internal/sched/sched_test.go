@@ -104,7 +104,7 @@ func TestCountSchedules(t *testing.T) {
 func TestTraceAndString(t *testing.T) {
 	s := New(1)
 	s.Run(NewThread("x", func() {}))
-	if got := s.Trace(); len(got) != 1 || got[0] != "x" {
+	if got := s.trace; len(got) != 1 || got[0] != "x" {
 		t.Fatalf("Trace = %v", got)
 	}
 	if s.String() != "[x]" {

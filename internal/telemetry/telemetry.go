@@ -54,10 +54,6 @@ const (
 	EventTimeout
 )
 
-// NumEventKinds is the number of engine event kinds, for consumers that
-// aggregate counts across all kinds in fixed-size (lock-free) storage.
-const NumEventKinds = int(EventTimeout) + 1
-
 // String returns the event-kind label.
 func (k EventKind) String() string {
 	switch k {

@@ -48,67 +48,6 @@ func (v VC) Join(o VC) {
 	}
 }
 
-// HappensBefore reports whether v <= o component-wise and v != o, i.e.
-// every event summarized by v is ordered before o's frontier.
-func (v VC) HappensBefore(o VC) bool {
-	le := true
-	strictly := false
-	for k, t := range v {
-		ot := o[k]
-		if t > ot {
-			le = false
-			break
-		}
-		if t < ot {
-			strictly = true
-		}
-	}
-	if !le {
-		return false
-	}
-	if strictly {
-		return true
-	}
-	// v <= o on v's support; check o has some component beyond v.
-	for k, ot := range o {
-		if ot > v[k] {
-			return true
-		}
-	}
-	return false
-}
-
-// Concurrent reports whether neither clock happens-before the other and
-// they are not equal.
-func (v VC) Concurrent(o VC) bool {
-	return !v.HappensBefore(o) && !o.HappensBefore(v) && !v.Equal(o)
-}
-
-// Equal reports component-wise equality (absent components are zero).
-func (v VC) Equal(o VC) bool {
-	for k, t := range v {
-		if o[k] != t {
-			return false
-		}
-	}
-	for k, t := range o {
-		if v[k] != t {
-			return false
-		}
-	}
-	return true
-}
-
-// LEq reports v <= o component-wise (including equality).
-func (v VC) LEq(o VC) bool {
-	for k, t := range v {
-		if t > o[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the clock deterministically for diagnostics.
 func (v VC) String() string {
 	ids := make([]uint64, 0, len(v))
