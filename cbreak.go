@@ -276,11 +276,11 @@ func NewScheduleGraph(timeout time.Duration) *ScheduleGraph {
 }
 
 // Hardening layer (docs/USAGE.md, "Hardening & production use"): panic
-// isolation, the postponement watchdog, per-breakpoint circuit
-// breakers, the incident log, and deterministic fault injection.
+// isolation, per-breakpoint circuit breakers, the incident log, and
+// deterministic fault injection.
 type (
 	// Incident is one retained hardening event (absorbed panic, stall,
-	// watchdog release, breaker transition).
+	// forced release, breaker transition).
 	Incident = guard.Incident
 	// IncidentKind classifies incidents.
 	IncidentKind = guard.IncidentKind
@@ -319,12 +319,12 @@ type (
 
 // Incident kinds.
 const (
-	KindPanic           = guard.KindPanic
-	KindStall           = guard.KindStall
-	KindWatchdogRelease = guard.KindWatchdogRelease
-	KindBreakerTrip     = guard.KindBreakerTrip
-	KindBreakerProbe    = guard.KindBreakerProbe
-	KindBreakerRearm    = guard.KindBreakerRearm
+	KindPanic        = guard.KindPanic
+	KindStall        = guard.KindStall
+	KindForceRelease = guard.KindForceRelease
+	KindBreakerTrip  = guard.KindBreakerTrip
+	KindBreakerProbe = guard.KindBreakerProbe
+	KindBreakerRearm = guard.KindBreakerRearm
 	// Wait-graph supervision incidents (docs/USAGE.md, "Deadlock
 	// supervision & overload shedding").
 	KindCycleBreak        = guard.KindCycleBreak
@@ -367,13 +367,6 @@ func SetBreakerConfig(cfg *BreakerConfig) { core.Default().SetBreakerConfig(cfg)
 func BreakerStatus(name string) (BreakerSnapshot, bool) {
 	return core.Default().BreakerSnapshot(name)
 }
-
-// StartWatchdog starts the default engine's postponement watchdog
-// (zero interval defaults to 50ms; zero grace defaults to interval).
-func StartWatchdog(interval, grace time.Duration) { core.Default().StartWatchdog(interval, grace) }
-
-// StopWatchdog stops the default engine's watchdog and waits for it.
-func StopWatchdog() { core.Default().StopWatchdog() }
 
 // SetIsolateActionPanics selects the default engine's action-panic
 // policy: false (default) re-throws action panics to the caller after

@@ -263,7 +263,6 @@ func (d *daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"postponed":      d.e.PostponedTotal(),
 		"proxy_conns":    d.px.Connections(),
 		"proxy_faults":   d.px.TotalFaults(),
-		"watchdog":       d.e.WatchdogRunning(),
 		"durable_sink":   d.e.DurableSinkInstalled(),
 		"scans":          d.sup.Scans(),
 		"bus_dropped":    d.e.Bus().Dropped(),
@@ -392,7 +391,7 @@ func (d *daemon) handleTuneBreaker(w http.ResponseWriter, r *http.Request) {
 
 // handleRelease force-releases one postponed goroutine with a timeout
 // outcome — the operator's manual override when a victim is wedged and
-// neither the watchdog nor the supervisor has claimed it.
+// the supervisor has not claimed it.
 func (d *daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -404,7 +403,7 @@ func (d *daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "breakpoint and numeric gid required (see GET /waiters)", http.StatusBadRequest)
 		return
 	}
-	released := d.e.ForceRelease(name, gid, guard.KindWatchdogRelease,
+	released := d.e.ForceRelease(name, gid, guard.KindForceRelease,
 		fmt.Sprintf("admin force-release of gid %d", gid))
 	writeJSON(w, map[string]any{"breakpoint": name, "gid": gid, "released": released})
 }

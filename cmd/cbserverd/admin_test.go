@@ -233,7 +233,7 @@ func TestHealthzHonest(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "shedding") {
 		t.Fatalf("healthz while shedding = %d %q, want 503 shedding", resp.StatusCode, body)
 	}
-	d.e.ForceRelease("hz.bp", d.e.PostponedWaiters()[0].GID, guard.KindWatchdogRelease, "test cleanup")
+	d.e.ForceRelease("hz.bp", d.e.PostponedWaiters()[0].GID, guard.KindForceRelease, "test cleanup")
 	<-release
 	d.e.SetOverloadConfig(nil)
 	if got := get(t, ts, "/healthz"); !strings.Contains(got, "ok") {

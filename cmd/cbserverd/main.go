@@ -98,8 +98,6 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "health-probe round-trip bound")
 	probeFailures := flag.Int("probe-failures", 3, "consecutive probe failures that declare an app wedged")
 
-	watchdog := flag.Duration("watchdog", 0, "watchdog scan interval (0 = off)")
-	watchdogGrace := flag.Duration("watchdog-grace", time.Second, "watchdog release grace past a waiter's deadline")
 	durableEvents := flag.String("durable-events", "", "journal engine events and guard incidents under this directory (per-app subdirectories with -supervise)")
 	drainTimeout := flag.Duration("drain", 5*time.Second, "graceful drain bound on shutdown")
 
@@ -141,10 +139,6 @@ func main() {
 		}
 		defer snk.Close()
 		e.SetDurableSink(snk)
-	}
-	if *watchdog > 0 {
-		e.StartWatchdog(*watchdog, *watchdogGrace)
-		defer e.StopWatchdog()
 	}
 	sup := waitgraph.New(e, waitgraph.Config{})
 	sup.Start()
@@ -276,8 +270,8 @@ func main() {
 	// of the drain is cut short — then stop admin intake (in-flight
 	// scrapes and streams get the drain bound), then sever the chaos
 	// proxy so the app servers' own drains aren't racing injected
-	// faults, then the deferred closes drain the hosts, supervisor,
-	// watchdog, and sink.
+	// faults, then the deferred closes drain the hosts, supervisor and
+	// sink.
 	fmt.Println("cbserverd: draining")
 	d.draining.Store(true)
 	if snk != nil {

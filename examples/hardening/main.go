@@ -1,6 +1,6 @@
 // Command hardening demonstrates the hardening layer through the public
-// cbreak facade: fault injection, panic isolation, the postponement
-// watchdog, circuit breakers, incident accounting, and schedule timeout
+// cbreak facade: fault injection, panic isolation, forced release,
+// circuit breakers, incident accounting, and schedule timeout
 // diagnostics. Its output is deterministic (no raw durations) so two
 // runs can be diffed to demonstrate reproducible fault injection.
 package main
@@ -45,22 +45,26 @@ func main() {
 	fmt.Printf("panic incidents: %d\n", cbreak.IncidentCount(cbreak.KindPanic))
 	fmt.Printf("faults applied: %d\n", len(plan.Applied()))
 
-	// --- Watchdog --------------------------------------------------------
-	// A wedged waiter (select timer sabotaged to 24h) is force-released
-	// once it overstays its postponement budget plus the grace period.
-	section("watchdog")
+	// --- Forced release --------------------------------------------------
+	// A one-sided arrival with a 5s budget is released early by an
+	// operator, with the timeout outcome its budget would have produced.
+	// A second release of the same goroutine finds nothing to release.
+	section("forced release")
 	cbreak.Reset()
-	cbreak.SetFaultInjector(cbreak.NewFaultPlan().WedgeWait("demo.wedge", cbreak.FirstSide, 1))
-	cbreak.StartWatchdog(10*time.Millisecond, 20*time.Millisecond)
-	start := time.Now()
-	//cbvet:ignore bpkeys intentional one-sided arrival: the watchdog demo needs a wait that never pairs
-	wedgedHit := cbreak.TriggerHere(cbreak.NewConflictTrigger("demo.wedge", &obj), true, 50*time.Millisecond)
-	wedgedWait := time.Since(start)
-	cbreak.StopWatchdog()
-	cbreak.StopWatchdog() // idempotent
-	fmt.Printf("wedged side hit: %v, freed well before its sabotaged 24h wait: %v\n",
-		wedgedHit, wedgedWait < 5*time.Second)
-	fmt.Printf("watchdog releases: %d\n", cbreak.IncidentCount(cbreak.KindWatchdogRelease))
+	cbreak.SetFaultInjector(nil)
+	released := make(chan bool)
+	go func() {
+		//cbvet:ignore bpkeys intentional one-sided arrival: the demo needs a wait that never pairs
+		released <- cbreak.TriggerHere(cbreak.NewConflictTrigger("demo.release", &obj), true, 5*time.Second)
+	}()
+	for cbreak.PostponedCount("demo.release") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	gid := cbreak.PostponedWaiters()[0].GID
+	fmt.Printf("first release: %v\n", cbreak.ForceRelease("demo.release", gid, cbreak.KindForceRelease, "demo"))
+	fmt.Printf("released side hit: %v\n", <-released)
+	fmt.Printf("second release: %v\n", cbreak.ForceRelease("demo.release", gid, cbreak.KindForceRelease, "demo"))
+	fmt.Printf("force-release incidents: %d\n", cbreak.IncidentCount(cbreak.KindForceRelease))
 
 	// --- Circuit breaker -------------------------------------------------
 	// Six lonely arrivals against a 5ms budget: four postpone and time

@@ -6,21 +6,19 @@ import (
 )
 
 // TestFacadeHardening exercises the hardening surface end to end on the
-// default engine: fault injection, panic isolation, the watchdog, the
-// incident log, breakers, and stats snapshots.
+// default engine: fault injection, panic isolation, the incident log,
+// breakers, and stats snapshots.
 func TestFacadeHardening(t *testing.T) {
 	Reset()
 	SetEnabled(true)
 	defer func() {
 		SetFaultInjector(nil)
 		SetBreakerConfig(nil)
-		StopWatchdog()
 		SetIsolateActionPanics(false)
 		Reset()
 	}()
 
 	basePanics := IncidentCount(KindPanic)
-	baseReleases := IncidentCount(KindWatchdogRelease)
 
 	// Panic isolation via an injected local-predicate panic.
 	SetFaultInjector(NewFaultPlan().PanicLocal("facade.bp", FirstSide, 1))
@@ -31,24 +29,6 @@ func TestFacadeHardening(t *testing.T) {
 		t.Fatalf("panic incidents = %d, want %d", got, basePanics+1)
 	}
 
-	// Watchdog frees a wedged waiter.
-	SetFaultInjector(NewFaultPlan().WedgeWait("facade.bp", BothSides))
-	StartWatchdog(10*time.Millisecond, 10*time.Millisecond)
-	done := make(chan bool, 1)
-	go func() {
-		done <- TriggerHere(NewConflictTrigger("facade.bp", new(int)), true, 20*time.Millisecond)
-	}()
-	select {
-	case hit := <-done:
-		if hit {
-			t.Fatal("wedged waiter reported a hit")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("watchdog did not free the wedged waiter")
-	}
-	if got := IncidentCount(KindWatchdogRelease); got != baseReleases+1 {
-		t.Fatalf("watchdog incidents = %d, want %d", got, baseReleases+1)
-	}
 	SetFaultInjector(nil)
 
 	// Breakers trip a 100%-timeout breakpoint and report via the facade.
@@ -62,7 +42,7 @@ func TestFacadeHardening(t *testing.T) {
 		t.Fatalf("BreakerStatus = %v/%v, want open", snap.State, ok)
 	}
 	if len(Incidents()) == 0 {
-		t.Fatal("Incidents() empty after trips and releases")
+		t.Fatal("Incidents() empty after panics and trips")
 	}
 
 	found := false

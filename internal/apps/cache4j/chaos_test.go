@@ -21,8 +21,6 @@ func chaosEngine(t *testing.T, plan *faultinject.Plan) *core.Engine {
 	e := core.NewEngine()
 	e.DefaultTimeout = 20 * time.Millisecond
 	e.SetInjector(plan)
-	e.StartWatchdog(10*time.Millisecond, 20*time.Millisecond)
-	t.Cleanup(e.StopWatchdog)
 	return e
 }
 
@@ -70,16 +68,6 @@ func TestChaosStalledActionAndNoShow(t *testing.T) {
 	if len(plan.Applied()) == 0 {
 		t.Fatal("no faults fired")
 	}
-}
-
-func TestChaosWedgedWaiterFreedByWatchdog(t *testing.T) {
-	// Wedge the evictor side of race2: its postponement timer never
-	// fires, so only the partner or the watchdog can free it.
-	plan := faultinject.NewPlan().WedgeWait(BPRace2, faultinject.SecondSide)
-	e := chaosEngine(t, plan)
-
-	res := Run(Config{Engine: e, Bug: Race2, Breakpoint: true, Ops: 100})
-	assertEngineConsistent(t, e, BPRace2, res)
 }
 
 func TestChaosDeterministicInjection(t *testing.T) {

@@ -12,21 +12,18 @@ import (
 
 	"cbreak/internal/apps/appkit"
 	"cbreak/internal/core"
-	"cbreak/internal/guard/faultinject"
 	"cbreak/internal/harness"
 	"cbreak/internal/journal"
 )
 
-// wedgedSpec returns a spec whose trial deadlocks deterministically:
-// fault injection wedges the breakpoint's postponement timer
-// (guard.Fault.WedgeWait), so the arrival never returns on its own and
-// only the supervisor's deadline can end the trial.
+// wedgedSpec returns a spec whose trial deadlocks deterministically: a
+// one-sided arrival postponed for an hour never returns within the
+// test, so only the supervisor's deadline can end the trial.
 func wedgedSpec(key harness.TrialKey, runs int) harness.TrialSpec {
 	return harness.TrialSpec{
 		Key: key, Label: "wedged", Runs: runs, Breakpoint: true, Timeout: 5 * time.Millisecond,
 		Run: func(e *core.Engine, bp bool, to time.Duration) appkit.Result {
-			e.SetInjector(faultinject.NewPlan().WedgeWait("wedge.bp", faultinject.BothSides))
-			e.Breakpoint("wedge.bp").Trigger(core.NewConflictTrigger("wedge.bp", &struct{}{}), true, core.Options{Timeout: to})
+			e.Breakpoint("wedge.bp").Trigger(core.NewConflictTrigger("wedge.bp", &struct{}{}), true, core.Options{Timeout: time.Hour})
 			return appkit.Result{Status: appkit.OK}
 		},
 	}

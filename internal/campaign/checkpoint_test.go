@@ -24,7 +24,7 @@ func testRecord(row, trial int) Record {
 			Result: appkit.Result{Status: appkit.Stall, Detail: "lost wakeup", Elapsed: 3 * time.Millisecond, BPHit: true},
 			BPWait: time.Millisecond,
 			Incidents: map[string]int64{
-				"watchdog": 1,
+				"force-release": 1,
 			},
 		},
 	}
@@ -77,7 +77,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got.Seed != want.Seed || got.Attempts != want.Attempts ||
 		got.Outcome.Result != want.Outcome.Result ||
 		got.Outcome.BPWait != want.Outcome.BPWait ||
-		got.Outcome.Incidents["watchdog"] != 1 {
+		got.Outcome.Incidents["force-release"] != 1 {
 		t.Fatalf("resumed record = %+v, want %+v", got, want)
 	}
 }

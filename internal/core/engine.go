@@ -66,16 +66,12 @@ type Engine struct {
 	overloadCfg atomic.Pointer[OverloadConfig]
 
 	// Hardening layer (hardening.go): incident log, circuit-breaker
-	// configuration, fault injector, action-panic policy, watchdog.
+	// configuration, fault injector, action-panic policy.
 	incidents           guard.IncidentLog
 	breakerCfg          atomic.Pointer[guard.BreakerConfig]
 	brEpoch             atomic.Uint64 // bumped by SetBreakerConfig; shards rebuild lazily
 	injector            atomic.Value  // *injectorBox
 	isolateActionPanics atomic.Bool
-
-	wdMu   sync.Mutex
-	wdStop chan struct{}
-	wdDone chan struct{}
 }
 
 // NewEngine returns an enabled engine with the paper's default pause
@@ -132,15 +128,16 @@ type waiter struct {
 	arity    int
 	gid      uint64
 	ch       chan turn     // buffered, capacity 1: the waiter's turn when its group matches
-	cancelCh chan struct{} // closed by Reset/watchdog to release the waiter
+	cancelCh chan struct{} // closed by Reset or ForceRelease to release the waiter
 	state    int           // guarded by shard mu
 
-	// deadline is when the requested postponement budget expires; the
-	// watchdog force-releases waiters stuck past it (plus grace).
+	// deadline is when the granted postponement budget expires, for
+	// the wait-graph supervisor's view of the waiter.
 	deadline time.Time
 	// cancelOutcome is the outcome a cancelled waiter reports, set
 	// under the shard mutex before cancelCh is closed (OutcomeTimeout
-	// for Reset/watchdog, OutcomePanic for poisoned-predicate release).
+	// for Reset and ForceRelease, OutcomePanic for poisoned-predicate
+	// release).
 	// The close of cancelCh publishes it, so the released goroutine
 	// reads it without re-taking the lock.
 	cancelOutcome Outcome
@@ -344,13 +341,7 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 	s.mu.Unlock()
 	e.logEvent(s, EventPostponed, gid, first)
 
-	selectTimeout := budget
-	if fault.WedgeWait {
-		// Injected broken timer: only a partner, Reset, or the watchdog
-		// can release this waiter.
-		selectTimeout = wedgedTimeout
-	}
-	timer := time.NewTimer(selectTimeout)
+	timer := time.NewTimer(budget)
 	defer timer.Stop()
 	start := time.Now()
 	out := OutcomeHit
@@ -358,7 +349,7 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 	select {
 	case tn = <-w.ch:
 	case <-w.cancelCh:
-		// Reset, the watchdog, or a poisoned-predicate release freed us.
+		// Reset, ForceRelease, or a poisoned-predicate release freed us.
 		// The close happens after cancelOutcome was set under the shard
 		// mutex, so the plain read is ordered.
 		out = w.cancelOutcome

@@ -10,15 +10,9 @@ import (
 
 // This file threads the internal/guard hardening layer through the
 // engine: panic isolation for user closures, per-breakpoint circuit
-// breakers, the postponement watchdog, the incident log, and the fault
-// injection hooks. The goal is the paper's production story made real:
+// breakers, the incident log, and the fault injection hooks. The goal is the paper's production story made real:
 // an enabled breakpoint must never be able to crash or stall the host
 // program, no matter what its predicates and actions do.
-
-// wedgedTimeout replaces a waiter's postponement timer when a WedgeWait
-// fault simulates a broken timer; only a partner, Reset, or the
-// watchdog can release such a waiter.
-const wedgedTimeout = 24 * time.Hour
 
 // injectorBox wraps the injector interface for atomic storage.
 type injectorBox struct{ in guard.Injector }
@@ -53,8 +47,7 @@ func (e *Engine) faultFor(name string, first bool) guard.Fault {
 func (e *Engine) SetIsolateActionPanics(v bool) { e.isolateActionPanics.Store(v) }
 
 // Incidents returns the engine's retained hardening incidents (absorbed
-// panics, stalls, watchdog releases, breaker transitions), oldest
-// first.
+// panics, stalls, forced releases, breaker transitions), oldest first.
 func (e *Engine) Incidents() []guard.Incident { return e.incidents.Snapshot() }
 
 // IncidentCount returns the monotonic total of incidents of one kind.
@@ -243,83 +236,4 @@ func (e *Engine) execAction(name string, gid uint64, st *BPStats, fault guard.Fa
 		}
 	}
 	return panicked
-}
-
-// StartWatchdog starts the engine's background postponement monitor: a
-// goroutine that every interval force-releases waiters stuck past their
-// postponement budget (their requested timeout plus grace) — wedged
-// handshakes, broken timers, leaked releases — and records each release
-// in the incident log. Zero interval defaults to 50ms; grace defaults
-// to one interval. Idempotent while running; stop with StopWatchdog.
-func (e *Engine) StartWatchdog(interval, grace time.Duration) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	if grace <= 0 {
-		grace = interval
-	}
-	e.wdMu.Lock()
-	defer e.wdMu.Unlock()
-	if e.wdStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	e.wdStop, e.wdDone = stop, done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-ticker.C:
-				e.watchdogScan(now, grace)
-			}
-		}
-	}()
-}
-
-// StopWatchdog stops the watchdog goroutine and waits for it to exit.
-// No-op when the watchdog is not running.
-func (e *Engine) StopWatchdog() {
-	e.wdMu.Lock()
-	stop, done := e.wdStop, e.wdDone
-	e.wdStop, e.wdDone = nil, nil
-	e.wdMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// WatchdogRunning reports whether the watchdog is active.
-func (e *Engine) WatchdogRunning() bool {
-	e.wdMu.Lock()
-	defer e.wdMu.Unlock()
-	return e.wdStop != nil
-}
-
-// watchdogScan force-releases every waiter postponed past its budget
-// and returns how many it released. The scan walks the shard registry
-// and locks one shard at a time, so a slow scan never stalls arrivals
-// on unrelated breakpoints (no stop-the-world pass). Retired shards
-// need no scan: retire() already released their waiters. Releases go
-// through the engine's shared forced-release path (supervise.go), so a
-// watchdog release and a wait-graph cycle break targeting the same
-// goroutine can never double-release it.
-func (e *Engine) watchdogScan(now time.Time, grace time.Duration) int {
-	n := 0
-	for _, s := range e.shards() {
-		rel := e.forceReleaseShard(s, func(_ uint64, deadline time.Time) bool {
-			return now.After(deadline.Add(grace))
-		})
-		for _, r := range rel {
-			e.recordIncident(guard.KindWatchdogRelease, s.name, r.gid,
-				fmt.Sprintf("force-released %s past postponement budget", now.Sub(r.deadline).Round(time.Millisecond)))
-		}
-		n += len(rel)
-	}
-	return n
 }

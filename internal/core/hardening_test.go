@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -287,7 +286,7 @@ func TestBreakerDisabledByDefault(t *testing.T) {
 	}
 }
 
-// --- Watchdog --------------------------------------------------------
+// --- Postponement helpers -------------------------------------------
 
 func waitForPostponed(t *testing.T, e *Engine, name string, n int) {
 	t.Helper()
@@ -297,102 +296,6 @@ func waitForPostponed(t *testing.T, e *Engine, name string, n int) {
 			t.Fatalf("never saw %d postponed on %q", n, name)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestWatchdogForceReleasesWedgedWaiter(t *testing.T) {
-	e := newTestEngine()
-	// WedgeWait simulates a broken postponement timer: the waiter's own
-	// select would sleep for wedgedTimeout. Only the watchdog frees it.
-	e.SetInjector(faultinject.NewPlan().WedgeWait("bp", faultinject.BothSides))
-	e.StartWatchdog(10*time.Millisecond, 10*time.Millisecond)
-	defer e.StopWatchdog()
-
-	out := make(chan Outcome, 1)
-	go func() {
-		out <- e.TriggerOutcome(NewConflictTrigger("bp", new(int)), true, Options{Timeout: 30 * time.Millisecond})
-	}()
-	select {
-	case got := <-out:
-		if got != OutcomeTimeout {
-			t.Fatalf("outcome = %v, want timeout from watchdog release", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("watchdog never released the wedged waiter")
-	}
-	if got := e.IncidentCount(guard.KindWatchdogRelease); got != 1 {
-		t.Fatalf("watchdog incidents = %d, want 1", got)
-	}
-	if got := e.PostponedCount("bp"); got != 0 {
-		t.Fatalf("postponed = %d after release, want 0", got)
-	}
-	incs := e.Incidents()
-	if len(incs) == 0 || !strings.Contains(incs[len(incs)-1].Detail, "force-released") {
-		t.Fatalf("incident detail missing force-release record: %+v", incs)
-	}
-}
-
-func TestWatchdogForceReleasesWedgedMultiWaiter(t *testing.T) {
-	e := newTestEngine()
-	e.SetInjector(faultinject.NewPlan().WedgeWait("bp", faultinject.BothSides))
-	e.StartWatchdog(10*time.Millisecond, 10*time.Millisecond)
-	defer e.StopWatchdog()
-
-	out := make(chan Outcome, 1)
-	go func() {
-		out <- e.shard("bp").triggerMulti(NewConflictTrigger("bp", new(int)), 0, 3, Options{Timeout: 30 * time.Millisecond}, nil)
-	}()
-	select {
-	case got := <-out:
-		if got != OutcomeTimeout {
-			t.Fatalf("outcome = %v, want timeout", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("watchdog never released the wedged multi waiter")
-	}
-	if got := e.PostponedCount("bp"); got != 0 {
-		t.Fatalf("multi postponed = %d, want 0", got)
-	}
-}
-
-func TestWatchdogLeavesHealthyWaitersAlone(t *testing.T) {
-	e := newTestEngine()
-	e.StartWatchdog(5*time.Millisecond, 50*time.Millisecond)
-	defer e.StopWatchdog()
-
-	obj := new(int)
-	var wg sync.WaitGroup
-	var hit1, hit2 bool
-	wg.Add(2)
-	go func() { defer wg.Done(); hit1 = e.TriggerHere(NewConflictTrigger("bp", obj), true, Options{}) }()
-	go func() {
-		defer wg.Done()
-		time.Sleep(30 * time.Millisecond) // within budget
-		hit2 = e.TriggerHere(NewConflictTrigger("bp", obj), false, Options{})
-	}()
-	wg.Wait()
-	if !hit1 || !hit2 {
-		t.Fatalf("hit = %v/%v, want both true (watchdog must not fire early)", hit1, hit2)
-	}
-	if got := e.IncidentCount(guard.KindWatchdogRelease); got != 0 {
-		t.Fatalf("watchdog incidents = %d, want 0", got)
-	}
-}
-
-func TestWatchdogStartStop(t *testing.T) {
-	e := newTestEngine()
-	if e.WatchdogRunning() {
-		t.Fatal("watchdog running before start")
-	}
-	e.StartWatchdog(0, 0) // defaults
-	e.StartWatchdog(0, 0) // idempotent
-	if !e.WatchdogRunning() {
-		t.Fatal("watchdog not running after start")
-	}
-	e.StopWatchdog()
-	e.StopWatchdog() // idempotent
-	if e.WatchdogRunning() {
-		t.Fatal("watchdog still running after stop")
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,44 +248,60 @@ func TestForceReleaseIsExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestWatchdogAndForceReleaseShareOnePath(t *testing.T) {
+// Forced release, Reset and the waiter's own timeout all race to end
+// one postponement: exactly one of them does. A release that lost the
+// race records no incident, and the postponed population returns to
+// zero rather than being decremented twice.
+func TestForceReleaseRacingResetAndTimeoutIsExactlyOnce(t *testing.T) {
 	e := newTestEngine()
-	e.SetInjector(wedgeInjector{})
-	defer e.SetInjector(nil)
-	outCh := make(chan Outcome, 1)
-	go func() {
-		outCh <- e.TriggerOutcome(NewConflictTrigger("ov-shared", new(int)), true,
-			Options{Timeout: time.Millisecond})
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for e.PostponedCount("ov-shared") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never postponed")
+	raced := 0
+	for i := 0; i < 200; i++ {
+		outCh := make(chan Outcome, 1)
+		go func() {
+			outCh <- e.TriggerOutcome(NewConflictTrigger("ov-race", new(int)), true,
+				Options{Timeout: time.Millisecond})
+		}()
+		var gid uint64
+		for gid == 0 && len(outCh) == 0 {
+			for _, w := range e.PostponedWaiters() {
+				gid = w.GID
+			}
+			runtime.Gosched()
 		}
-		time.Sleep(time.Millisecond)
+		if gid == 0 {
+			<-outCh // timed out before it was seen postponed
+			continue
+		}
+		raced++
+		before := e.IncidentCount(guard.KindForceRelease)
+		var wg sync.WaitGroup
+		var releases atomic.Int64
+		wg.Add(3)
+		for j := 0; j < 2; j++ {
+			go func() {
+				defer wg.Done()
+				if e.ForceRelease("ov-race", gid, guard.KindForceRelease, "race") {
+					releases.Add(1)
+				}
+			}()
+		}
+		go func() { defer wg.Done(); e.Reset() }()
+		wg.Wait()
+		if out := <-outCh; out != OutcomeTimeout {
+			t.Fatalf("run %d: outcome = %v, want timeout", i, out)
+		}
+		n := releases.Load()
+		if n > 1 {
+			t.Fatalf("run %d: %d forced releases of one waiter", i, n)
+		}
+		if got := e.IncidentCount(guard.KindForceRelease) - before; got != n {
+			t.Fatalf("run %d: force-release incidents = %d, want %d", i, got, n)
+		}
+		if got := e.PostponedTotal(); got != 0 {
+			t.Fatalf("run %d: postponed total = %d after the waiter left, want 0", i, got)
+		}
 	}
-	gid := e.PostponedWaiters()[0].GID
-
-	// The watchdog scan releases the over-budget waiter through the
-	// shared path...
-	if n := e.watchdogScan(time.Now().Add(time.Hour), time.Millisecond); n != 1 {
-		t.Fatalf("watchdogScan released %d, want 1", n)
-	}
-	if out := <-outCh; out != OutcomeTimeout {
-		t.Fatalf("outcome = %v", out)
-	}
-	// ...so a racing supervisor release of the same goroutine finds
-	// nothing left to release.
-	if e.ForceRelease("ov-shared", gid, guard.KindCycleBreak, "racing release") {
-		t.Fatal("ForceRelease double-released a watchdog-released waiter")
-	}
-	if n := e.IncidentCount(guard.KindCycleBreak); n != 0 {
-		t.Fatalf("cycle-break incidents = %d, want 0", n)
+	if raced == 0 {
+		t.Fatal("no waiter was seen postponed before its timeout")
 	}
 }
-
-// wedgeInjector wedges every waiter's timer so only forced release can
-// free it.
-type wedgeInjector struct{}
-
-func (wedgeInjector) Arrival(string, bool) guard.Fault { return guard.Fault{WedgeWait: true} }

@@ -14,8 +14,8 @@ import (
 // TestShardLifecycleStress hammers the shard lifecycle from every
 // direction at once: concurrent two-way and multi-way arrivals across
 // many breakpoints, Reset swapping registries out from under them,
-// SetBreakerConfig flipping breakers on and off (epoch churn), the
-// watchdog scanning shards, handles re-resolving across generations,
+// SetBreakerConfig flipping breakers on and off (epoch churn), forced
+// releases scanning shards, handles re-resolving across generations,
 // readers walking stats and breaker snapshots, and a bus listener
 // coming and going. Run under -race in CI, it pins the new concurrency
 // contract; without -race it is still a decent smoke for lost wakeups
@@ -24,8 +24,6 @@ func TestShardLifecycleStress(t *testing.T) {
 	e := NewEngine()
 	e.DefaultTimeout = 2 * time.Millisecond
 	e.OrderWindow = 0
-	e.StartWatchdog(5*time.Millisecond, 5*time.Millisecond)
-	defer e.StopWatchdog()
 
 	const (
 		nBreakpoints = 16
@@ -103,6 +101,9 @@ func TestShardLifecycleStress(t *testing.T) {
 			for _, n := range names {
 				e.PostponedCount(n)
 				e.BreakerSnapshot(n)
+			}
+			for _, w := range e.PostponedWaiters() {
+				e.ForceRelease(w.Breakpoint, w.GID, guard.KindForceRelease, "stress")
 			}
 			time.Sleep(time.Millisecond)
 		}

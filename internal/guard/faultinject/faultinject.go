@@ -2,8 +2,8 @@
 // the breakpoint engine. A Plan implements guard.Injector: it matches
 // trigger arrivals by breakpoint name, side, and per-(name, side)
 // arrival ordinal, and injects the guard.Fault declared for them —
-// predicate panics, action panics, stalled actions, dropped arrivals
-// (partner no-shows), and wedged postponement timers.
+// predicate panics, action panics, stalled actions and dropped
+// arrivals (partner no-shows).
 //
 // Because faults are keyed by arrival ordinals rather than randomness,
 // a chaos run is reproducible: the same scenario with the same plan
@@ -131,12 +131,6 @@ func (p *Plan) Drop(breakpoint string, side Side, occurrences ...int) *Plan {
 	return p.Add(breakpoint, side, guard.Fault{Drop: true}, occurrences...)
 }
 
-// WedgeWait disables the waiter's own postponement timer on the given
-// arrivals, leaving release to a partner or the watchdog.
-func (p *Plan) WedgeWait(breakpoint string, side Side, occurrences ...int) *Plan {
-	return p.Add(breakpoint, side, guard.Fault{WedgeWait: true}, occurrences...)
-}
-
 // Arrival implements guard.Injector: it counts the arrival and merges
 // every matching rule's fault into the result.
 func (p *Plan) Arrival(breakpoint string, first bool) guard.Fault {
@@ -190,7 +184,6 @@ func merge(a, b guard.Fault) guard.Fault {
 	a.PanicExtra = a.PanicExtra || b.PanicExtra
 	a.PanicAction = a.PanicAction || b.PanicAction
 	a.Drop = a.Drop || b.Drop
-	a.WedgeWait = a.WedgeWait || b.WedgeWait
 	if b.StallAction > a.StallAction {
 		a.StallAction = b.StallAction
 	}

@@ -87,7 +87,7 @@ func TestPlanDeterminism(t *testing.T) {
 		return NewPlan().
 			PanicLocal("a", FirstSide, 2).
 			Drop("b", SecondSide).
-			WedgeWait("a", SecondSide, 1).
+			PanicAction("a", SecondSide, 1).
 			StallAction("b", FirstSide, time.Millisecond, 2)
 	}
 	f1, a1 := runSequence(build)
@@ -102,7 +102,7 @@ func TestPlanDeterminism(t *testing.T) {
 		t.Fatal("no faults applied; the sequence should trigger several")
 	}
 	// Spot-check the applied record identifies arrivals precisely.
-	want := Applied{Breakpoint: "a", First: false, Occurrence: 1, Fault: guard.Fault{WedgeWait: true}}
+	want := Applied{Breakpoint: "a", First: false, Occurrence: 1, Fault: guard.Fault{PanicAction: true}}
 	if a1[0] != want {
 		t.Fatalf("first applied = %+v, want %+v", a1[0], want)
 	}

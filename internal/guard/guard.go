@@ -8,7 +8,7 @@
 //     predicate becomes an OutcomePanic with an Incident, never an
 //     engine crash (see internal/core's safe-evaluation wrappers).
 //   - IncidentLog: a bounded, queryable record of everything the
-//     hardening layer absorbed (panics, stalls, watchdog releases,
+//     hardening layer absorbed (panics, stalls, forced releases,
 //     breaker state changes).
 //   - Breaker: a per-breakpoint circuit breaker. A breakpoint whose
 //     postponements keep timing out trips open — arrivals pass straight
@@ -44,10 +44,6 @@ type Fault struct {
 	// Drop silently discards the arrival before matching: the goroutine
 	// continues immediately and any partner sees a no-show.
 	Drop bool
-	// WedgeWait simulates a broken postponement timer: the waiter's own
-	// timeout never fires, so only the watchdog's force-release (or a
-	// partner) can free it.
-	WedgeWait bool
 }
 
 // Zero reports whether the fault injects nothing.

@@ -163,7 +163,7 @@ func TestIncidentLogRingAndCounts(t *testing.T) {
 }
 
 func TestIncidentKindStrings(t *testing.T) {
-	kinds := []IncidentKind{KindPanic, KindStall, KindWatchdogRelease, KindBreakerTrip, KindBreakerProbe, KindBreakerRearm}
+	kinds := []IncidentKind{KindPanic, KindStall, KindForceRelease, KindBreakerTrip, KindBreakerProbe, KindBreakerRearm}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

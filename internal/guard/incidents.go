@@ -19,9 +19,9 @@ const (
 	// KindStall: an action ran longer than the handshake budget,
 	// leaving its partner to proceed on the defensive timeout.
 	KindStall
-	// KindWatchdogRelease: the watchdog force-released a goroutine
-	// postponed past its budget.
-	KindWatchdogRelease
+	// KindForceRelease: an operator force-released a postponed
+	// goroutine (cbserverd's admin /release).
+	KindForceRelease
 	// KindBreakerTrip: a breakpoint's circuit breaker tripped open.
 	KindBreakerTrip
 	// KindBreakerProbe: an open breaker admitted a half-open probe.
@@ -69,8 +69,8 @@ func (k IncidentKind) String() string {
 		return "panic"
 	case KindStall:
 		return "stall"
-	case KindWatchdogRelease:
-		return "watchdog-release"
+	case KindForceRelease:
+		return "force-release"
 	case KindBreakerTrip:
 		return "breaker-trip"
 	case KindBreakerProbe:

@@ -99,7 +99,7 @@ type TrialOutcome struct {
 	// Stats holds the per-breakpoint counter snapshots at trial end.
 	Stats []core.StatsSnapshot `json:"stats,omitempty"`
 	// Incidents holds the guard incident totals (panics, stalls,
-	// watchdog releases, breaker transitions) keyed by kind label.
+	// forced releases, breaker transitions) keyed by kind label.
 	Incidents map[string]int64 `json:"incidents,omitempty"`
 	// Cycles holds the wait-graph supervisor's confirmed findings for
 	// the trial — deadlock cycles and postponement stalls, each naming

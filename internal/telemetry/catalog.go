@@ -162,7 +162,7 @@ var (
 
 	DescIncidents = &Desc{
 		Name: "cbreak_incidents_total", Kind: Counter, Labels: []string{"kind"},
-		Help: "Guard incidents by kind (panic, stall, watchdog-release, breaker transitions, cycle-break, deadlock-confirmed, overload-shed, net-fault-injected); monotonic even after the retained ring wraps.",
+		Help: "Guard incidents by kind (panic, stall, force-release, breaker transitions, cycle-break, deadlock-confirmed, overload-shed, net-fault-injected); monotonic even after the retained ring wraps.",
 	}
 	DescWaitgraphReports = &Desc{
 		Name: "cbreak_waitgraph_reports_total", Kind: Counter, Labels: []string{"kind"},

@@ -218,10 +218,10 @@ func (s *Supervisor) act(r Report) {
 	switch r.Kind {
 	case ReportPostponeStall:
 		if !s.cfg.DisableRecovery {
-			// The shared forced-release path makes this idempotent
-			// against the watchdog, Reset, and a natural timeout: if
-			// the victim is already gone there is nothing to break and
-			// no incident is recorded by the release itself.
+			// Forced release is idempotent against Reset, an admin
+			// release and a natural timeout: if the victim is already
+			// gone there is nothing to break and no incident is
+			// recorded by the release itself.
 			s.e.ForceRelease(r.Breakpoints[0], r.Victim, guard.KindCycleBreak,
 				"wait-graph cycle broken: "+r.Desc)
 		}

@@ -74,11 +74,11 @@ func TestIntrospectionPassthroughs(t *testing.T) {
 
 	// IncidentCounts is monotonic across Reset; a release that finds no
 	// waiter must not move it.
-	before := cbreak.IncidentCounts()[cbreak.KindWatchdogRelease.String()]
-	if cbreak.ForceRelease("facade.intro", 1, cbreak.KindWatchdogRelease, "noop") {
+	before := cbreak.IncidentCounts()[cbreak.KindForceRelease.String()]
+	if cbreak.ForceRelease("facade.intro", 1, cbreak.KindForceRelease, "noop") {
 		t.Fatal("release of a non-postponed gid reported true")
 	}
-	if after := cbreak.IncidentCounts()[cbreak.KindWatchdogRelease.String()]; after != before {
+	if after := cbreak.IncidentCounts()[cbreak.KindForceRelease.String()]; after != before {
 		t.Fatalf("no-op release moved incident count %d -> %d", before, after)
 	}
 }
