@@ -56,7 +56,7 @@ func main() {
 	deadline := flag.Duration("deadline", 30*time.Second, "hard per-trial wall-clock deadline; hung trials are killed and counted as 'trial timeout'")
 	jsonMode := flag.Bool("json", false, "run as a supervised campaign: subprocess-isolated trials journaled to the -checkpoint journal")
 	resume := flag.Bool("resume", false, "resume the -checkpoint journal, skipping completed trials (requires the same -seed it was written with)")
-	checkpoint := flag.String("checkpoint", "cbtables-campaign.ckpt", "checkpoint journal directory for supervised campaigns (a legacy .jsonl file here is migrated on -resume)")
+	checkpoint := flag.String("checkpoint", "cbtables-campaign.ckpt", "checkpoint journal directory for supervised campaigns")
 	checkpointSync := flag.String("checkpoint-sync", "record", "checkpoint durability: record (fsync per trial), interval (group commit), none")
 	parallel := flag.Int("parallel", 1, "concurrently running trial workers in supervised campaigns")
 	retries := flag.Int("retries", 2, "retries per trial for infrastructure failures (worker crash/timeout), with jittered exponential backoff")
@@ -115,9 +115,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer cp.Close()
-		if m := cp.Migrated(); m != "" {
-			fmt.Fprintf(os.Stderr, "cbtables: migrated legacy checkpoint to a journal; original kept at %s\n", m)
-		}
 		if rec := cp.Recovery(); rec.TruncatedBytes > 0 {
 			fmt.Fprintf(os.Stderr, "cbtables: checkpoint recovery truncated a torn tail: %d byte(s) of %s (%s); that trial will re-run\n",
 				rec.TruncatedBytes, rec.TornSegment, rec.TornReason)

@@ -57,7 +57,6 @@ type Checkpoint struct {
 	done   map[recordKey]Record
 
 	recovery journal.RecoveryInfo
-	migrated string // legacy JSONL backup path, when one was converted
 }
 
 // ErrSeedMismatch is returned when resuming a checkpoint written under
@@ -67,45 +66,19 @@ var ErrSeedMismatch = errors.New("campaign: checkpoint seed does not match -seed
 // OpenOptions creates or resumes the checkpoint journal at path (a
 // directory). Resuming a path that does not exist starts a fresh
 // journal; resuming one whose header seed differs from seed fails with
-// ErrSeedMismatch. Without resume, existing contents are discarded.
-//
-// Resuming a pre-journal checkpoint — a plain JSONL *file* at path —
-// migrates it: the records are read tolerantly (a torn trailing line
-// from a crash mid-write is dropped, so that trial simply re-runs), the
-// file is kept as path+".legacy", and a journal directory takes its
-// place.
+// ErrSeedMismatch. Without resume, whatever is at path is discarded.
 func OpenOptions(path string, seed int64, resume bool, sync journal.SyncPolicy) (*Checkpoint, error) {
 	cp := &Checkpoint{
 		header: Header{Kind: "campaign-checkpoint", Version: checkpointVersion, Seed: seed},
 		done:   make(map[recordKey]Record),
 	}
-	var legacy []Record
-	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
-		if !resume {
-			if err := os.Remove(path); err != nil {
-				return nil, fmt.Errorf("campaign: replace old checkpoint file: %w", err)
-			}
-		} else {
-			legacy, err = loadLegacy(path, seed)
-			if err != nil {
-				return nil, err
-			}
-			backup := path + ".legacy"
-			if err := os.Rename(path, backup); err != nil {
-				return nil, fmt.Errorf("campaign: back up legacy checkpoint: %w", err)
-			}
-			cp.migrated = backup
-		}
-	} else if err == nil && !resume {
+	if !resume {
 		// A fresh (non-resume) campaign truncates: yesterday's journal
 		// must not leak stale trials into today's tables.
 		if err := os.RemoveAll(path); err != nil {
 			return nil, fmt.Errorf("campaign: clear old checkpoint: %w", err)
 		}
-	} else if err == nil && resume {
-		// Existing journal directory: replayed below.
 	}
-
 	j, err := journal.Open(journal.Options{Dir: path, Sync: sync})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: open checkpoint journal: %w", err)
@@ -113,7 +86,7 @@ func OpenOptions(path string, seed int64, resume bool, sync journal.SyncPolicy) 
 	cp.j = j
 	cp.recovery = j.Recovery()
 
-	if resume && cp.migrated == "" {
+	if resume {
 		if err := cp.replay(path, seed); err != nil {
 			j.Close()
 			return nil, err
@@ -121,14 +94,6 @@ func OpenOptions(path string, seed int64, resume bool, sync journal.SyncPolicy) 
 	}
 	if cp.j.Len() == 0 {
 		if err := cp.appendJSON(cp.header); err != nil {
-			j.Close()
-			return nil, err
-		}
-	}
-	// Re-journal migrated legacy records so the journal is the one
-	// authoritative artifact going forward.
-	for _, rec := range legacy {
-		if err := cp.Append(rec); err != nil {
 			j.Close()
 			return nil, err
 		}
@@ -223,15 +188,6 @@ func (c *Checkpoint) Recovery() journal.RecoveryInfo {
 		return journal.RecoveryInfo{}
 	}
 	return c.recovery
-}
-
-// Migrated returns the backup path of the legacy JSONL checkpoint this
-// open converted, or "" when the checkpoint was already a journal.
-func (c *Checkpoint) Migrated() string {
-	if c == nil {
-		return ""
-	}
-	return c.migrated
 }
 
 // Close syncs and closes the journal.

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -27,24 +26,6 @@ func testRecord(row, trial int) Record {
 				"force-release": 1,
 			},
 		},
-	}
-}
-
-// writeLegacyCheckpoint builds a pre-journal JSONL checkpoint file, the
-// format old campaigns left behind.
-func writeLegacyCheckpoint(t *testing.T, path string, seed int64, recs ...Record) {
-	t.Helper()
-	var b strings.Builder
-	hdr, _ := json.Marshal(Header{Kind: "campaign-checkpoint", Version: checkpointVersion, Seed: seed})
-	b.Write(hdr)
-	b.WriteByte('\n')
-	for _, rec := range recs {
-		line, _ := json.Marshal(rec)
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -146,89 +127,23 @@ func TestCheckpointTornJournalTailTolerated(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyMigration: resuming a pre-journal JSONL file
-// migrates its records into a journal directory and keeps the original
-// as a .legacy backup.
-func TestCheckpointLegacyMigration(t *testing.T) {
+// A checkpoint is a journal directory; resuming a plain file at the
+// path fails with an error that names it.
+func TestCheckpointResumePlainFileFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	writeLegacyCheckpoint(t, path, 7, testRecord(0, 0), testRecord(1, 0))
-
-	cp, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
-	if err != nil {
-		t.Fatalf("legacy resume: %v", err)
-	}
-	if cp.Migrated() != path+".legacy" {
-		t.Fatalf("Migrated() = %q", cp.Migrated())
-	}
-	if cp.Len() != 2 {
-		t.Fatalf("Len = %d after migration", cp.Len())
-	}
-	cp.Append(testRecord(2, 0))
-	if err := cp.Close(); err != nil {
+	if err := os.WriteFile(path, []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".legacy"); err != nil {
-		t.Fatalf("legacy backup missing: %v", err)
+	_, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("resuming a plain file: err = %v, want an error naming %s", err, path)
 	}
-
-	// A second resume reads the journal, not the legacy file.
-	re, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
+	// A fresh open replaces it.
+	cp, err := OpenOptions(path, 7, false, journal.SyncEachRecord)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("fresh open over a plain file: %v", err)
 	}
-	defer re.Close()
-	if re.Migrated() != "" {
-		t.Fatal("second resume re-migrated")
-	}
-	if re.Len() != 3 {
-		t.Fatalf("Len = %d after second resume", re.Len())
-	}
-}
-
-// TestCheckpointLegacyTornFinalLineTolerated is satellite coverage: the
-// legacy writer could die mid-write, leaving a truncated final JSON
-// line. Migration must drop that line (the trial re-runs) instead of
-// failing the resume.
-func TestCheckpointLegacyTornFinalLineTolerated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	writeLegacyCheckpoint(t, path, 7, testRecord(0, 0), testRecord(0, 1))
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"key":{"table":"test","row":0,"varia`)
-	f.Close()
-
-	re, err := OpenOptions(path, 7, true, journal.SyncEachRecord)
-	if err != nil {
-		t.Fatalf("torn final line should be tolerated: %v", err)
-	}
-	defer re.Close()
-	if re.Len() != 2 {
-		t.Fatalf("Len = %d, want the 2 intact records", re.Len())
-	}
-}
-
-func TestCheckpointLegacyMidFileCorruptionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	writeLegacyCheckpoint(t, path, 7, testRecord(0, 0))
-	// Garbage with a valid record AFTER it: corruption mid-file, not a
-	// torn final write.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("not json at all\n")
-	f.WriteString(`{"key":{"table":"test","row":0,"variant":"with"},"trial":1,"seed":1,"attempts":1,"outcome":{"result":{"status":"ok","elapsed_ns":0,"bp_hit":false},"bp_wait_ns":0}}` + "\n")
-	f.Close()
-
-	if _, err := OpenOptions(path, 7, true, journal.SyncEachRecord); err == nil {
-		t.Fatal("mid-file corruption should be rejected, not silently skipped")
-	}
-	// The refused file must remain in place, untouched.
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("refused legacy file was moved: %v", err)
-	}
+	cp.Close()
 }
 
 func TestCheckpointResumeMissingPathStartsFresh(t *testing.T) {
@@ -269,7 +184,7 @@ func TestNilCheckpointIsSafe(t *testing.T) {
 	if cp.Len() != 0 || cp.Close() != nil {
 		t.Fatal("nil Len/Close misbehaved")
 	}
-	if cp.Migrated() != "" || cp.Recovery().Records != 0 {
-		t.Fatal("nil Migrated/Recovery misbehaved")
+	if cp.Recovery().Records != 0 {
+		t.Fatal("nil Recovery misbehaved")
 	}
 }
