@@ -127,7 +127,7 @@ func main() {
 	sup.Start()
 	defer sup.Stop()
 
-	server, err := appboot.Start(e, *app, *bug, *pause, "")
+	server, err := appboot.StartApp(e, appboot.Spec{App: *app, Bug: *bug, Pause: *pause})
 	if err != nil {
 		fatal("%v", err)
 	}

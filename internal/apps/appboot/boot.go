@@ -36,8 +36,6 @@ type Spec struct {
 	// against this mysql address — the two-communicating-services
 	// topology the multi-process deadlock scenarios drive.
 	Backend string
-	// BackendTimeout bounds one backend round trip (default 2s).
-	BackendTimeout time.Duration
 }
 
 // App is one running socket server behind an app-agnostic surface.
@@ -74,7 +72,7 @@ func StartApp(e *core.Engine, spec Spec) (*App, error) {
 			return nil, fmt.Errorf("unknown httpd bug %q (want none or log-corruption)", spec.Bug)
 		}
 		ns, err := httpd.StartNet(cfg, httpd.NetConfig{
-			Addr: spec.Listen, Backend: spec.Backend, BackendTimeout: spec.BackendTimeout,
+			Addr: spec.Listen, Backend: spec.Backend,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("httpd start: %w", err)
@@ -101,16 +99,9 @@ func StartApp(e *core.Engine, spec Spec) (*App, error) {
 	return nil, fmt.Errorf("unknown app %q (want httpd or mysql)", spec.App)
 }
 
-// Start boots the named app server on listen (empty = ephemeral
-// loopback port) with the named bug armed against e — the historical
-// single-app entry point, kept as a thin wrapper over StartApp.
-func Start(e *core.Engine, app, bug string, pause time.Duration, listen string) (*App, error) {
-	return StartApp(e, Spec{App: app, Bug: bug, Pause: pause, Listen: listen})
-}
-
 // RequestGenerator returns the canonical load-request generator for the
 // named app — the request a load client with ordinal client issues as
-// its request'th call. Decoupled from Start so a driver can generate
+// its request'th call. Decoupled from StartApp so a driver can generate
 // load against a server it did not boot (cbload -connect).
 func RequestGenerator(app string) (func(client, request int) string, error) {
 	switch app {

@@ -2,7 +2,6 @@ package appboot
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -50,34 +49,25 @@ type ProcConfig struct {
 	// Args builds the argv for one launch given the pinned listen
 	// address ("" on the first launch).
 	Args func(listenAddr string) []string
-	// HandshakeTimeout bounds the wait for the ready line (default 10s).
-	HandshakeTimeout time.Duration
-	// StopTimeout bounds graceful SIGTERM stop before the process group
-	// is killed (default 5s).
-	StopTimeout time.Duration
-	// Output receives the worker's stderr and stdout (default
-	// os.Stderr).
-	Output io.Writer
 }
+
+// A worker has handshakeTimeout to print its ready line and
+// stopTimeout to drain after SIGTERM before its process group is
+// killed. Its stderr and stdout go to the launcher's stderr.
+const (
+	handshakeTimeout = 10 * time.Second
+	stopTimeout      = 5 * time.Second
+)
 
 // ProcLauncher launches the worker binary as a supervised child
 // process. The returned launcher blocks until the worker prints its
 // ready handshake, so a worker that dies during boot is a launch error
 // (and counts as a crash), not a silent zombie host.
 func ProcLauncher(cfg ProcConfig) Launcher {
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
-	}
-	if cfg.StopTimeout <= 0 {
-		cfg.StopTimeout = 5 * time.Second
-	}
-	if cfg.Output == nil {
-		cfg.Output = os.Stderr
-	}
 	return func(prevAddr string) (Instance, error) {
 		cmd := exec.Command(cfg.Bin, cfg.Args(prevAddr)...)
 		cmd.SysProcAttr = proc.WorkerAttr()
-		child, line, err := proc.Start(cmd, cfg.Output, cfg.HandshakeTimeout, func(line string) bool {
+		child, line, err := proc.Start(cmd, os.Stderr, handshakeTimeout, func(line string) bool {
 			_, ok := parseHandshake(line)
 			return ok
 		})
@@ -85,15 +75,14 @@ func ProcLauncher(cfg ProcConfig) Launcher {
 			return nil, fmt.Errorf("worker: %w", err)
 		}
 		addr, _ := parseHandshake(line)
-		return &procInstance{Child: child, addr: addr, stopTimeout: cfg.StopTimeout}, nil
+		return &procInstance{Child: child, addr: addr}, nil
 	}
 }
 
 // procInstance is one live worker process.
 type procInstance struct {
 	*proc.Child
-	addr        string
-	stopTimeout time.Duration
+	addr string
 }
 
 func (p *procInstance) Addr() string { return p.addr }
@@ -114,4 +103,4 @@ func (p *procInstance) ExitErr() error {
 
 // Stop asks the worker to drain (SIGTERM), escalating to a group kill
 // at the stop timeout.
-func (p *procInstance) Stop() error { return p.Child.Stop(p.stopTimeout) }
+func (p *procInstance) Stop() error { return p.Child.Stop(stopTimeout) }

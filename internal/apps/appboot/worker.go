@@ -2,7 +2,6 @@ package appboot
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -49,25 +48,13 @@ type WorkerConfig struct {
 	// fails, the worker exits, and the relaunch runs clean (see
 	// crashArmedMarker).
 	CrashAppends int
-	// Out receives the ready handshake (default os.Stdout).
-	Out io.Writer
-	// Log receives worker log lines (default os.Stderr).
-	Log io.Writer
-	// Signals overrides the OS signal source (tests). Nil installs
-	// SIGTERM/SIGINT.
-	Signals <-chan os.Signal
 }
 
-// RunWorker hosts one app until a drain signal (returns nil) or a fatal
-// condition such as a dead durable journal (returns the error; the
-// process exit then tells the supervisor this incarnation crashed).
+// RunWorker hosts one app until SIGTERM or SIGINT (returns nil) or a
+// fatal condition such as a dead durable journal (returns the error;
+// the process exit then tells the supervisor this incarnation crashed).
+// It prints the ready handshake on stdout and its log lines on stderr.
 func RunWorker(cfg WorkerConfig) error {
-	if cfg.Out == nil {
-		cfg.Out = os.Stdout
-	}
-	if cfg.Log == nil {
-		cfg.Log = os.Stderr
-	}
 	appkit.SeedJitter(cfg.Seed)
 	e := core.NewEngine()
 
@@ -86,7 +73,7 @@ func RunWorker(cfg WorkerConfig) error {
 					return fmt.Errorf("worker: arm marker: %w", err)
 				}
 				opts.FS = journal.CrashFS(journal.OSFS(), faultinject.NewCrashPlan(cfg.CrashAppends))
-				fmt.Fprintf(cfg.Log, "worker %s: one-shot disk fault armed at durability op %d\n", cfg.App, cfg.CrashAppends)
+				fmt.Fprintf(os.Stderr, "worker %s: one-shot disk fault armed at durability op %d\n", cfg.App, cfg.CrashAppends)
 			}
 		}
 		var err error
@@ -107,26 +94,22 @@ func RunWorker(cfg WorkerConfig) error {
 		return fmt.Errorf("worker: %w", err)
 	}
 	defer app.Close()
-	fmt.Fprintln(cfg.Out, Handshake(app.Name, app.Addr))
+	fmt.Println(Handshake(app.Name, app.Addr))
 
-	sigs := cfg.Signals
-	if sigs == nil {
-		ch := make(chan os.Signal, 2)
-		signal.Notify(ch, syscall.SIGTERM, os.Interrupt)
-		defer signal.Stop(ch)
-		sigs = ch
-	}
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sigs)
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		select {
 		case sig := <-sigs:
-			fmt.Fprintf(cfg.Log, "worker %s: %v, draining (served %d)\n", cfg.App, sig, app.Served())
+			fmt.Fprintf(os.Stderr, "worker %s: %v, draining (served %d)\n", cfg.App, sig, app.Served())
 			if s != nil {
 				// Flush buffered telemetry before the teardown that
 				// still produces records; Close syncs again at the end.
 				if err := s.Sync(); err != nil {
-					fmt.Fprintf(cfg.Log, "worker %s: drain sync: %v\n", cfg.App, err)
+					fmt.Fprintf(os.Stderr, "worker %s: drain sync: %v\n", cfg.App, err)
 				}
 			}
 			return nil

@@ -100,41 +100,23 @@ type Config struct {
 	Breakpoint bool
 	// Timeout is the breakpoint pause (the section 6.2 knob).
 	Timeout time.Duration
-	// Fanout and Depth shape the synthetic web (default 3 and 3: 40
-	// pages).
-	Fanout, Depth int
 	// Jitter is the simulated per-fetch latency scale (default 2ms).
 	Jitter time.Duration
-	// Workers is the crawler pool size (default 2).
-	Workers int
 }
 
-func (c *Config) fanout() int {
-	if c.Fanout <= 0 {
-		return 3
-	}
-	return c.Fanout
-}
-
-func (c *Config) depth() int {
-	if c.Depth <= 0 {
-		return 3
-	}
-	return c.Depth
-}
+// webFanout and webDepth shape the synthetic web (40 pages); numWorkers
+// is the crawler pool size.
+const (
+	webFanout  = 3
+	webDepth   = 3
+	numWorkers = 2
+)
 
 func (c *Config) jitter() time.Duration {
 	if c.Jitter <= 0 {
 		return 2 * time.Millisecond
 	}
 	return c.Jitter
-}
-
-func (c *Config) workers() int {
-	if c.Workers <= 0 {
-		return 2
-	}
-	return c.Workers
 }
 
 func bpName(b Bug) string {
@@ -251,7 +233,7 @@ func (c *Crawler) publish(page *Page, worker int) {
 // successfully published.
 func (c *Crawler) Crawl() int {
 	var workers sync.WaitGroup
-	for w := 0; w < c.cfg.workers(); w++ {
+	for w := 0; w < numWorkers; w++ {
 		workers.Add(1)
 		go func(w int) {
 			defer workers.Done()
@@ -280,7 +262,7 @@ func Run(cfg Config) appkit.Result {
 	if cfg.Engine == nil {
 		cfg.Engine = core.NewEngine()
 	}
-	web := BuildWeb(cfg.fanout(), cfg.depth())
+	web := BuildWeb(webFanout, webDepth)
 	res := appkit.RunWithDeadline(120*time.Second, func() appkit.Result {
 		crawler := NewCrawler(web, &cfg)
 		published := crawler.Crawl()

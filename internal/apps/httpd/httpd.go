@@ -222,8 +222,6 @@ type Config struct {
 	Bug        Bug
 	Breakpoint bool
 	Timeout    time.Duration
-	// Requests is the client load (default 60).
-	Requests int
 
 	// bps caches the run's breakpoint handles, resolved once in Run so
 	// the trigger sites skip the per-call registry lookup. Left nil when
@@ -233,6 +231,9 @@ type Config struct {
 	// data race on the Config itself.
 	bps *bpHandles
 }
+
+// numRequests is the client load.
+const numRequests = 60
 
 // bpHandles bundles one handle per httpd breakpoint.
 type bpHandles struct {
@@ -284,13 +285,6 @@ func (c *Config) bugCrash() bool {
 	return c != nil && c.Breakpoint && c.Bug == ServerCrash
 }
 
-func (c *Config) requests() int {
-	if c.Requests <= 0 {
-		return 60
-	}
-	return c.Requests
-}
-
 // Run drives the server with two request workers (and, for the crash
 // bug, a concurrent configuration reload) and classifies the outcome.
 func Run(cfg Config) appkit.Result {
@@ -306,7 +300,7 @@ func Run(cfg Config) appkit.Result {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for i := 0; i < cfg.requests()/2; i++ {
+				for i := 0; i < numRequests/2; i++ {
 					req := Request{ID: w*1000 + i, Path: fmt.Sprintf("/page/%d", i),
 						Big: cfg.Bug == ServerCrash && i == 5}
 					if err := srv.Handle(req, w); err != nil {

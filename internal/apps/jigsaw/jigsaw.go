@@ -266,9 +266,10 @@ type Config struct {
 	Timeout    time.Duration
 	// StallAfter bounds stall detection (default 2s).
 	StallAfter time.Duration
-	// Requests is the simulated client load (default 40).
-	Requests int
 }
+
+// numRequests is the simulated client load.
+const numRequests = 40
 
 func (c *Config) bug(b Bug) bool {
 	return c != nil && c.Breakpoint && c.Bug == b && c.Engine != nil
@@ -279,13 +280,6 @@ func (c *Config) stallAfter() time.Duration {
 		return 2 * time.Second
 	}
 	return c.StallAfter
-}
-
-func (c *Config) requests() int {
-	if c.Requests <= 0 {
-		return 40
-	}
-	return c.Requests
 }
 
 func bpName(b Bug) string {
@@ -346,7 +340,7 @@ func runDeadlock1(f *Factory, cfg *Config) appkit.Result {
 	working := make(chan struct{})
 	go func() { // client connections finishing
 		close(working)
-		for i := 0; i < cfg.requests()/4; i++ {
+		for i := 0; i < numRequests/4; i++ {
 			time.Sleep(requestWork)
 			f.ClientConnectionFinished(0)
 			f.incrIdleCount(0)
@@ -373,7 +367,7 @@ func runDeadlock2(f *Factory, cfg *Config) appkit.Result {
 	working := make(chan struct{})
 	go func() {
 		close(working)
-		for i := 0; i < cfg.requests(); i++ {
+		for i := 0; i < numRequests; i++ {
 			time.Sleep(requestWork)
 			f.LogAccess(Request{Path: fmt.Sprintf("/page/%d", i)})
 		}
@@ -426,7 +420,7 @@ func runRace1(f *Factory, cfg *Config) appkit.Result {
 			// is spent a natural lost update remains possible.
 			wait := time.Duration(400+300*w) * time.Microsecond
 			respond := 94_000 + 156_000*w
-			for i := 0; i < cfg.requests()/2; i++ {
+			for i := 0; i < numRequests/2; i++ {
 				f.decrIdleCount(w)
 				time.Sleep(wait) // connection I/O
 				appkit.Busy(respond)
@@ -452,7 +446,7 @@ func runRace1(f *Factory, cfg *Config) appkit.Result {
 func runRace2(f *Factory, cfg *Config) appkit.Result {
 	// Drive the race through the real HTTP surface: two keep-alive
 	// clients whose request handlers race on the served counter.
-	total := cfg.requests()
+	total := numRequests
 	ok, err := f.ServeHTTPLoad(2, total/2)
 	if err != nil {
 		return appkit.Result{Status: appkit.TestFail, Detail: "http error: " + err.Error()}

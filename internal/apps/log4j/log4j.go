@@ -305,21 +305,16 @@ type Config struct {
 	Mode       Mode
 	// Pair is the contention pair and resolve order (ModeContention).
 	Pair Pair
-	// Appenders and EventsPerAppender shape the producer workload
-	// (defaults 2 and 40).
-	Appenders, EventsPerAppender int
+	// EventsPerAppender shapes the producer workload (default 40).
+	EventsPerAppender int
 	// Poll is the dispatcher's timed-wait interval (default 3ms).
 	Poll time.Duration
 	// StallAfter bounds stall detection (default 3s).
 	StallAfter time.Duration
 }
 
-func (c *Config) appenders() int {
-	if c.Appenders <= 0 {
-		return 2
-	}
-	return c.Appenders
-}
+// numAppenders is the number of producer appenders.
+const numAppenders = 2
 
 func (c *Config) events() int {
 	if c.EventsPerAppender <= 0 {
@@ -364,13 +359,13 @@ func Run(cfg Config) appkit.Result {
 
 func runContention(cfg Config) appkit.Result {
 	app := NewAsyncAppender(8, &cfg)
-	total := cfg.appenders() * cfg.events()
+	total := numAppenders * cfg.events()
 	res := appkit.RunWithDeadline(cfg.stallAfter(), func() appkit.Result {
 		dispDone := make(chan struct{})
 		go app.Dispatcher(dispDone)
 
 		var wg sync.WaitGroup
-		for w := 0; w < cfg.appenders(); w++ {
+		for w := 0; w < numAppenders; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()

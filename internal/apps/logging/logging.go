@@ -109,22 +109,16 @@ type Config struct {
 	Timeout    time.Duration
 	// StallAfter bounds deadlock detection (default 2s).
 	StallAfter time.Duration
-	// Records is the log volume (default 50).
-	Records int
 }
+
+// numRecords is the log volume.
+const numRecords = 50
 
 func (c *Config) stallAfter() time.Duration {
 	if c.StallAfter <= 0 {
 		return 2 * time.Second
 	}
 	return c.StallAfter
-}
-
-func (c *Config) records() int {
-	if c.Records <= 0 {
-		return 50
-	}
-	return c.Records
 }
 
 // Run logs records on one goroutine while another reconfigures the
@@ -139,7 +133,7 @@ func Run(cfg Config) appkit.Result {
 	res := appkit.RunWithDeadline(cfg.stallAfter(), func() appkit.Result {
 		done := make(chan struct{}, 2)
 		go func() {
-			for i := 0; i < cfg.records(); i++ {
+			for i := 0; i < numRecords; i++ {
 				l.Log(Record{Level: Info, Message: fmt.Sprintf("event %d", i)})
 			}
 			done <- struct{}{}

@@ -150,22 +150,16 @@ type Config struct {
 	Timeout    time.Duration
 	// StallAfter bounds deadlock detection (default 2s).
 	StallAfter time.Duration
-	// Docs is the number of documents indexed (default 40).
-	Docs int
 }
+
+// numDocs is the number of documents indexed.
+const numDocs = 40
 
 func (c *Config) stallAfter() time.Duration {
 	if c.StallAfter <= 0 {
 		return 2 * time.Second
 	}
 	return c.StallAfter
-}
-
-func (c *Config) docs() int {
-	if c.Docs <= 0 {
-		return 40
-	}
-	return c.Docs
 }
 
 // Run indexes documents on one goroutine while another commits; the
@@ -178,7 +172,7 @@ func Run(cfg Config) appkit.Result {
 	res := appkit.RunWithDeadline(cfg.stallAfter(), func() appkit.Result {
 		done := make(chan struct{}, 2)
 		go func() {
-			for i := 0; i < cfg.docs(); i++ {
+			for i := 0; i < numDocs; i++ {
 				w.AddDocument(fmt.Sprintf("the quick brown fox %d jumps over the lazy dog", i))
 			}
 			done <- struct{}{}

@@ -170,25 +170,14 @@ type Config struct {
 	Timeout    time.Duration
 	// Bound limits breakpoint hits (paper: 4 for race1, 10 for race2).
 	Bound int
-	// Particles is the requested particle count (default 64).
-	Particles int
-	// Steps is the number of MD steps (default 4).
-	Steps int
 }
 
-func (c *Config) particles() int {
-	if c.Particles <= 0 {
-		return 64
-	}
-	return c.Particles
-}
-
-func (c *Config) steps() int {
-	if c.Steps <= 0 {
-		return 4
-	}
-	return c.Steps
-}
+// numParticles is the requested particle count and numSteps the number
+// of MD steps.
+const (
+	numParticles = 64
+	numSteps     = 4
+)
 
 func (c *Config) bound() int {
 	if c.Bound > 0 {
@@ -214,14 +203,14 @@ func Run(cfg Config) appkit.Result {
 	if cfg.Engine == nil {
 		cfg.Engine = core.NewEngine()
 	}
-	n := cfg.particles()
+	n := numParticles
 
 	// Sequential reference, computed over the same two ranges as the
 	// parallel version so the fixed-point chunk groupings are identical
 	// and any sum difference is a genuine lost update.
 	ref := NewSystem(n)
 	var refEpot, refVir int64
-	for st := 0; st < cfg.steps(); st++ {
+	for st := 0; st < numSteps; st++ {
 		mid := ref.N / 2
 		ref.forceRange(0, mid, func(d int64) { refEpot += d }, func(d int64) { refVir += d })
 		ref.forceRange(mid, ref.N, func(d int64) { refEpot += d }, func(d int64) { refVir += d })
@@ -252,7 +241,7 @@ func Run(cfg Config) appkit.Result {
 			}
 		}
 
-		for st := 0; st < cfg.steps(); st++ {
+		for st := 0; st < numSteps; st++ {
 			var wg sync.WaitGroup
 			mid := sys.N / 2
 			ranges := [][2]int{{0, mid}, {mid, sys.N}}

@@ -83,9 +83,10 @@ type Config struct {
 	Tasks int
 	// Steps per path (default 100).
 	Steps int
-	// Workers in the pool (default 2).
-	Workers int
 }
+
+// numWorkers is the pool size.
+const numWorkers = 2
 
 func (c *Config) tasks() int {
 	if c.Tasks <= 0 {
@@ -99,13 +100,6 @@ func (c *Config) steps() int {
 		return 100
 	}
 	return c.Steps
-}
-
-func (c *Config) workers() int {
-	if c.Workers <= 0 {
-		return 2
-	}
-	return c.Workers
 }
 
 func (c *Config) bound() int {
@@ -135,7 +129,7 @@ func Run(cfg Config) appkit.Result {
 		done := memory.NewCell(memory.NewSpace(), "montecarlo.tasksDone", 0)
 
 		var wg sync.WaitGroup
-		for w := 0; w < cfg.workers(); w++ {
+		for w := 0; w < numWorkers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()

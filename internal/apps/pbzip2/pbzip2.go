@@ -128,9 +128,10 @@ type Config struct {
 	InputSize int
 	// BlockSize is the compression block size (default 8 KiB).
 	BlockSize int
-	// Workers is the consumer count (default 2).
-	Workers int
 }
+
+// numWorkers is the consumer count.
+const numWorkers = 2
 
 func (c *Config) inputSize() int {
 	if c.InputSize <= 0 {
@@ -144,13 +145,6 @@ func (c *Config) blockSize() int {
 		return 8 << 10
 	}
 	return c.BlockSize
-}
-
-func (c *Config) workers() int {
-	if c.Workers <= 0 {
-		return 2
-	}
-	return c.Workers
 }
 
 // makeInput generates a deterministic compressible payload.
@@ -258,12 +252,12 @@ func Run(cfg Config) appkit.Result {
 	comp := NewCompressor(len(blocks), &cfg)
 
 	res := appkit.RunWithDeadline(60*time.Second, func() appkit.Result {
-		errCh := make(chan error, cfg.workers())
+		errCh := make(chan error, numWorkers)
 		q := comp.fifo.Load("pbzip2:setup")
 		for _, b := range blocks {
 			q.Push(b)
 		}
-		for w := 0; w < cfg.workers(); w++ {
+		for w := 0; w < numWorkers; w++ {
 			go func(w int) { errCh <- comp.consumer(w) }(w)
 		}
 
@@ -288,7 +282,7 @@ func Run(cfg Config) appkit.Result {
 		}
 
 		var firstErr error
-		for w := 0; w < cfg.workers(); w++ {
+		for w := 0; w < numWorkers; w++ {
 			if err := <-errCh; err != nil && firstErr == nil {
 				firstErr = err
 			}

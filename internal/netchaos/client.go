@@ -196,8 +196,6 @@ type LoadConfig struct {
 	// MakeRequest builds the request line for (client, request)
 	// ordinals; nil sends "ping c r".
 	MakeRequest func(client, request int) string
-	// OnResponse, when non-nil, observes every successful response.
-	OnResponse func(client int, resp string)
 	// Client is the per-client configuration template (Addr and Seed
 	// are overridden per client).
 	Client ClientConfig
@@ -253,10 +251,7 @@ func RunLoad(cfg LoadConfig) LoadReport {
 		go func(i int) {
 			defer wg.Done()
 			for r := 0; r < cfg.Requests; r++ {
-				resp, err := clients[i].Do(cfg.MakeRequest(i, r))
-				if err == nil && cfg.OnResponse != nil {
-					cfg.OnResponse(i, resp)
-				}
+				clients[i].Do(cfg.MakeRequest(i, r))
 			}
 		}(i)
 	}

@@ -23,9 +23,10 @@ type Config struct {
 	// as guard.KindNetFault records. Called from proxy goroutines; must
 	// be safe for concurrent use.
 	OnFault func(FaultEvent)
-	// DialTimeout bounds the upstream dial (default 5s).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds the upstream dial.
+const dialTimeout = 5 * time.Second
 
 // Proxy is the fault-injecting TCP proxy: it listens on a loopback
 // address, forwards every accepted connection to the upstream address,
@@ -65,9 +66,6 @@ func Start(upstream string, cfg Config) (*Proxy, error) {
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("netchaos: listen: %w", err)
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
 	}
 	p := &Proxy{
 		cfg:      cfg,
@@ -216,7 +214,7 @@ func (p *Proxy) enterPartition(ord int) {
 // serve dials upstream and pumps both directions under the plan.
 func (p *Proxy) serve(client net.Conn, plan ConnPlan) {
 	defer p.wg.Done()
-	server, err := net.DialTimeout("tcp", p.upstream, p.cfg.DialTimeout)
+	server, err := net.DialTimeout("tcp", p.upstream, dialTimeout)
 	if err != nil {
 		abortiveClose(client)
 		return

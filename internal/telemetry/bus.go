@@ -8,8 +8,8 @@ import (
 // This file is the subscription bus: the single fan-out every telemetry
 // emission path publishes into. It replaces three bespoke fan-outs that
 // had accreted on the engine (the durable-sink atomic pointer, the
-// incident log's direct tee, the wait-graph supervisor's OnReport-only
-// reporting) with one primitive offering two delivery modes:
+// incident log's direct tee, the wait-graph supervisor's report
+// callback) with one primitive offering two delivery modes:
 //
 //   - Taps are synchronous: Deliver runs on the publishing goroutine,
 //     exactly like the old DurableSink contract, so a crash-safe

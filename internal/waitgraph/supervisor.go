@@ -15,23 +15,16 @@ import (
 type Config struct {
 	// Interval is the scan period. 0 defaults to 5ms.
 	Interval time.Duration
-	// ConfirmAfter is how many consecutive scans must observe a finding
-	// before the supervisor acts on it — the debounce against acting on
-	// a torn snapshot (capture is a sample, not a transaction). 0
-	// defaults to 2.
-	ConfirmAfter int
-	// DisableRecovery turns off cycle breaking: stalls are still
-	// detected and reported, but no postponed goroutine is
-	// force-released. Deadlock confirmation is unaffected.
-	DisableRecovery bool
-	// OnReport, when set, is invoked (on the scan goroutine) for every
-	// confirmed finding, after recovery has been attempted.
-	OnReport func(Report)
 }
+
+// confirmAfter is how many consecutive scans must observe a finding
+// before the supervisor acts on it — the debounce against acting on a
+// torn snapshot (capture is a sample, not a transaction).
+const confirmAfter = 2
 
 // Supervisor runs the wait-graph scan loop against one engine: every
 // interval it captures the graph, analyzes it, and acts on findings
-// that persist across ConfirmAfter consecutive scans. A confirmed
+// that persist across confirmAfter consecutive scans. A confirmed
 // postponement stall is broken by force-releasing the postponed victim
 // through the engine's shared release path (recorded as a cycle-break
 // incident); a confirmed application-only cycle is latched as a
@@ -71,9 +64,6 @@ type sighting struct {
 func New(e *core.Engine, cfg Config) *Supervisor {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Millisecond
-	}
-	if cfg.ConfirmAfter <= 0 {
-		cfg.ConfirmAfter = 2
 	}
 	return &Supervisor{
 		e:         e,
@@ -170,7 +160,7 @@ func (s *Supervisor) Scan() {
 		sg.report = r
 		sg.streak++
 		sg.lastScan = scan
-		if sg.streak >= s.cfg.ConfirmAfter {
+		if sg.streak >= confirmAfter {
 			s.acted[sig] = true
 			delete(s.pending, sig)
 			confirmed = append(confirmed, r)
@@ -212,34 +202,28 @@ func (s *Supervisor) baselined(r Report) bool {
 }
 
 // act performs the confirmed finding's recovery/diagnosis. Called off
-// the supervisor mutex so OnReport callbacks may call back into the
+// the supervisor mutex, so bus subscribers may call back into the
 // supervisor.
 func (s *Supervisor) act(r Report) {
 	switch r.Kind {
 	case ReportPostponeStall:
-		if !s.cfg.DisableRecovery {
-			// Forced release is idempotent against Reset, an admin
-			// release and a natural timeout: if the victim is already
-			// gone there is nothing to break and no incident is
-			// recorded by the release itself.
-			s.e.ForceRelease(r.Breakpoints[0], r.Victim, guard.KindCycleBreak,
-				"wait-graph cycle broken: "+r.Desc)
-		}
+		// Forced release is idempotent against Reset, an admin release
+		// and a natural timeout: if the victim is already gone there is
+		// nothing to break and no incident is recorded by the release
+		// itself.
+		s.e.ForceRelease(r.Breakpoints[0], r.Victim, guard.KindCycleBreak,
+			"wait-graph cycle broken: "+r.Desc)
 	case ReportDeadlock:
 		s.e.RecordIncident(guard.KindDeadlockConfirmed, "", r.GIDs[0],
 			"wait-graph deadlock confirmed: "+r.Desc)
 		s.confirmedOnce.Do(func() { close(s.confirmed) })
 	}
 	// Publish the finding on the engine's telemetry bus — the same
-	// fan-out the durable sink and live streams consume, replacing the
-	// OnReport-only reporting path (OnReport stays as an in-process
-	// hook). The bus shape is the flattened telemetry.Report; the full
-	// structured finding remains available from Reports().
+	// fan-out the durable sink and live streams consume. The bus shape
+	// is the flattened telemetry.Report; the full structured finding
+	// remains available from Reports().
 	s.e.Bus().Publish(telemetry.Record{Kind: telemetry.RecordReport,
 		Report: r.telemetryReport()})
-	if s.cfg.OnReport != nil {
-		s.cfg.OnReport(r)
-	}
 }
 
 // telemetryReport flattens the finding into the bus shape
