@@ -51,6 +51,26 @@ func TestJoinIsComponentMax(t *testing.T) {
 	}
 }
 
+func TestEqualAndClone(t *testing.T) {
+	a := vcFrom(1, 2, 3)
+	b := a.Clone()
+	if !equal(a, b) {
+		t.Fatal("clone not equal")
+	}
+	b.Tick(1)
+	if equal(a, b) {
+		t.Fatal("modified clone still equal")
+	}
+	// Absent components are zero.
+	x := vcFrom(1, 0, 0)
+	y := New()
+	y.Set(1, 1)
+	y.Set(2, 0)
+	if !equal(x, y) {
+		t.Fatal("explicit zero component broke equality")
+	}
+}
+
 func TestStringDeterministic(t *testing.T) {
 	v := vcFrom(1, 2, 3)
 	if v.String() != "{1:1 2:2 3:3}" {
