@@ -331,15 +331,10 @@ func (s *state) implements(d *decl) []string {
 		}
 	}
 	var out []string
-	met := map[string]bool{}
 	for sig := range have {
 		for _, it := range s.byMeth[sig] {
-			if !covers(have, it) {
-				continue
-			}
-			for _, m := range it {
-				if !met[m] {
-					met[m] = true
+			if covers(have, it) {
+				for _, m := range it {
 					out = append(out, have[m])
 				}
 			}
@@ -410,8 +405,7 @@ func finish(f *analysis.Finish) error {
 		return nil
 	}
 	reached := map[string]bool{}
-	mark := func(d *decl) { reached[d.key] = true }
-	st.walk(append(st.roots, st.apis[root]...), mark)
+	st.walk(append(st.roots, st.apis[root]...), func(d *decl) { reached[d.key] = true })
 	for pkg, refs := range st.tests {
 		st.walk(refs, func(d *decl) {
 			if d.pkg != pkg {

@@ -10,9 +10,10 @@ import (
 
 // This file threads the internal/guard hardening layer through the
 // engine: panic isolation for user closures, per-breakpoint circuit
-// breakers, the incident log, and the fault injection hooks. The goal is the paper's production story made real:
-// an enabled breakpoint must never be able to crash or stall the host
-// program, no matter what its predicates and actions do.
+// breakers, the incident log, and the fault injection hooks. The goal
+// is the paper's production story made real: an enabled breakpoint
+// must never be able to crash or stall the host program, no matter
+// what its predicates and actions do.
 
 // injectorBox wraps the injector interface for atomic storage.
 type injectorBox struct{ in guard.Injector }

@@ -6,8 +6,7 @@
 //
 //  1. Record: a Recorder attaches to the instrumented substrates
 //     (memory.Tracer for cell accesses, locks.Observer for mutex
-//     transitions, core.Engine.SetOnHit for breakpoint rendezvous) and
-//     journals every event into the CRC-framed write-ahead journal of
+//     transitions) and journals every event into the CRC-framed write-ahead journal of
 //     internal/journal, tagged with the observing goroutine's vector
 //     clock (internal/vclock).
 //
@@ -44,8 +43,7 @@ import (
 type EventKind string
 
 // Trace event kinds. Access and lock events carry the cell/lock name in
-// Obj; fork/join carry the child goroutine in Child; rendezvous events
-// carry the breakpoint name in Obj.
+// Obj; fork/join carry the child goroutine in Child.
 const (
 	// EvRead and EvWrite are memory-cell accesses (memory.Tracer).
 	EvRead  EventKind = "read"
@@ -72,7 +70,7 @@ type Event struct {
 	// Kind classifies the event.
 	Kind EventKind `json:"kind"`
 	// Obj names the touched object: cell name for read/write, lock
-	// name for acquire/release, breakpoint name for rendezvous.
+	// name for acquire/release.
 	Obj string `json:"obj,omitempty"`
 	// Site is the source label of the operation ("mysql:lsn").
 	Site string `json:"site,omitempty"`

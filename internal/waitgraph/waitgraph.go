@@ -19,8 +19,7 @@
 //     indistinguishable from an expired budget.
 //
 // Edges come from two sources: the locks registry's waiter map
-// (goroutine → mutex → owners, with RWMutex ownership widened to the
-// reader set) and the engine's postponed sets (goroutine → breakpoint
+// (goroutine → mutex → owner) and the engine's postponed sets (goroutine → breakpoint
 // shard; one set per shard holds the waiters of every slot and arity,
 // a two-way breakpoint having arity 2). Snapshots are assembled
 // lock-free or one shard/registry at a time — capturing a graph never
@@ -142,7 +141,7 @@ func (g Graph) Analyze() []Report {
 }
 
 // deadlockCycles finds every elementary cycle in the lock-wait digraph
-// (waiter → owner, with RWMutex edges fanning out to every reader).
+// (waiter → owner).
 // Self-edges — a goroutine blocked on a lock it already owns, the
 // re-entrant acquisition case — are 1-cycles. A cycle of lock edges
 // contains no postponed goroutine (a postponed goroutine is parked in
