@@ -19,9 +19,9 @@
 //     indistinguishable from an expired budget.
 //
 // Edges come from two sources: the locks registry's waiter map
-// (goroutine → mutex → owner) and the engine's postponed sets (goroutine → breakpoint
-// shard; one set per shard holds the waiters of every slot and arity,
-// a two-way breakpoint having arity 2). Snapshots are assembled
+// (goroutine → mutex → owner) and the engine's postponed sets
+// (goroutine → breakpoint shard; one set per shard holds the waiters of
+// every slot and arity, a two-way breakpoint having arity 2). Snapshots are assembled
 // lock-free or one shard/registry at a time — capturing a graph never
 // stops the world, so a snapshot is a sample, not a transaction; the
 // supervisor compensates by requiring a finding to persist across
