@@ -69,15 +69,13 @@ type (
 	Breakpoint = core.Breakpoint
 	// BPStats carries per-breakpoint counters.
 	BPStats = core.BPStats
-	// ConflictTrigger is a same-object conflict (data race) breakpoint side.
+	// ConflictTrigger is a same-object breakpoint side: a data race, an
+	// atomicity violation or a missed notification, by constructor.
 	ConflictTrigger = core.ConflictTrigger
 	// DeadlockTrigger is a crossed-lock deadlock breakpoint side.
 	DeadlockTrigger = core.DeadlockTrigger
-	// AtomicityTrigger is an atomicity-violation breakpoint side.
-	AtomicityTrigger = core.AtomicityTrigger
-	// NotifyTrigger is a missed-notification breakpoint side.
-	NotifyTrigger = core.NotifyTrigger
-	// PredTrigger is a generic closure-predicate breakpoint side.
+	// PredTrigger is a generic closure-predicate breakpoint side: the
+	// way to write a predicate of your own.
 	PredTrigger = core.PredTrigger
 )
 
@@ -166,13 +164,13 @@ func NewDeadlockTrigger(name string, held, want any) *DeadlockTrigger {
 
 // NewAtomicityTrigger returns an atomicity-violation breakpoint side over
 // obj.
-func NewAtomicityTrigger(name string, obj any) *AtomicityTrigger {
+func NewAtomicityTrigger(name string, obj any) *ConflictTrigger {
 	return core.NewAtomicityTrigger(name, obj)
 }
 
 // NewNotifyTrigger returns a missed-notification breakpoint side over the
 // condition object cond.
-func NewNotifyTrigger(name string, cond any) *NotifyTrigger {
+func NewNotifyTrigger(name string, cond any) *ConflictTrigger {
 	return core.NewNotifyTrigger(name, cond)
 }
 

@@ -101,6 +101,87 @@ func TestFacadeTriggerClasses(t *testing.T) {
 	}
 }
 
+// facadeA and facadeB are the objects facadeArrive's triggers reference.
+var facadeA, facadeB = new(int), new(int)
+
+// facadeArrive makes one arrival on the default engine with a trigger of
+// the given class (0 conflict, 1 atomicity, 2 notify, 3 deadlock, 4
+// pred), built in place through the facade as the apps build theirs:
+// TriggerHere when opts is nil, TriggerHereOpts otherwise. The two sides
+// of each class match each other.
+func facadeArrive(class int, name string, first bool, opts *Options) bool {
+	held, want := facadeA, facadeB
+	if !first {
+		held, want = want, held
+	}
+	var t Trigger
+	switch class {
+	case 0:
+		t = NewConflictTrigger(name, facadeA)
+	case 1:
+		t = NewAtomicityTrigger(name, facadeA)
+	case 2:
+		t = NewNotifyTrigger(name, facadeA)
+	case 3:
+		t = NewDeadlockTrigger(name, held, want)
+	default:
+		t = NewPredTrigger(name, facadeA, nil, func(o *PredTrigger) bool { return o.State != nil })
+	}
+	if opts == nil {
+		return TriggerHere(t, first, 0)
+	}
+	return TriggerHereOpts(t, first, *opts)
+}
+
+// TestFacadeRejectedArrivalsDoNotAllocate: through the facade, an
+// arrival that is not postponed allocates nothing with its trigger built
+// in place, for every class, on the disabled path (engine wide and per
+// breakpoint), the local-false path and the bound-spent path.
+func TestFacadeRejectedArrivalsDoNotAllocate(t *testing.T) {
+	Reset()
+	defer func() { SetEnabled(true); Reset() }()
+	classes := []string{"conflict", "atomicity", "notify", "deadlock", "pred"}
+	for c, class := range classes {
+		// Spend each class's bound: one hit on its bound breakpoint.
+		name := "facade.alloc.bound." + class
+		var wg sync.WaitGroup
+		for _, first := range []bool{true, false} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				facadeArrive(c, name, first, &Options{Bound: 1, Timeout: 5 * time.Second})
+			}()
+		}
+		wg.Wait()
+		if n := Stats(name).Hits(); n != 1 {
+			t.Fatalf("%s: %d set-up hits, want 1", name, n)
+		}
+		SetBreakpointEnabled("facade.alloc.off."+class, false)
+	}
+	never := &Options{ExtraLocal: func() bool { return false }}
+	for _, tc := range []struct {
+		path, bp  string
+		opts      *Options
+		engineOff bool
+	}{
+		{"breakpoint disabled", "off", nil, false},
+		{"local-false", "local", never, false},
+		{"bound spent", "bound", &Options{Bound: 1}, false},
+		{"engine disabled", "local", nil, true},
+	} {
+		SetEnabled(!tc.engineOff)
+		for c, class := range classes {
+			name := "facade.alloc." + tc.bp + "." + class
+			if facadeArrive(c, name, true, tc.opts) {
+				t.Fatalf("%s, %s: hit", class, tc.path)
+			}
+			if n := testing.AllocsPerRun(200, func() { facadeArrive(c, name, true, tc.opts) }); n != 0 {
+				t.Errorf("%s, %s: %v allocs, want 0", class, tc.path, n)
+			}
+		}
+	}
+}
+
 func TestFacadeLocksAndClassPred(t *testing.T) {
 	caret := NewLockClass("BasicCaret")
 	m := NewClassMutex("caret-lock", caret)

@@ -89,7 +89,7 @@ func lostNotifyScenario() {
 
 	fmt.Println(d.FormatAll())
 	fmt.Println()
-	fmt.Println("Methodology II: force the notify before the wait with a NotifyTrigger")
+	fmt.Println("Methodology II: force the notify before the wait with a NewNotifyTrigger")
 	fmt.Println("pair and watch the stall become deterministic (`cbtables -table log4j`).")
 }
 

@@ -1,6 +1,6 @@
 // Atomicity example: the paper's Figure 3 — the classic
 // java.lang.StringBuffer append/setLength atomicity violation, made
-// deterministic with an AtomicityTrigger pair.
+// deterministic with a pair of atomicity triggers (NewAtomicityTrigger).
 //
 // append(sb) reads sb's length and then copies that many characters,
 // acquiring sb's monitor separately for each call. A concurrent

@@ -30,6 +30,11 @@ import "time"
 // Two Trigger values belong to the same breakpoint when they share a
 // Name. PredicateLocal is phi_ti over this side's local state;
 // PredicateGlobal is phi_t1t2 evaluated against the partner side.
+//
+// The set of classes is closed: ConflictTrigger, DeadlockTrigger and
+// PredTrigger (triggers.go) are the only implementations, and a
+// PredTrigger expresses any other predicate. The engine relies on this
+// to keep a caller's trigger off the heap.
 type Trigger interface {
 	// Name identifies the breakpoint. Two Trigger instances with the
 	// same name are part of the same concurrent breakpoint.
@@ -43,6 +48,9 @@ type Trigger interface {
 	// the other side of the breakpoint. It is called with the partner's
 	// Trigger once both sides have arrived.
 	PredicateGlobal(other Trigger) bool
+
+	// builtin closes the set of classes to this package's.
+	builtin()
 }
 
 // Options refine a TriggerHere call site. The zero value uses the

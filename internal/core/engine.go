@@ -188,7 +188,7 @@ func (e *Engine) TriggerHere(t Trigger, first bool, opts Options) bool {
 	if !e.enabled.Load() {
 		return false
 	}
-	return e.shard(t.Name()).trigger(t, slotOf(first), 2, opts, nil) == OutcomeHit
+	return e.shard(nameOf(t)).trigger(t, slotOf(first), 2, opts, nil) == OutcomeHit
 }
 
 // TriggerHereAnd is TriggerHere with a strict ordering handshake: when
@@ -205,7 +205,7 @@ func (e *Engine) TriggerHereAnd(t Trigger, first bool, opts Options, action func
 		}
 		return false
 	}
-	return e.shard(t.Name()).trigger(t, slotOf(first), 2, opts, action) == OutcomeHit
+	return e.shard(nameOf(t)).trigger(t, slotOf(first), 2, opts, action) == OutcomeHit
 }
 
 // TriggerOutcome is TriggerHere returning the full outcome rather than
@@ -214,7 +214,7 @@ func (e *Engine) TriggerOutcome(t Trigger, first bool, opts Options) Outcome {
 	if !e.enabled.Load() {
 		return OutcomeDisabled
 	}
-	return e.shard(t.Name()).trigger(t, slotOf(first), 2, opts, nil)
+	return e.shard(nameOf(t)).trigger(t, slotOf(first), 2, opts, nil)
 }
 
 // trigger is the arrival path of every call, whatever its arity: slot
@@ -268,7 +268,7 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 		}
 	}
 
-	ok, pv, panicked := e.evalLocal(t, first, opts, st, fault)
+	ok, pv, panicked := e.evalLocal(name, t, first, opts, st, fault)
 	if panicked {
 		return e.absorbPredPanic(name, "local", 0, st, fault, pv, action)
 	}
@@ -307,9 +307,19 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 	if group != nil {
 		st.hit()
 		e.logEvent(s, EventHit, gid, first)
-		e.emitHit(name, t, s.postponed[group[0]].t)
+		// The hit callback runs once the shard mutex is released, so it
+		// may call back into the engine. The partner's trigger is read
+		// while the group is still in the postponed set.
+		cb := e.onHit.Load()
+		var partner Trigger
+		if cb != nil {
+			partner = s.postponed[group[0]].t
+		}
 		tn := s.chain(group, slot, arity)
 		s.mu.Unlock()
+		if cb != nil {
+			cb.f(name, heapCopy(t), partner)
+		}
 		e.reportBreaker(br, name, st, true)
 		return e.proceed(name, gid, st, fault, tn, action, timeout)
 	}
@@ -332,7 +342,7 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 	// Under pressure the granted budget shrinks below the requested
 	// timeout (overload.go), draining the backlog faster as it grows.
 	budget := ov.budget(timeout, global)
-	w := &waiter{t: t, slot: slot, arity: arity, gid: gid,
+	w := &waiter{t: heapCopy(t), slot: slot, arity: arity, gid: gid,
 		ch: make(chan turn, 1), cancelCh: make(chan struct{}),
 		deadline: time.Now().Add(budget)}
 	s.postponed = append(s.postponed, w)
@@ -522,7 +532,7 @@ func (s *bpState) joint(later, earlier Trigger, fault guard.Fault) (ok bool, pv 
 		if fault.PanicGlobal {
 			panic(guard.InjectedPanic{Breakpoint: s.name, Site: "global"})
 		}
-		return later.PredicateGlobal(earlier)
+		return jointHolds(later, earlier)
 	})
 }
 

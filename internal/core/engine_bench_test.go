@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,6 +96,45 @@ func BenchmarkEngineDisabled(b *testing.B) {
 		n := uint64(0)
 		for pb.Next() {
 			if h.Trigger(t, true, Options{}) {
+				n++
+			}
+		}
+		benchSink.Add(n)
+	})
+}
+
+// BenchmarkEngineBoundSpent is perfbench engine-hot's arrival: the apps'
+// call shape, a ConflictTrigger built per call, at a breakpoint whose
+// bound (Options{Bound: 1}) its one hit has spent, so every arrival is
+// refined away as local-false. As in engine-hot, the workers alternate
+// between the two sides. The trigger stays on the caller's stack, so it
+// reads 0 allocs/op, and the CI bench gate fails a change that makes it
+// allocate.
+func BenchmarkEngineBoundSpent(b *testing.B) {
+	e := benchEngine()
+	h := e.Breakpoint("bench.bound")
+	obj := new(int)
+	var wg sync.WaitGroup
+	for _, first := range []bool{true, false} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.Trigger(NewConflictTrigger("bench.bound", obj), first, Options{Bound: 1, Timeout: 5 * time.Second})
+		}()
+	}
+	wg.Wait()
+	if n := h.Stats().Hits(); n != 1 {
+		b.Fatalf("%d set-up hits, want 1", n)
+	}
+	spent := Options{Bound: 1}
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		first := next.Add(1)%2 == 1
+		n := uint64(0)
+		for pb.Next() {
+			if h.Trigger(NewConflictTrigger("bench.bound", obj), first, spent) {
 				n++
 			}
 		}

@@ -54,19 +54,17 @@ type onHitBox struct {
 // SetOnHit installs a callback invoked (synchronously, on the arriving
 // goroutine) whenever a breakpoint is hit, with both sides' triggers —
 // the structured analog of the paper's "Conflict"/"Deadlock" println.
-// Pass nil to remove.
+// At a multi-way hit, postponed is the lowest slot's waiter. The
+// callback runs outside the engine's locks, so it may call back into the
+// engine (PostponedCount, ForceRelease, Reset), and it receives copies
+// of the triggers that the engine makes for it, not the caller's
+// values. Pass nil to remove.
 func (e *Engine) SetOnHit(f func(name string, arriving, postponed Trigger)) {
 	if f == nil {
 		e.onHit.Store(nil)
 		return
 	}
 	e.onHit.Store(&onHitBox{f: f})
-}
-
-func (e *Engine) emitHit(name string, arriving, postponed Trigger) {
-	if b := e.onHit.Load(); b != nil {
-		b.f(name, arriving, postponed)
-	}
 }
 
 // logEvent publishes one event on the engine's telemetry bus — the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cbreak/internal/guard"
 	"cbreak/internal/telemetry"
 )
 
@@ -88,33 +89,201 @@ type noopTap struct{}
 
 func (noopTap) Deliver(telemetry.Record) {}
 
-// TestRejectedArrivalsDoNotAllocate: a local-false and a disabled
-// arrival through a handle with a pre-built trigger allocate nothing,
-// with no listener on the bus and with a tap attached.
+// allocClasses names the trigger classes arriveAs builds.
+var allocClasses = []string{"conflict", "atomicity", "notify", "deadlock", "pred"}
+
+// allocA and allocB are the objects arriveAs's triggers reference.
+var allocA, allocB = new(int), new(int)
+
+// arriveAs makes one arrival at the named breakpoint with a trigger of
+// class allocClasses[class], built in place as the apps build theirs:
+// through h when it is not nil, else through Engine.TriggerHere, which
+// reports only a hit. The two sides of each class match each other.
+func arriveAs(e *Engine, h *Breakpoint, class int, name string, first bool, opts Options) Outcome {
+	held, want := allocA, allocB
+	if !first {
+		held, want = want, held
+	}
+	var t Trigger
+	switch class {
+	case 0:
+		t = NewConflictTrigger(name, allocA)
+	case 1:
+		t = NewAtomicityTrigger(name, allocA)
+	case 2:
+		t = NewNotifyTrigger(name, allocA)
+	case 3:
+		t = NewDeadlockTrigger(name, held, want)
+	default:
+		t = NewPredTrigger(name, allocA, nil, func(o *PredTrigger) bool { return o.State != nil })
+	}
+	if h != nil {
+		return h.TriggerOutcome(t, first, opts)
+	}
+	if e.TriggerHere(t, first, opts) {
+		return OutcomeHit
+	}
+	return OutcomeLocalFalse
+}
+
+// TestRejectedArrivalsDoNotAllocate: an arrival that is not postponed
+// allocates nothing, with its trigger built inside the measured call as
+// the apps build it. Every class is checked on the disabled path (engine
+// wide and per breakpoint), the local-false path and the bound-spent
+// path, through a handle and through Engine.TriggerHere, with no
+// listener on the bus and with a tap attached.
 func TestRejectedArrivalsDoNotAllocate(t *testing.T) {
 	e := newTestEngine()
-	on, off := e.Breakpoint("alloc.on"), e.Breakpoint("alloc.off")
-	e.SetBreakpointEnabled("alloc.off", false)
-	onTrig, offTrig := neverTrigger("alloc.on"), neverTrigger("alloc.off")
-	check := func(listener string) {
+	never := Options{ExtraLocal: func() bool { return false }}
+	bound := Options{Bound: 1}
+	for c, class := range allocClasses {
+		// Spend each class's bound: one hit on its bound breakpoint.
+		name := "alloc.bound." + class
+		h := e.Breakpoint(name)
+		var wg sync.WaitGroup
+		for _, first := range []bool{true, false} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				arriveAs(e, h, c, name, first, Options{Bound: 1, Timeout: 5 * time.Second})
+			}()
+		}
+		wg.Wait()
+		if n := h.Stats().Hits(); n != 1 {
+			t.Fatalf("%s: %d set-up hits, want 1", name, n)
+		}
+		e.SetBreakpointEnabled("alloc.off."+class, false)
+	}
+	check := func(path, bp, listener string, want Outcome, opts Options) {
 		t.Helper()
-		for _, c := range []struct {
-			bp   *Breakpoint
-			tr   Trigger
-			want Outcome
-		}{{on, onTrig, OutcomeLocalFalse}, {off, offTrig, OutcomeDisabled}} {
-			if got := c.bp.TriggerOutcome(c.tr, true, Options{}); got != c.want {
-				t.Fatalf("%s: outcome %v, want %v", c.bp.Name(), got, c.want)
+		for c, class := range allocClasses {
+			name := "alloc." + bp + "." + class
+			h := e.Breakpoint(name)
+			if got := arriveAs(e, h, c, name, true, opts); got != want {
+				t.Fatalf("%s: outcome %v, want %v", name, got, want)
 			}
-			if n := testing.AllocsPerRun(1000, func() { c.bp.TriggerOutcome(c.tr, true, Options{}) }); n != 0 {
-				t.Errorf("%s arrival, %s: %v allocs, want 0", c.want, listener, n)
+			for _, via := range []struct {
+				api string
+				h   *Breakpoint
+			}{{"handle", h}, {"TriggerHere", nil}} {
+				if n := testing.AllocsPerRun(200, func() { arriveAs(e, via.h, c, name, true, opts) }); n != 0 {
+					t.Errorf("%s, %s through %s, %s: %v allocs, want 0", class, path, via.api, listener, n)
+				}
 			}
 		}
 	}
-	check("no listener")
-	h := e.Bus().AttachTap(noopTap{})
-	check("one tap")
-	h.Detach()
+	for _, listener := range []string{"no listener", "one tap"} {
+		var h *telemetry.TapHandle
+		if listener == "one tap" {
+			h = e.Bus().AttachTap(noopTap{})
+		}
+		check("breakpoint disabled", "off", listener, OutcomeDisabled, Options{})
+		check("local-false", "local", listener, OutcomeLocalFalse, never)
+		check("bound spent", "bound", listener, OutcomeLocalFalse, bound)
+		e.SetEnabled(false)
+		check("engine disabled", "local", listener, OutcomeDisabled, never)
+		e.SetEnabled(true)
+		if h != nil {
+			h.Detach()
+		}
+	}
+}
+
+// TestOnHitMayCallBackIntoEngine: the hit callback runs outside the
+// shard mutex, so a callback that reads, releases or resets its own
+// breakpoint returns, and both sides of the hit proceed.
+func TestOnHitMayCallBackIntoEngine(t *testing.T) {
+	e := newTestEngine()
+	postponed := make(chan int, 1)
+	e.SetOnHit(func(name string, arriving, partner Trigger) {
+		postponed <- e.PostponedCount(name) + len(e.PostponedWaiters())
+		e.ForceRelease(name, 0, guard.KindForceRelease, "from the hit callback")
+		e.Reset()
+	})
+	obj := new(int)
+	done := make(chan Outcome, 2)
+	for _, first := range []bool{true, false} {
+		go func() {
+			done <- e.TriggerOutcome(NewConflictTrigger("reenter", obj), first, Options{Timeout: time.Second})
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case out := <-done:
+			if out != OutcomeHit {
+				t.Errorf("side %d: outcome %v, want hit", i, out)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a hit whose callback calls back into the engine did not finish in 5s")
+		}
+	}
+	if n := <-postponed; n != 0 {
+		t.Errorf("the callback saw %d postponed waiters, want 0", n)
+	}
+}
+
+// TestPostponedCopyMatchesPartner: a postponed waiter keeps its own copy
+// of the caller's trigger, the copy still matches its partner, and the
+// hit callback receives copies that carry both sides' names and objects.
+func TestPostponedCopyMatchesPartner(t *testing.T) {
+	e := newTestEngine()
+	type sides struct{ arriving, postponed Trigger }
+	seen := make(chan sides, 1)
+	e.SetOnHit(func(_ string, arriving, postponed Trigger) { seen <- sides{arriving, postponed} })
+	a, b := new(int), new(int)
+	pairs := []struct {
+		name        string
+		first, then Trigger
+	}{
+		{"copy.conflict", NewConflictTrigger("copy.conflict", a), NewConflictTrigger("copy.conflict", a)},
+		{"copy.atomicity", NewAtomicityTrigger("copy.atomicity", a), NewAtomicityTrigger("copy.atomicity", a)},
+		{"copy.notify", NewNotifyTrigger("copy.notify", a), NewNotifyTrigger("copy.notify", a)},
+		{"copy.deadlock", NewDeadlockTrigger("copy.deadlock", a, b), NewDeadlockTrigger("copy.deadlock", b, a)},
+		{"copy.pred", NewPredTrigger("copy.pred", a, nil, nil),
+			NewPredTrigger("copy.pred", b, nil, func(o *PredTrigger) bool { return o.State == a })},
+	}
+	for _, p := range pairs {
+		done := make(chan Outcome, 1)
+		go func() { done <- e.TriggerOutcome(p.first, true, Options{Timeout: 5 * time.Second}) }()
+		for e.PostponedCount(p.name) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		if out := e.TriggerOutcome(p.then, false, Options{Timeout: 5 * time.Second}); out != OutcomeHit {
+			t.Fatalf("%s: arriving side %v, want hit", p.name, out)
+		}
+		if out := <-done; out != OutcomeHit {
+			t.Fatalf("%s: postponed side %v, want hit", p.name, out)
+		}
+		got := <-seen
+		for _, s := range []struct {
+			side      string
+			got, want Trigger
+		}{{"arriving", got.arriving, p.then}, {"postponed", got.postponed, p.first}} {
+			if s.got == s.want {
+				t.Errorf("%s: the callback got the caller's %s trigger, want a copy", p.name, s.side)
+			}
+			if !sameTrigger(s.got, s.want) {
+				t.Errorf("%s: %s copy %+v, want %+v", p.name, s.side, s.got, s.want)
+			}
+		}
+	}
+}
+
+// sameTrigger reports whether x and y are of one class with equal
+// names and referenced objects.
+func sameTrigger(x, y Trigger) bool {
+	switch x := x.(type) {
+	case *ConflictTrigger:
+		y, ok := y.(*ConflictTrigger)
+		return ok && *x == *y
+	case *DeadlockTrigger:
+		y, ok := y.(*DeadlockTrigger)
+		return ok && *x == *y
+	case *PredTrigger:
+		y, ok := y.(*PredTrigger)
+		return ok && x.name == y.name && x.State == y.State
+	}
+	return false
 }
 
 func TestOnHitCallback(t *testing.T) {

@@ -160,18 +160,22 @@ func protectBool(fn func() bool) (ok bool, pv any, panicked bool) {
 // evalLocal evaluates the effective local predicate (the trigger's
 // PredicateLocal, the IgnoreFirst/Bound refinements, and ExtraLocal)
 // with the user closures isolated: a panic is absorbed and reported
-// instead of unwinding through the caller.
-func (e *Engine) evalLocal(t Trigger, first bool, opts Options, st *BPStats, fault guard.Fault) (ok bool, pv any, panicked bool) {
-	name := t.Name()
-	ok, pv, panicked = protectBool(func() bool {
-		if fault.PanicLocal {
-			panic(guard.InjectedPanic{Breakpoint: name, Site: "local"})
+// instead of unwinding through the caller. A trigger without a local
+// predicate of its own, and with no injected PanicLocal, sets up no
+// isolation for it.
+func (e *Engine) evalLocal(name string, t Trigger, first bool, opts Options, st *BPStats, fault guard.Fault) (ok bool, pv any, panicked bool) {
+	if local := localOf(t); local != nil || fault.PanicLocal {
+		ok, pv, panicked = protectBool(func() bool {
+			if fault.PanicLocal {
+				panic(guard.InjectedPanic{Breakpoint: name, Site: "local"})
+			}
+			return local == nil || local()
+		})
+		if panicked || !ok {
+			return
 		}
-		return t.PredicateLocal()
-	})
-	if panicked || !ok {
-		return
 	}
+	ok = true
 	if opts.IgnoreFirst > 0 && st.sideArrivals(first) <= int64(opts.IgnoreFirst) {
 		return false, nil, false
 	}
@@ -199,12 +203,22 @@ func (e *Engine) absorbPredPanic(name, site string, gid uint64, st *BPStats, fau
 	return OutcomePanic
 }
 
-// execAction runs a call-site action under the hardening policy:
-// injected stalls and panics are applied, panics are recovered and
-// logged, stalls past the handshake budget are logged, and the panic is
-// re-thrown or absorbed per SetIsolateActionPanics. It reports whether
-// an absorbed panic should turn the call's outcome into OutcomePanic.
+// execAction runs a call-site action under the hardening policy
+// (runAction). With no action and no injected fault there is nothing to
+// run, and the call returns at once.
 func (e *Engine) execAction(name string, gid uint64, st *BPStats, fault guard.Fault, budget time.Duration, action func()) (panicked bool) {
+	if action == nil && fault.Zero() {
+		return false
+	}
+	return e.runAction(name, gid, st, fault, budget, action)
+}
+
+// runAction applies injected stalls and panics to a call-site action,
+// recovers and logs its panics, logs stalls past the handshake budget,
+// and re-throws or absorbs the panic per SetIsolateActionPanics. It
+// reports whether an absorbed panic should turn the call's outcome into
+// OutcomePanic.
+func (e *Engine) runAction(name string, gid uint64, st *BPStats, fault guard.Fault, budget time.Duration, action func()) (panicked bool) {
 	run := action
 	if fault.PanicAction {
 		run = func() {

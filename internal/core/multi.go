@@ -23,7 +23,7 @@ func (e *Engine) TriggerHereMulti(t Trigger, slot, arity int, opts Options) bool
 	if !e.enabled.Load() {
 		return false
 	}
-	return e.shard(t.Name()).triggerMulti(t, slot, arity, opts, nil) == OutcomeHit
+	return e.shard(nameOf(t)).triggerMulti(t, slot, arity, opts, nil) == OutcomeHit
 }
 
 // TriggerHereMultiAnd is TriggerHereMulti with the slot's guarded next
@@ -36,7 +36,7 @@ func (e *Engine) TriggerHereMultiAnd(t Trigger, slot, arity int, opts Options, a
 		}
 		return false
 	}
-	return e.shard(t.Name()).triggerMulti(t, slot, arity, opts, action) == OutcomeHit
+	return e.shard(nameOf(t)).triggerMulti(t, slot, arity, opts, action) == OutcomeHit
 }
 
 // triggerMulti checks an n-way call's slot and arity, then arrives like

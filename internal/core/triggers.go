@@ -1,41 +1,88 @@
 package core
 
 // This file provides the breakpoint classes of section 4 of the paper:
-// ConflictTrigger (data races and other same-object conflicts),
-// DeadlockTrigger (lock-order deadlocks), AtomicityTrigger (atomicity
-// violations), NotifyTrigger (missed notifications on a condition
-// object), and the fully generic PredTrigger.
+// ConflictTrigger (two sides over the same object: a data race, an
+// atomicity violation or a missed notification), DeadlockTrigger
+// (lock-order deadlocks), and the fully generic PredTrigger.
+//
+// The set is closed (Trigger's unexported method), so the engine never
+// calls a trigger through the interface: it switches on the concrete
+// class (nameOf, localOf, jointHolds). A call through the interface
+// would let the trigger escape, and every call site would heap-allocate
+// the trigger it builds. With the set closed the engine keeps no
+// caller's trigger either: a postponed waiter keeps its own copy
+// (heapCopy), so an arrival that is not postponed allocates nothing.
+
+// objClass is the class of a ConflictTrigger: which of the paper's
+// same-object breakpoints it is one side of.
+type objClass uint8
+
+const (
+	classConflict objClass = iota
+	classAtomicity
+	classNotify
+)
 
 // ConflictTrigger represents one side of a breakpoint of the form
-// (l1, l2, t1.obj == t2.obj): two threads about to touch the same object
-// (typically a data race, where at least one access is a write). It is
-// the Go analog of the paper's ConflictTrigger class (Figure 6).
+// (l1, l2, t1.obj == t2.obj): two goroutines about to touch the same
+// object. It is the Go analog of the paper's ConflictTrigger class
+// (Figure 6), and it carries the paper's two other same-object classes
+// as well, each made by its own constructor:
+//
+//   - NewConflictTrigger: a data race or another same-object conflict,
+//     where at least one access is a write;
+//   - NewAtomicityTrigger: one side is inside a block that should be
+//     atomic over the object while the other is about to interleave an
+//     operation on it (the StringBuffer example of Figure 3, where
+//     t1.sb == t2.this);
+//   - NewNotifyTrigger: one side is about to notify a condition object
+//     while the other is about to (but has not yet begun to) wait on
+//     it. Ordering the notify before the wait makes the notification
+//     miss, reproducing lost-wakeup stalls (the log4j, pool and jigsaw
+//     bugs of the paper's evaluation).
+//
+// Two sides match when they share the class, the breakpoint name and
+// the object. Objects are compared by interface identity, so pass
+// pointers.
 type ConflictTrigger struct {
-	name string
-	// Obj is the object this side is about to access. Objects are
-	// compared by interface identity, so pass pointers.
-	Obj any
+	name  string
+	obj   any
+	class objClass
 }
 
 // NewConflictTrigger returns a conflict trigger for the named breakpoint
 // guarding an access to obj.
 func NewConflictTrigger(name string, obj any) *ConflictTrigger {
-	return &ConflictTrigger{name: name, Obj: obj}
+	return &ConflictTrigger{name: name, obj: obj, class: classConflict}
+}
+
+// NewAtomicityTrigger returns an atomicity-violation trigger for the
+// named breakpoint over obj.
+func NewAtomicityTrigger(name string, obj any) *ConflictTrigger {
+	return &ConflictTrigger{name: name, obj: obj, class: classAtomicity}
+}
+
+// NewNotifyTrigger returns a missed-notification trigger for the named
+// breakpoint over the condition object cond.
+func NewNotifyTrigger(name string, cond any) *ConflictTrigger {
+	return &ConflictTrigger{name: name, obj: cond, class: classNotify}
 }
 
 // Name implements Trigger.
 func (c *ConflictTrigger) Name() string { return c.name }
 
-// PredicateLocal implements Trigger; a plain conflict has no local
-// condition beyond reaching the location.
+// PredicateLocal implements Trigger; a same-object breakpoint has no
+// local condition beyond reaching the location.
 func (c *ConflictTrigger) PredicateLocal() bool { return true }
 
-// PredicateGlobal implements Trigger: both sides must reference the same
-// object.
+// PredicateGlobal implements Trigger: both sides must be of one class
+// and reference the same object.
 func (c *ConflictTrigger) PredicateGlobal(other Trigger) bool {
 	o, ok := other.(*ConflictTrigger)
-	return ok && o.name == c.name && o.Obj == c.Obj
+	return ok && o.class == c.class && o.name == c.name && o.obj == c.obj
 }
+
+func (*ConflictTrigger) builtin() {}
 
 // DeadlockTrigger represents one side of a deadlock breakpoint: the
 // thread holds Held and is about to acquire Want. The joint predicate is
@@ -69,67 +116,12 @@ func (d *DeadlockTrigger) PredicateGlobal(other Trigger) bool {
 	return ok && o.name == d.name && d.Held == o.Want && d.Want == o.Held
 }
 
-// AtomicityTrigger represents one side of an atomicity-violation
-// breakpoint: one thread is inside a block that should be atomic over
-// object Obj while the other is about to interleave an operation on the
-// same object (the StringBuffer example of Figure 3, where t1.sb ==
-// t2.this).
-type AtomicityTrigger struct {
-	name string
-	// Obj is the object whose atomic block is being violated.
-	Obj any
-}
-
-// NewAtomicityTrigger returns an atomicity trigger for the named
-// breakpoint over obj.
-func NewAtomicityTrigger(name string, obj any) *AtomicityTrigger {
-	return &AtomicityTrigger{name: name, Obj: obj}
-}
-
-// Name implements Trigger.
-func (a *AtomicityTrigger) Name() string { return a.name }
-
-// PredicateLocal implements Trigger.
-func (a *AtomicityTrigger) PredicateLocal() bool { return true }
-
-// PredicateGlobal implements Trigger.
-func (a *AtomicityTrigger) PredicateGlobal(other Trigger) bool {
-	o, ok := other.(*AtomicityTrigger)
-	return ok && o.name == a.name && o.Obj == a.Obj
-}
-
-// NotifyTrigger represents one side of a missed-notification breakpoint:
-// one thread is about to notify a condition object while another is about
-// to (but has not yet begun to) wait on it. Ordering the notify before
-// the wait makes the notification miss, reproducing lost-wakeup stalls
-// (the log4j/pool/jigsaw bugs of the paper's evaluation).
-type NotifyTrigger struct {
-	name string
-	// Cond is the condition/monitor object being notified or awaited.
-	Cond any
-}
-
-// NewNotifyTrigger returns a missed-notification trigger for the named
-// breakpoint over the condition object cond.
-func NewNotifyTrigger(name string, cond any) *NotifyTrigger {
-	return &NotifyTrigger{name: name, Cond: cond}
-}
-
-// Name implements Trigger.
-func (n *NotifyTrigger) Name() string { return n.name }
-
-// PredicateLocal implements Trigger.
-func (n *NotifyTrigger) PredicateLocal() bool { return true }
-
-// PredicateGlobal implements Trigger.
-func (n *NotifyTrigger) PredicateGlobal(other Trigger) bool {
-	o, ok := other.(*NotifyTrigger)
-	return ok && o.name == n.name && o.Cond == n.Cond
-}
+func (*DeadlockTrigger) builtin() {}
 
 // PredTrigger is a fully generic breakpoint side built from closures. It
 // subsumes the other trigger classes and supports arbitrary phi_ti and
-// phi_t1t2 predicates over captured local state.
+// phi_t1t2 predicates over captured local state: it is how to write a
+// breakpoint that the built-in classes do not cover.
 type PredTrigger struct {
 	name string
 	// State carries arbitrary local state for the Global predicate of
@@ -161,4 +153,60 @@ func (p *PredTrigger) PredicateGlobal(other Trigger) bool {
 		return false
 	}
 	return p.Global == nil || p.Global(o)
+}
+
+func (*PredTrigger) builtin() {}
+
+// nameOf is t.Name() on the concrete class.
+func nameOf(t Trigger) string {
+	switch t := t.(type) {
+	case *ConflictTrigger:
+		return t.name
+	case *DeadlockTrigger:
+		return t.name
+	case *PredTrigger:
+		return t.name
+	}
+	return ""
+}
+
+// localOf returns t's local predicate phi_ti, or nil when it has none:
+// only a PredTrigger with Local set has one.
+func localOf(t Trigger) func() bool {
+	if p, ok := t.(*PredTrigger); ok {
+		return p.Local
+	}
+	return nil
+}
+
+// jointHolds is later.PredicateGlobal(earlier) on the concrete class.
+// A PredTrigger's Global closure receives earlier, so earlier is always
+// a postponed waiter's copy, never an arriving caller's trigger.
+func jointHolds(later, earlier Trigger) bool {
+	switch l := later.(type) {
+	case *ConflictTrigger:
+		return l.PredicateGlobal(earlier)
+	case *DeadlockTrigger:
+		return l.PredicateGlobal(earlier)
+	case *PredTrigger:
+		return l.PredicateGlobal(earlier)
+	}
+	return false
+}
+
+// heapCopy returns a copy of t that the engine owns: a postponed waiter
+// keeps one, and the hit callback receives one.
+func heapCopy(t Trigger) Trigger {
+	switch t := t.(type) {
+	case *ConflictTrigger:
+		c := *t
+		return &c
+	case *DeadlockTrigger:
+		c := *t
+		return &c
+	case *PredTrigger:
+		c := *t
+		return &c
+	}
+	return nil
 }
