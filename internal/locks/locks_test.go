@@ -40,6 +40,57 @@ func TestNestedHeldOrder(t *testing.T) {
 	}
 }
 
+// TestFirstLockReusesHeldStack: the held-set bookkeeping of an
+// uncontended Lock/Unlock pair allocates nothing, though each Lock is
+// the goroutine's first: the stack its Unlock empties is kept as a
+// spare for the next Lock. It measures the registry's push and pop, not
+// Lock and Unlock, because GoroutineID's pooled buffers allocate at
+// random under the race detector, which drops sync.Pool items.
+func TestFirstLockReusesHeldStack(t *testing.T) {
+	m := NewMutex("alloc")
+	gid := GoroutineID()
+	if n := testing.AllocsPerRun(1000, func() { reg.push(gid, m); reg.pop(gid, m) }); n != 0 {
+		t.Fatalf("first lock and last unlock: %v allocs per pair, want 0", n)
+	}
+}
+
+// TestHeldStacksBounded: goroutines that released their last lock leave
+// the registry, and it keeps at most maxSpare emptied stacks, however
+// many goroutines held a lock at once.
+func TestHeldStacksBounded(t *testing.T) {
+	const n = 2 * maxSpare
+	gids := make(chan uint64, n)
+	var holding, wg sync.WaitGroup
+	holding.Add(n)
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := NewMutex("bounded")
+			m.Lock()
+			gids <- GoroutineID()
+			holding.Done()
+			<-release
+			m.Unlock()
+		}()
+	}
+	holding.Wait()
+	close(release)
+	wg.Wait()
+	close(gids)
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	for gid := range gids {
+		if _, ok := reg.held[gid]; ok {
+			t.Fatalf("goroutine %d left a held stack after its last unlock", gid)
+		}
+	}
+	if len(reg.spare) > maxSpare {
+		t.Fatalf("%d spare stacks, want at most %d", len(reg.spare), maxSpare)
+	}
+}
+
 func TestHeldIsPerGoroutine(t *testing.T) {
 	m := NewMutex("g")
 	m.Lock()
