@@ -21,9 +21,9 @@
 //	        -gate BenchmarkEngineContention,BenchmarkEngineDisabled
 //
 // Each gated series (sub-benchmarks included) must stay within
-// -max-regress of its baseline ns/op or the command exits nonzero,
-// naming every regressed series — the hot-path perf contract as a CI
-// check. A series is its name at one GOMAXPROCS: go test appends "-P"
+// -max-regress of its baseline ns/op, and allocate no more per op than
+// its baseline, or the command exits nonzero, naming every regressed
+// series — the hot-path perf contract as a CI check. A series is its name at one GOMAXPROCS: go test appends "-P"
 // to the name for P > 1 and nothing for P = 1, and only entries with
 // equal GOMAXPROCS are compared, so a baseline must be recorded at the
 // -cpu values the gate runs with.
@@ -222,12 +222,15 @@ func gated(base string, patterns []string) bool {
 	return false
 }
 
-// regression is one gated series that exceeded its allowance.
+// regression is one gated series that exceeded its allowance in one
+// unit: ns/op beyond the allowed ratio, or allocs/op beyond the
+// baseline's.
 type regression struct {
-	Name          string
-	Procs         int
-	BaseNs, CurNs float64
-	Ratio         float64
+	Name      string
+	Procs     int
+	Unit      string
+	Base, Cur float64
+	Ratio     float64
 }
 
 // series identifies one benchmark series: a base name in a package at
@@ -237,34 +240,47 @@ type series struct {
 	procs     int
 }
 
-// minNsPerOp reduces a report to the minimum ns/op per series: with
-// `go test -count=N`, each series appears N times, and the minimum is
-// the standard noise-robust representative (nothing runs faster than
-// the hardware; only slower).
-func minNsPerOp(rep Report) map[series]float64 {
-	out := make(map[series]float64, len(rep.Benchmarks))
+// perOp is one series' best cost per op: the minimum ns/op and the
+// minimum allocs/op over its entries.
+type perOp struct {
+	ns, allocs float64
+}
+
+// minPerOp reduces a report to the best cost per series: with `go test
+// -count=N`, each series appears N times, and the minimum is the
+// standard noise-robust representative (nothing runs faster than the
+// hardware; only slower). An allocation on the measured path shows in
+// every repeat, so the minimum keeps it.
+func minPerOp(rep Report) map[series]perOp {
+	out := make(map[series]perOp, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		if b.NsPerOp <= 0 {
 			continue
 		}
 		base, procs := splitProcs(b.Name)
 		key := series{pkg: b.Pkg, name: base, procs: procs}
-		if cur, ok := out[key]; !ok || b.NsPerOp < cur {
-			out[key] = b.NsPerOp
+		cur, ok := out[key]
+		if !ok || b.NsPerOp < cur.ns {
+			cur.ns = b.NsPerOp
 		}
+		if !ok || b.AllocsPerOp < cur.allocs {
+			cur.allocs = b.AllocsPerOp
+		}
+		out[key] = cur
 	}
 	return out
 }
 
 // gate compares cur against base: every gated series present in both
 // at the same GOMAXPROCS must hold its best (minimum over -count
-// repeats) ns/op within (1 + maxRegress) of the baseline's best. It
-// returns the regressed series and how many series were compared; zero
-// comparisons is the caller's error (a renamed benchmark must break the
-// gate, not silently pass it).
+// repeats) ns/op within (1 + maxRegress) of the baseline's best, and
+// its best allocs/op at or below the baseline's. It returns the
+// regressions, one per series and unit, and how many series were
+// compared; zero comparisons is the caller's error (a renamed benchmark
+// must break the gate, not silently pass it).
 func gate(cur, base Report, patterns []string, maxRegress float64) (regs []regression, compared int) {
-	baseline := minNsPerOp(base)
-	fresh := minNsPerOp(cur)
+	baseline := minPerOp(base)
+	fresh := minPerOp(cur)
 	keys := make([]series, 0, len(fresh))
 	for key := range fresh {
 		keys = append(keys, key)
@@ -288,9 +304,12 @@ func gate(cur, base Report, patterns []string, maxRegress float64) (regs []regre
 			continue
 		}
 		compared++
-		ratio := fresh[key] / prior
-		if ratio > 1+maxRegress {
-			regs = append(regs, regression{Name: key.name, Procs: key.procs, BaseNs: prior, CurNs: fresh[key], Ratio: ratio})
+		now := fresh[key]
+		if ratio := now.ns / prior.ns; ratio > 1+maxRegress {
+			regs = append(regs, regression{Name: key.name, Procs: key.procs, Unit: "ns/op", Base: prior.ns, Cur: now.ns, Ratio: ratio})
+		}
+		if now.allocs > prior.allocs {
+			regs = append(regs, regression{Name: key.name, Procs: key.procs, Unit: "allocs/op", Base: prior.allocs, Cur: now.allocs})
 		}
 	}
 	return regs, compared
@@ -340,13 +359,18 @@ func main() {
 			os.Exit(1)
 		}
 		for _, r := range regs {
+			if r.Unit == "allocs/op" {
+				fmt.Fprintf(os.Stderr, "cbbench: REGRESSION %s at GOMAXPROCS=%d: %g allocs/op -> %g allocs/op (allowed no more)\n",
+					r.Name, r.Procs, r.Base, r.Cur)
+				continue
+			}
 			fmt.Fprintf(os.Stderr, "cbbench: REGRESSION %s at GOMAXPROCS=%d: %.1f ns/op -> %.1f ns/op (%.2fx, allowed %.2fx)\n",
-				r.Name, r.Procs, r.BaseNs, r.CurNs, r.Ratio, 1+*maxRegress)
+				r.Name, r.Procs, r.Base, r.Cur, r.Ratio, 1+*maxRegress)
 		}
 		if len(regs) > 0 {
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "cbbench: %d gated series within %.0f%% of %s\n",
+		fmt.Fprintf(os.Stderr, "cbbench: %d gated series within %.0f%% of %s, none allocating more\n",
 			compared, *maxRegress*100, *baseline)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -170,6 +170,26 @@ func TestGate(t *testing.T) {
 	if _, compared := gate(cur, base, nil, 0.20); compared != 3 {
 		t.Fatalf("ungated comparison covered %d series, want 3", compared)
 	}
+
+	// A series that allocates more than its baseline regresses, however
+	// fast it runs; one that allocates as much or less does not.
+	base = Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkEngineBoundSpent-2", Pkg: "core", NsPerOp: 100, AllocsPerOp: 0},
+		{Name: "BenchmarkEngineListened-2", Pkg: "core", NsPerOp: 100, AllocsPerOp: 2},
+	}}
+	cur = Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkEngineBoundSpent-2", Pkg: "core", NsPerOp: 60, AllocsPerOp: 1},
+		{Name: "BenchmarkEngineBoundSpent-2", Pkg: "core", NsPerOp: 90, AllocsPerOp: 1},
+		{Name: "BenchmarkEngineListened-2", Pkg: "core", NsPerOp: 100, AllocsPerOp: 1},
+	}}
+	pats = []string{"BenchmarkEngineBoundSpent", "BenchmarkEngineListened"}
+	regs, compared = gate(cur, base, pats, 0.20)
+	if compared != 2 || len(regs) != 1 {
+		t.Fatalf("compared %d, regressions %+v; want one allocation regression of two series", compared, regs)
+	}
+	if r := regs[0]; r.Name != "BenchmarkEngineBoundSpent" || r.Unit != "allocs/op" || r.Base != 0 || r.Cur != 1 {
+		t.Fatalf("regression = %+v, want BenchmarkEngineBoundSpent at 0 -> 1 allocs/op", r)
+	}
 }
 
 // TestGatePairsOnlyEqualGOMAXPROCS: a series recorded at one GOMAXPROCS
