@@ -133,10 +133,36 @@ func facadeArrive(class int, name string, first bool, opts *Options) bool {
 	return TriggerHereOpts(t, first, *opts)
 }
 
+// facadeOwnFalseBP is the breakpoint facadeArriveOwnFalse arrives at.
+const facadeOwnFalseBP = "facade.alloc.own"
+
+// facadeArriveOwnFalse makes one arrival at facadeOwnFalseBP with a
+// PredTrigger whose own Local is false: pre when it is not nil, else one
+// built in place; through h when it is not nil, else through
+// TriggerHere. It reports a hit.
+func facadeArriveOwnFalse(h *Breakpoint, pre Trigger) bool {
+	t := pre
+	if t == nil {
+		t = NewPredTrigger(facadeOwnFalseBP, facadeA, func() bool { return false }, nil)
+	}
+	if h != nil {
+		return h.Trigger(t, true, Options{})
+	}
+	return TriggerHere(t, true, 0)
+}
+
+// dropTap receives bus records and drops them.
+type dropTap struct{}
+
+func (dropTap) Deliver(TelemetryRecord) {}
+
 // TestFacadeRejectedArrivalsDoNotAllocate: through the facade, an
 // arrival that is not postponed allocates nothing with its trigger built
 // in place, for every class, on the disabled path (engine wide and per
-// breakpoint), the local-false path and the bound-spent path.
+// breakpoint), the local-false path and the bound-spent path. The
+// local-false path is also taken on the trigger's own predicate: a
+// PredTrigger with Local false, built in place and pre-built, through a
+// handle and through TriggerHere, with no listener and with a tap.
 func TestFacadeRejectedArrivalsDoNotAllocate(t *testing.T) {
 	Reset()
 	defer func() { SetEnabled(true); Reset() }()
@@ -180,6 +206,33 @@ func TestFacadeRejectedArrivalsDoNotAllocate(t *testing.T) {
 			}
 		}
 	}
+	SetEnabled(true)
+	own := Register(facadeOwnFalseBP)
+	pre := NewPredTrigger(facadeOwnFalseBP, nil, func() bool { return false }, nil)
+	checkOwnFalse := func(listener string) {
+		t.Helper()
+		for _, p := range []struct {
+			built string
+			pre   Trigger
+		}{{"built in place", nil}, {"pre-built", pre}} {
+			for _, v := range []struct {
+				api string
+				h   *Breakpoint
+			}{{"handle", own}, {"TriggerHere", nil}} {
+				before := own.Stats().LocalFalses()
+				if facadeArriveOwnFalse(v.h, p.pre) || own.Stats().LocalFalses() != before+1 {
+					t.Fatalf("pred with Local false, %s, through %s: not a local-false arrival", p.built, v.api)
+				}
+				if n := testing.AllocsPerRun(200, func() { facadeArriveOwnFalse(v.h, p.pre) }); n != 0 {
+					t.Errorf("pred with Local false, %s, through %s, %s: %v allocs, want 0", p.built, v.api, listener, n)
+				}
+			}
+		}
+	}
+	checkOwnFalse("no listener")
+	tap := Telemetry().AttachTap(dropTap{})
+	checkOwnFalse("one tap")
+	tap.Detach()
 }
 
 func TestFacadeLocksAndClassPred(t *testing.T) {

@@ -240,6 +240,9 @@ func (s *bpState) trigger(t Trigger, slot, arity int, opts Options, action func(
 // breakpoint's first-action side and every other slot as its second,
 // in the statistics, the fault hooks and the published events.
 func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()) Outcome {
+	if t == nil {
+		panic(nilTrigger)
+	}
 	e := s.eng
 	name := s.name
 	st := s.stats
@@ -308,17 +311,22 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 		st.hit()
 		e.logEvent(s, EventHit, gid, first)
 		// The hit callback runs once the shard mutex is released, so it
-		// may call back into the engine. The partner's trigger is read
-		// while the group is still in the postponed set.
+		// may call back into the engine, and before the group's waiters
+		// get their turns, so no side proceeds until it returns. The
+		// partner's trigger is read while the group is still in the
+		// postponed set.
 		cb := e.onHit.Load()
 		var partner Trigger
 		if cb != nil {
 			partner = s.postponed[group[0]].t
 		}
-		tn := s.chain(group, slot, arity)
+		var hs [8]handoff
+		tn, matched := s.chain(hs[:0], group, slot, arity)
 		s.mu.Unlock()
 		if cb != nil {
-			cb.f(name, heapCopy(t), partner)
+			cb.run(name, t, partner, matched)
+		} else {
+			deliver(matched)
 		}
 		e.reportBreaker(br, name, st, true)
 		return e.proceed(name, gid, st, fault, tn, action, timeout)
@@ -536,12 +544,19 @@ func (s *bpState) joint(later, earlier Trigger, fault guard.Fault) (ok bool, pv 
 	})
 }
 
-// chain hands every waiter of a matched group its turn in the release
-// chain and prunes the group from the postponed set; it returns the
-// arriving participant's turn. group holds the waiters' postponed-set
+// handoff is a matched waiter and its turn in the hit's release chain.
+type handoff struct {
+	w  *waiter
+	tn turn
+}
+
+// chain builds a matched group's release chain: it marks every waiter
+// of the group matched, appends each one's turn to hs for deliver, and
+// prunes the group from the postponed set; it returns the arriving
+// participant's turn and hs. group holds the waiters' postponed-set
 // indexes in slot order, the arriving slot left out. One channel links
 // each slot to the next, so an arity-2 hit makes one. Caller holds s.mu.
-func (s *bpState) chain(group []int, slot, arity int) (mine turn) {
+func (s *bpState) chain(hs []handoff, group []int, slot, arity int) (mine turn, _ []handoff) {
 	var prev chan struct{}
 	for k := 0; k < arity; k++ {
 		var next chan struct{}
@@ -554,12 +569,21 @@ func (s *bpState) chain(group []int, slot, arity int) (mine turn) {
 			w := s.postponed[group[0]]
 			group = group[1:]
 			w.state = waiterMatched
-			w.ch <- turn{prev, next}
+			hs = append(hs, handoff{w, turn{prev, next}})
 		}
 		prev = next
 	}
 	s.prune()
-	return mine
+	return mine, hs
+}
+
+// deliver hands each matched waiter its turn. A matched waiter has left
+// the postponed set, so nothing else releases it: it waits for its turn
+// even after its timer fires.
+func deliver(hs []handoff) {
+	for _, h := range hs {
+		h.w.ch <- h.tn
+	}
 }
 
 // PostponedCount returns the number of goroutines currently postponed on

@@ -58,13 +58,23 @@ type onHitBox struct {
 // callback runs outside the engine's locks, so it may call back into the
 // engine (PostponedCount, ForceRelease, Reset), and it receives copies
 // of the triggers that the engine makes for it, not the caller's
-// values. Pass nil to remove.
+// values. It runs before any side of the hit proceeds: the postponed
+// sides wait for it to return (or panic), past their timeouts if need
+// be, so a slow callback delays the hit but keeps its order. Pass nil
+// to remove.
 func (e *Engine) SetOnHit(f func(name string, arriving, postponed Trigger)) {
 	if f == nil {
 		e.onHit.Store(nil)
 		return
 	}
 	e.onHit.Store(&onHitBox{f: f})
+}
+
+// run calls the hit callback with copies of the triggers, then hands
+// the group's waiters their turns, also when the callback panics.
+func (b *onHitBox) run(name string, arriving, postponed Trigger, matched []handoff) {
+	defer deliver(matched)
+	b.f(name, heapCopy(arriving), postponed)
 }
 
 // logEvent publishes one event on the engine's telemetry bus — the

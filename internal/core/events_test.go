@@ -126,12 +126,35 @@ func arriveAs(e *Engine, h *Breakpoint, class int, name string, first bool, opts
 	return OutcomeLocalFalse
 }
 
+// ownFalseBP is the breakpoint arriveOwnFalse arrives at.
+const ownFalseBP = "alloc.own"
+
+// arriveOwnFalse makes one arrival at ownFalseBP with a PredTrigger
+// whose own Local is false, the one class whose local predicate the
+// engine runs under recover: pre when it is not nil, else one built in
+// place; through h when it is not nil, else through Engine.TriggerHere.
+func arriveOwnFalse(e *Engine, h *Breakpoint, pre Trigger) Outcome {
+	t := pre
+	if t == nil {
+		t = NewPredTrigger(ownFalseBP, allocA, func() bool { return false }, nil)
+	}
+	if h != nil {
+		return h.TriggerOutcome(t, true, Options{})
+	}
+	if e.TriggerHere(t, true, Options{}) {
+		return OutcomeHit
+	}
+	return OutcomeLocalFalse
+}
+
 // TestRejectedArrivalsDoNotAllocate: an arrival that is not postponed
 // allocates nothing, with its trigger built inside the measured call as
 // the apps build it. Every class is checked on the disabled path (engine
 // wide and per breakpoint), the local-false path and the bound-spent
 // path, through a handle and through Engine.TriggerHere, with no
-// listener on the bus and with a tap attached.
+// listener on the bus and with a tap attached. The local-false path is
+// also taken on the trigger's own predicate: a PredTrigger with Local
+// false, built in place and pre-built (neverTrigger).
 func TestRejectedArrivalsDoNotAllocate(t *testing.T) {
 	e := newTestEngine()
 	never := Options{ExtraLocal: func() bool { return false }}
@@ -154,6 +177,10 @@ func TestRejectedArrivalsDoNotAllocate(t *testing.T) {
 		}
 		e.SetBreakpointEnabled("alloc.off."+class, false)
 	}
+	type via struct {
+		api string
+		h   *Breakpoint
+	}
 	check := func(path, bp, listener string, want Outcome, opts Options) {
 		t.Helper()
 		for c, class := range allocClasses {
@@ -162,12 +189,26 @@ func TestRejectedArrivalsDoNotAllocate(t *testing.T) {
 			if got := arriveAs(e, h, c, name, true, opts); got != want {
 				t.Fatalf("%s: outcome %v, want %v", name, got, want)
 			}
-			for _, via := range []struct {
-				api string
-				h   *Breakpoint
-			}{{"handle", h}, {"TriggerHere", nil}} {
-				if n := testing.AllocsPerRun(200, func() { arriveAs(e, via.h, c, name, true, opts) }); n != 0 {
-					t.Errorf("%s, %s through %s, %s: %v allocs, want 0", class, path, via.api, listener, n)
+			for _, v := range []via{{"handle", h}, {"TriggerHere", nil}} {
+				if n := testing.AllocsPerRun(200, func() { arriveAs(e, v.h, c, name, true, opts) }); n != 0 {
+					t.Errorf("%s, %s through %s, %s: %v allocs, want 0", class, path, v.api, listener, n)
+				}
+			}
+		}
+	}
+	own := e.Breakpoint(ownFalseBP)
+	checkOwnFalse := func(listener string) {
+		t.Helper()
+		for _, p := range []struct {
+			built string
+			pre   Trigger
+		}{{"built in place", nil}, {"pre-built", neverTrigger(ownFalseBP)}} {
+			if got := arriveOwnFalse(e, own, p.pre); got != OutcomeLocalFalse {
+				t.Fatalf("pred with Local false, %s: outcome %v, want %v", p.built, got, OutcomeLocalFalse)
+			}
+			for _, v := range []via{{"handle", own}, {"TriggerHere", nil}} {
+				if n := testing.AllocsPerRun(200, func() { arriveOwnFalse(e, v.h, p.pre) }); n != 0 {
+					t.Errorf("pred with Local false, %s, through %s, %s: %v allocs, want 0", p.built, v.api, listener, n)
 				}
 			}
 		}
@@ -179,6 +220,7 @@ func TestRejectedArrivalsDoNotAllocate(t *testing.T) {
 		}
 		check("breakpoint disabled", "off", listener, OutcomeDisabled, Options{})
 		check("local-false", "local", listener, OutcomeLocalFalse, never)
+		checkOwnFalse(listener)
 		check("bound spent", "bound", listener, OutcomeLocalFalse, bound)
 		e.SetEnabled(false)
 		check("engine disabled", "local", listener, OutcomeDisabled, never)
@@ -219,6 +261,105 @@ func TestOnHitMayCallBackIntoEngine(t *testing.T) {
 	}
 	if n := <-postponed; n != 0 {
 		t.Errorf("the callback saw %d postponed waiters, want 0", n)
+	}
+}
+
+// TestSlowOnHitKeepsOrder: the hit callback returns before either side
+// of the hit proceeds, whichever side arrives second, so a callback
+// slower than the postponed side's timeout neither reverses the order
+// nor runs beside a side's action.
+func TestSlowOnHitKeepsOrder(t *testing.T) {
+	const timeout, slow = 200 * time.Millisecond, 600 * time.Millisecond
+	for _, arrivingFirst := range []bool{true, false} {
+		e := newTestEngine()
+		var mu sync.Mutex
+		var order []string
+		note := func(s string) {
+			mu.Lock()
+			order = append(order, s)
+			mu.Unlock()
+		}
+		e.SetOnHit(func(string, Trigger, Trigger) {
+			time.Sleep(slow)
+			note("callback")
+		})
+		obj := new(int)
+		arrive := func(first bool) bool {
+			act := "second"
+			if first {
+				act = "first"
+			}
+			return e.TriggerHereAnd(NewConflictTrigger("slow-hit", obj), first,
+				Options{Timeout: timeout}, func() { note(act) })
+		}
+		postponed := make(chan bool, 1)
+		go func() { postponed <- arrive(!arrivingFirst) }()
+		for e.PostponedCount("slow-hit") == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		if !arrive(arrivingFirst) || !<-postponed {
+			t.Fatalf("arriving first=%v: no hit", arrivingFirst)
+		}
+		want := []string{"callback", "first", "second"}
+		if strings.Join(order, ",") != strings.Join(want, ",") {
+			t.Errorf("arriving first=%v, callback %v against a %v timeout: order %v, want %v",
+				arrivingFirst, slow, timeout, order, want)
+		}
+	}
+}
+
+// TestPanickingOnHitReleasesPartner: a hit callback that panics unwinds
+// the arriving side, and the postponed side still gets its turn.
+func TestPanickingOnHitReleasesPartner(t *testing.T) {
+	e := newTestEngine()
+	e.SetOnHit(func(string, Trigger, Trigger) { panic("from the hit callback") })
+	obj := new(int)
+	opts := Options{Timeout: 5 * time.Second}
+	postponed := make(chan Outcome, 1)
+	go func() { postponed <- e.TriggerOutcome(NewConflictTrigger("panic-hit", obj), true, opts) }()
+	for e.PostponedCount("panic-hit") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "from the hit callback" {
+				t.Errorf("arriving side recovered %v, want the callback's panic", r)
+			}
+		}()
+		e.TriggerOutcome(NewConflictTrigger("panic-hit", obj), false, opts)
+	}()
+	select {
+	case out := <-postponed:
+		if out != OutcomeHit {
+			t.Errorf("postponed side: outcome %v, want hit", out)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the postponed side did not get its turn in 10s after the callback panicked")
+	}
+}
+
+// TestNilTriggerPanics: an arrival with a nil trigger panics at once,
+// through the name and through a handle, instead of waiting out its
+// timeout as a waiter that nothing matches.
+func TestNilTriggerPanics(t *testing.T) {
+	e := newTestEngine()
+	h := e.Breakpoint("nil")
+	opts := Options{Timeout: 5 * time.Second}
+	for _, c := range []struct {
+		api    string
+		arrive func()
+	}{
+		{"TriggerHere", func() { e.TriggerHere(nil, true, opts) }},
+		{"handle", func() { h.Trigger(nil, true, opts) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nilTrigger {
+					t.Errorf("%s: recovered %v, want %q", c.api, r, nilTrigger)
+				}
+			}()
+			c.arrive()
+		}()
 	}
 }
 

@@ -157,7 +157,13 @@ func (p *PredTrigger) PredicateGlobal(other Trigger) bool {
 
 func (*PredTrigger) builtin() {}
 
-// nameOf is t.Name() on the concrete class.
+// nilTrigger is the panic of an arrival with a nil trigger. It panics
+// at once, as a method call on the trigger would, rather than waiting
+// out its timeout as a waiter that nothing matches.
+const nilTrigger = "core: arrival with a nil Trigger"
+
+// nameOf is t.Name() on the concrete class. The set is closed, so only
+// a nil t reaches the end.
 func nameOf(t Trigger) string {
 	switch t := t.(type) {
 	case *ConflictTrigger:
@@ -167,7 +173,7 @@ func nameOf(t Trigger) string {
 	case *PredTrigger:
 		return t.name
 	}
-	return ""
+	panic(nilTrigger)
 }
 
 // localOf returns t's local predicate phi_ti, or nil when it has none:
