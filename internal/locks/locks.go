@@ -44,16 +44,7 @@ type registry struct {
 	mu      sync.Mutex
 	held    map[uint64][]*Mutex // goroutine id -> stack of held locks
 	waiting map[uint64]waitRec  // goroutine id -> lock it is blocked on
-
-	// spare keeps up to maxSpare emptied held stacks for push to reuse.
-	// A goroutine leaves held when it releases its last lock, so the map
-	// does not grow with every goroutine that ever locked, and its next
-	// first lock takes a spare stack instead of allocating one.
-	spare [][]*Mutex
 }
-
-// maxSpare bounds the registry's spare held stacks.
-const maxSpare = 64
 
 var reg = &registry{held: make(map[uint64][]*Mutex)}
 
@@ -201,13 +192,7 @@ func (m *Mutex) Owner() (uint64, string) {
 
 func (r *registry) push(gid uint64, m *Mutex) {
 	r.mu.Lock()
-	s, ok := r.held[gid]
-	if n := len(r.spare); !ok && n > 0 {
-		s = r.spare[n-1]
-		r.spare[n-1] = nil
-		r.spare = r.spare[:n-1]
-	}
-	r.held[gid] = append(s, m)
+	r.held[gid] = append(r.held[gid], m)
 	r.mu.Unlock()
 }
 
@@ -217,19 +202,14 @@ func (r *registry) pop(gid uint64, m *Mutex) {
 	s := r.held[gid]
 	for i := len(s) - 1; i >= 0; i-- {
 		if s[i] == m {
-			copy(s[i:], s[i+1:])
-			s[len(s)-1] = nil
-			s = s[:len(s)-1]
+			s = append(s[:i], s[i+1:]...)
 			break
 		}
 	}
-	if len(s) > 0 {
+	if len(s) == 0 {
+		delete(r.held, gid)
+	} else {
 		r.held[gid] = s
-		return
-	}
-	delete(r.held, gid)
-	if cap(s) > 0 && len(r.spare) < maxSpare {
-		r.spare = append(r.spare, s)
 	}
 }
 
