@@ -9,22 +9,28 @@
 //
 // Unknown lines (goos/pkg headers, PASS, ok) are folded into the report
 // header or skipped; only lines starting with "Benchmark" become
-// entries. The command fails if the input contains no benchmark lines,
-// so a mis-scoped -bench pattern breaks the CI step instead of silently
-// uploading an empty artifact.
+// entries, and the repeated runs of one series become one entry: its
+// median ns/op and its minimum allocs/op (fold). The command fails if
+// the input contains no benchmark lines, so a mis-scoped -bench pattern
+// breaks the CI step instead of silently uploading an empty artifact.
 //
 // With -baseline, the fresh numbers are additionally gated against a
 // committed prior artifact:
 //
-//	go test -run=NONE -bench=BenchmarkEngine -benchtime=100x -cpu 1,2 ./internal/core \
-//	    | cbbench -baseline BENCH_engine.json \
-//	        -gate BenchmarkEngineContention,BenchmarkEngineDisabled
+//	go test -c -o core.test ./internal/core
+//	for pass in $(seq 100); do
+//	    ./core.test -test.run=NONE -test.bench=BenchmarkEngine -test.benchtime=200000x -test.cpu 1,2
+//	done | cbbench -baseline BENCH_engine.json \
+//	    -gate BenchmarkEngineContention,BenchmarkEngineDisabled
 //
 // Each gated series (sub-benchmarks included) must stay within
 // -max-regress of its baseline ns/op, and allocate no more per op than
 // its baseline, or the command exits nonzero, naming every regressed
-// series — the hot-path perf contract as a CI check. A series is its name at one GOMAXPROCS: go test appends "-P"
-// to the name for P > 1 and nothing for P = 1, and only entries with
+// series — the hot-path perf contract as a CI check. Passes of the test
+// binary, rather than -count, interleave the series' runs, so a burst of
+// load on a shared machine slows one run of each series instead of every
+// run of one. A series is its name at one GOMAXPROCS: go test appends
+// "-P" to the name for P > 1 and nothing for P = 1, and only entries with
 // equal GOMAXPROCS are compared, so a baseline must be recorded at the
 // -cpu values the gate runs with.
 package main
@@ -35,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -59,6 +66,9 @@ type Benchmark struct {
 	// Metrics holds any additional unit pairs (MB/s, custom ReportMetric
 	// units) keyed by unit name.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Runs is how many runs of the series the entry folds (fold); 0
+	// means one.
+	Runs int `json:"runs,omitempty"`
 }
 
 // Delta compares one matched benchmark pair: the supervised variant's
@@ -71,8 +81,8 @@ type Delta struct {
 	Ratio float64 `json:"ratio"`
 }
 
-// Report is the whole artifact: the run's environment header plus every
-// benchmark line, in input order.
+// Report is the whole artifact: the run's environment header plus one
+// entry per series, in input order of first appearance.
 type Report struct {
 	Goos   string `json:"goos,omitempty"`
 	Goarch string `json:"goarch,omitempty"`
@@ -128,6 +138,7 @@ func parse(r io.Reader) (Report, error) {
 	if err := sc.Err(); err != nil {
 		return rep, err
 	}
+	rep.Benchmarks = fold(rep.Benchmarks)
 	rep.SupervisorDeltas = pairDeltas(rep.Benchmarks, "SupervisorOn", "SupervisorOff")
 	rep.RecorderDeltas = pairDeltas(rep.Benchmarks, "RecorderOn", "RecorderOff")
 	return rep, nil
@@ -240,47 +251,76 @@ type series struct {
 	procs     int
 }
 
-// perOp is one series' best cost per op: the minimum ns/op and the
-// minimum allocs/op over its entries.
-type perOp struct {
-	ns, allocs float64
+// fold merges the repeated runs of each series into one entry, in
+// order of first appearance; a series with one entry is kept as it is.
+// The gate and its baseline take many runs (passes of a test binary, or
+// `go test -count=N`), and on a shared VM a series with two workers is
+// multi-modal: now and then a run reads up to twice as fast as the rest,
+// as the two workers did or did not run at once. So the folded ns/op is
+// the median over the runs, which holds still from one set of runs to
+// the next where the minimum does not. An allocation on the measured
+// path shows in every run, so allocs/op and B/op are the minimum. Runs
+// counts the runs folded; the other fields are the first run's.
+func fold(bs []Benchmark) []Benchmark {
+	type key struct{ pkg, name string }
+	groups := make(map[key][]Benchmark, len(bs))
+	var order []key
+	for _, b := range bs {
+		k := key{b.Pkg, b.Name}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		runs := groups[k]
+		f := runs[0]
+		if len(runs) > 1 {
+			f.Runs = len(runs)
+			ns := make([]float64, len(runs))
+			for i, b := range runs {
+				ns[i] = b.NsPerOp
+				f.BytesPerOp = math.Min(f.BytesPerOp, b.BytesPerOp)
+				f.AllocsPerOp = math.Min(f.AllocsPerOp, b.AllocsPerOp)
+			}
+			f.NsPerOp = median(ns)
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
-// minPerOp reduces a report to the best cost per series: with `go test
-// -count=N`, each series appears N times, and the minimum is the
-// standard noise-robust representative (nothing runs faster than the
-// hardware; only slower). An allocation on the measured path shows in
-// every repeat, so the minimum keeps it.
-func minPerOp(rep Report) map[series]perOp {
-	out := make(map[series]perOp, len(rep.Benchmarks))
-	for _, b := range rep.Benchmarks {
-		if b.NsPerOp <= 0 {
-			continue
-		}
+// median returns the median of vs, which it sorts.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+// bySeries indexes a report's folded entries by series.
+func bySeries(rep Report) map[series]Benchmark {
+	out := make(map[series]Benchmark, len(rep.Benchmarks))
+	for _, b := range fold(rep.Benchmarks) {
 		base, procs := splitProcs(b.Name)
-		key := series{pkg: b.Pkg, name: base, procs: procs}
-		cur, ok := out[key]
-		if !ok || b.NsPerOp < cur.ns {
-			cur.ns = b.NsPerOp
-		}
-		if !ok || b.AllocsPerOp < cur.allocs {
-			cur.allocs = b.AllocsPerOp
-		}
-		out[key] = cur
+		out[series{pkg: b.Pkg, name: base, procs: procs}] = b
 	}
 	return out
 }
 
 // gate compares cur against base: every gated series present in both
-// at the same GOMAXPROCS must hold its best (minimum over -count
-// repeats) ns/op within (1 + maxRegress) of the baseline's best, and
-// its best allocs/op at or below the baseline's. It returns the
-// regressions, one per series and unit, and how many series were
-// compared; zero comparisons is the caller's error (a renamed benchmark
-// must break the gate, not silently pass it).
+// at the same GOMAXPROCS must hold its ns/op (the median over its runs,
+// fold) within (1 + maxRegress) of the baseline's, and its allocs/op at
+// or below the baseline's. It returns the regressions, one per series
+// and unit, and how many series were compared; zero comparisons is the
+// caller's error (a renamed benchmark must break the gate, not silently
+// pass it).
 func gate(cur, base Report, patterns []string, maxRegress float64) (regs []regression, compared int) {
-	baseline := minPerOp(base)
-	fresh := minPerOp(cur)
+	baseline := bySeries(base)
+	fresh := bySeries(cur)
 	keys := make([]series, 0, len(fresh))
 	for key := range fresh {
 		keys = append(keys, key)
@@ -305,11 +345,11 @@ func gate(cur, base Report, patterns []string, maxRegress float64) (regs []regre
 		}
 		compared++
 		now := fresh[key]
-		if ratio := now.ns / prior.ns; ratio > 1+maxRegress {
-			regs = append(regs, regression{Name: key.name, Procs: key.procs, Unit: "ns/op", Base: prior.ns, Cur: now.ns, Ratio: ratio})
+		if ratio := now.NsPerOp / prior.NsPerOp; ratio > 1+maxRegress {
+			regs = append(regs, regression{Name: key.name, Procs: key.procs, Unit: "ns/op", Base: prior.NsPerOp, Cur: now.NsPerOp, Ratio: ratio})
 		}
-		if now.allocs > prior.allocs {
-			regs = append(regs, regression{Name: key.name, Procs: key.procs, Unit: "allocs/op", Base: prior.allocs, Cur: now.allocs})
+		if now.AllocsPerOp > prior.AllocsPerOp {
+			regs = append(regs, regression{Name: key.name, Procs: key.procs, Unit: "allocs/op", Base: prior.AllocsPerOp, Cur: now.AllocsPerOp})
 		}
 	}
 	return regs, compared

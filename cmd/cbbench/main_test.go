@@ -190,6 +190,50 @@ func TestGate(t *testing.T) {
 	if r := regs[0]; r.Name != "BenchmarkEngineBoundSpent" || r.Unit != "allocs/op" || r.Base != 0 || r.Cur != 1 {
 		t.Fatalf("regression = %+v, want BenchmarkEngineBoundSpent at 0 -> 1 allocs/op", r)
 	}
+
+	// A series is gated on its median run: one fast run does not hide a
+	// regression of the rest.
+	cur = Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkEngineListened-2", Pkg: "core", NsPerOp: 50, AllocsPerOp: 2},
+		{Name: "BenchmarkEngineListened-2", Pkg: "core", NsPerOp: 130, AllocsPerOp: 2},
+		{Name: "BenchmarkEngineListened-2", Pkg: "core", NsPerOp: 125, AllocsPerOp: 2},
+	}}
+	regs, _ = gate(cur, base, pats, 0.20)
+	if len(regs) != 1 || regs[0].Unit != "ns/op" || regs[0].Cur != 125 {
+		t.Fatalf("regressions = %+v, want the median run's 125 ns/op", regs)
+	}
+}
+
+// TestFoldTakesMedianRun: the runs of a series fold into one entry, in
+// order of first appearance, with the median ns/op, the minimum
+// allocs/op and B/op, the number of runs and the first run's other
+// fields; a series with one run is kept as it is.
+func TestFoldTakesMedianRun(t *testing.T) {
+	got := fold([]Benchmark{
+		{Name: "BenchmarkB-2", Pkg: "core", Iterations: 100, NsPerOp: 100, BytesPerOp: 32, AllocsPerOp: 1, Metrics: map[string]float64{"MB/s": 10}},
+		{Name: "BenchmarkA", Pkg: "core", Iterations: 100, NsPerOp: 7},
+		{Name: "BenchmarkB-2", Pkg: "core", Iterations: 100, NsPerOp: 40, BytesPerOp: 0, AllocsPerOp: 0, Metrics: map[string]float64{"MB/s": 30}},
+		{Name: "BenchmarkB-2", Pkg: "core", Iterations: 100, NsPerOp: 104, BytesPerOp: 32, AllocsPerOp: 1, Metrics: map[string]float64{"MB/s": 20}},
+		{Name: "BenchmarkB-2", Pkg: "wg", Iterations: 100, NsPerOp: 9},
+	})
+	want := []Benchmark{
+		{Name: "BenchmarkB-2", Pkg: "core", Iterations: 100, NsPerOp: 100, BytesPerOp: 0, AllocsPerOp: 0, Metrics: map[string]float64{"MB/s": 10}, Runs: 3},
+		{Name: "BenchmarkA", Pkg: "core", Iterations: 100, NsPerOp: 7},
+		{Name: "BenchmarkB-2", Pkg: "wg", Iterations: 100, NsPerOp: 9},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("folded %d entries, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Name != w.Name || g.Pkg != w.Pkg || g.NsPerOp != w.NsPerOp || g.BytesPerOp != w.BytesPerOp ||
+			g.AllocsPerOp != w.AllocsPerOp || g.Runs != w.Runs || g.Metrics["MB/s"] != w.Metrics["MB/s"] {
+			t.Errorf("entry %d = %+v, want %+v", i, g, w)
+		}
+	}
+	if even := fold([]Benchmark{{Name: "BenchmarkC", NsPerOp: 10}, {Name: "BenchmarkC", NsPerOp: 20}}); even[0].NsPerOp != 15 {
+		t.Errorf("median of two runs = %v, want 15", even[0].NsPerOp)
+	}
 }
 
 // TestGatePairsOnlyEqualGOMAXPROCS: a series recorded at one GOMAXPROCS
