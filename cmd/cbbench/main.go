@@ -301,10 +301,14 @@ func median(vs []float64) float64 {
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
-// bySeries indexes a report's folded entries by series.
+// bySeries indexes a report's folded entries that have a time per op
+// by series.
 func bySeries(rep Report) map[series]Benchmark {
 	out := make(map[series]Benchmark, len(rep.Benchmarks))
 	for _, b := range fold(rep.Benchmarks) {
+		if b.NsPerOp <= 0 {
+			continue
+		}
 		base, procs := splitProcs(b.Name)
 		out[series{pkg: b.Pkg, name: base, procs: procs}] = b
 	}
