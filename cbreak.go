@@ -493,9 +493,10 @@ func RegisterMetrics(reg *MetricRegistry) { core.Default().RegisterMetrics(reg) 
 // Wait-graph supervision (docs/USAGE.md, "Deadlock supervision &
 // overload shedding").
 type (
-	// WaitGraphSupervisor periodically scans the engine's postponed set
-	// plus the instrumented-lock wait-for graph, confirms deadlocks, and
-	// breaks postpone-stall cycles.
+	// WaitGraphSupervisor confirms each instrumented-lock deadlock as
+	// the wait that closes it begins, and scans the engine's postponed
+	// set against the lock wait-for graph to break postpone-stall
+	// cycles.
 	WaitGraphSupervisor = waitgraph.Supervisor
 	// WaitGraphConfig parameterizes a supervisor.
 	WaitGraphConfig = waitgraph.Config

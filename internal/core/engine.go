@@ -373,18 +373,25 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 		out = w.cancelOutcome
 	case <-timer.C:
 		s.mu.Lock()
-		if w.state == waiterMatched {
+		switch w.state {
+		case waiterMatched:
 			// Matched concurrently with the timeout; honor the match.
 			s.mu.Unlock()
 			tn = <-w.ch
-			break
+		case waiterCancelled:
+			// Released concurrently; honor the release. A ForceRelease
+			// closes cancelCh only after recording its incident.
+			s.mu.Unlock()
+			<-w.cancelCh
+			out = w.cancelOutcome
+		default:
+			w.state = waiterCancelled
+			s.prune()
+			s.mu.Unlock()
+			st.timeout(first)
+			e.logEvent(s, EventTimeout, gid, first)
+			out = OutcomeTimeout
 		}
-		w.state = waiterCancelled
-		s.prune()
-		s.mu.Unlock()
-		st.timeout(first)
-		e.logEvent(s, EventTimeout, gid, first)
-		out = OutcomeTimeout
 	}
 	st.addWait(time.Since(start))
 	if out == OutcomeHit {

@@ -53,26 +53,31 @@ func (e *Engine) PostponedWaiters() []PostponedWaiter {
 // early release — and records an incident of the given kind. It reports
 // whether a waiter was actually released: false means the goroutine had
 // already been matched, timed out, or released by Reset or another
-// ForceRelease. A waiter leaves its shard's postponed set, under the
-// shard mutex, as soon as it stops waiting, and the release only
-// touches that set, so callers can treat it as exactly-once.
+// ForceRelease. The release claims the waiter under the shard mutex,
+// taking it out of the postponed set so no match, timeout, Reset or
+// second release can take it, and callers can treat it as
+// exactly-once. It records the incident before it wakes the waiter, so
+// whoever sees the waiter return sees the incident too.
 func (e *Engine) ForceRelease(name string, gid uint64, kind guard.IncidentKind, detail string) bool {
 	s, ok := e.lookupShard(name)
 	if !ok {
 		return false
 	}
-	released := false
+	var claimed *waiter
 	s.mu.Lock()
 	for _, w := range s.postponed {
 		if w.gid == gid {
-			w.cancel(OutcomeTimeout)
-			released = true
+			w.state = waiterCancelled
+			w.cancelOutcome = OutcomeTimeout
+			claimed = w
 		}
 	}
 	s.prune()
 	s.mu.Unlock()
-	if released {
-		e.recordIncident(kind, name, gid, detail)
+	if claimed == nil {
+		return false
 	}
-	return released
+	e.recordIncident(kind, name, gid, detail)
+	close(claimed.cancelCh)
+	return true
 }

@@ -112,12 +112,12 @@ func (in Incident) String() string {
 
 // IncidentLog is a bounded ring of incidents with per-kind running
 // totals. The totals are monotonic even after old entries rotate out of
-// the ring. The zero value is ready to use.
+// the ring. The ring grows as incidents arrive, so a log that sees few
+// costs little. The zero value is ready to use.
 type IncidentLog struct {
 	mu   sync.Mutex
 	buf  []Incident
-	next int
-	full bool
+	next int // the oldest entry once buf is full, else 0
 
 	counts [incidentKindCount]atomic.Int64
 }
@@ -134,29 +134,24 @@ func (l *IncidentLog) Record(in Incident) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.buf == nil {
-		l.buf = make([]Incident, incidentLogCapacity)
+	if len(l.buf) < incidentLogCapacity {
+		l.buf = append(l.buf, in)
+		return
 	}
 	l.buf[l.next] = in
-	l.next = (l.next + 1) % len(l.buf)
-	if l.next == 0 {
-		l.full = true
-	}
+	l.next = (l.next + 1) % incidentLogCapacity
 }
 
 // Snapshot returns the retained incidents, oldest first.
 func (l *IncidentLog) Snapshot() []Incident {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.buf == nil {
+	if len(l.buf) == 0 {
 		return nil
 	}
-	var out []Incident
-	if l.full {
-		out = append(out, l.buf[l.next:]...)
-	}
-	out = append(out, l.buf[:l.next]...)
-	return out
+	out := make([]Incident, 0, len(l.buf))
+	out = append(out, l.buf[l.next:]...)
+	return append(out, l.buf[:l.next]...)
 }
 
 // Count returns the running total of incidents of the given kind,

@@ -1,11 +1,13 @@
 // Package locks provides identity-bearing synchronization primitives that
 // track, per goroutine, the set of currently held locks. The tracking
-// feeds two consumers:
+// feeds three consumers:
 //
 //   - breakpoint predicate refinements such as "only trigger when a lock
-//     of class BasicCaret is held" (section 6.3 of the paper), and
+//     of class BasicCaret is held" (section 6.3 of the paper),
 //   - the conflict detectors in internal/detect, which need lock-set and
-//     lock-contention information (Methodology II, section 5).
+//     lock-contention information (Methodology II, section 5), and
+//   - the wait-graph supervisor in internal/waitgraph, which is handed
+//     every lock cycle as the wait that closes it begins (CycleWatch).
 //
 // A Mutex here is a plain sync.Mutex plus a name, an optional class, and
 // bookkeeping. The bookkeeping uses the goroutine id, so application code
@@ -38,15 +40,31 @@ type waitRec struct {
 	since time.Time
 }
 
-// registry tracks which locks each goroutine currently holds and which
-// lock it is currently blocked on (for live deadlock detection).
+// holder records which goroutine holds a lock and the site label of
+// its acquisition.
+type holder struct {
+	gid  uint64
+	site string
+}
+
+// registry is the one record of lock ownership: which goroutine holds
+// each lock, which locks each goroutine holds, and which lock each
+// goroutine is blocked on. One mutex guards all three, so every reader
+// sees them agree, and the wait that closes a lock cycle sees the whole
+// cycle (waitedges.go).
 type registry struct {
 	mu      sync.Mutex
 	held    map[uint64][]*Mutex // goroutine id -> stack of held locks
+	owners  map[*Mutex]holder   // held lock -> its holder
 	waiting map[uint64]waitRec  // goroutine id -> lock it is blocked on
+	watches []*CycleWatch       // receivers of the cycles that close
 }
 
-var reg = &registry{held: make(map[uint64][]*Mutex)}
+var reg = &registry{
+	held:    make(map[uint64][]*Mutex),
+	owners:  make(map[*Mutex]holder),
+	waiting: make(map[uint64]waitRec),
+}
 
 // Mutex is a named, class-tagged mutual-exclusion lock with held-set
 // tracking. The zero value is not usable; create with NewMutex.
@@ -54,14 +72,6 @@ type Mutex struct {
 	mu    sync.Mutex
 	name  string
 	class *Class
-
-	// owner is the gid currently holding the lock (0 when free) and
-	// ownerSite the site label of its acquisition; both are guarded by
-	// ownMu because they are read by contention detection while another
-	// goroutine holds mu.
-	ownMu     sync.Mutex
-	owner     uint64
-	ownerSite string
 
 	// observers are invoked on every Lock/Unlock transition; the
 	// detectors register themselves here.
@@ -122,11 +132,9 @@ func (m *Mutex) LockAt(site string) {
 	for _, o := range m.snapshot() {
 		o.BeforeLock(m, gid, site)
 	}
-	reg.setWaiting(gid, m, site)
+	reg.wait(gid, m, site)
 	m.mu.Lock()
-	reg.setWaiting(gid, nil, "")
-	m.setOwner(gid, site)
-	reg.push(gid, m)
+	reg.acquired(gid, m, site)
 	for _, o := range m.snapshot() {
 		o.AfterLock(m, gid, site)
 	}
@@ -139,8 +147,7 @@ func (m *Mutex) TryLock() bool {
 	if !m.mu.TryLock() {
 		return false
 	}
-	m.setOwner(gid, "")
-	reg.push(gid, m)
+	reg.acquired(gid, m, "")
 	for _, o := range m.snapshot() {
 		o.AfterLock(m, gid, "")
 	}
@@ -159,8 +166,7 @@ func (m *Mutex) UnlockAt(site string) {
 	for _, o := range m.snapshot() {
 		o.BeforeUnlock(m, gid, site)
 	}
-	m.setOwner(0, "")
-	reg.pop(gid, m)
+	reg.released(gid, m)
 	m.mu.Unlock()
 }
 
@@ -175,30 +181,32 @@ func (m *Mutex) WithAt(site string, f func()) {
 	f()
 }
 
-func (m *Mutex) setOwner(gid uint64, site string) {
-	m.ownMu.Lock()
-	m.owner = gid
-	m.ownerSite = site
-	m.ownMu.Unlock()
-}
-
 // Owner returns the gid currently holding the lock (0 if free) and the
 // site label of the owning acquisition.
 func (m *Mutex) Owner() (uint64, string) {
-	m.ownMu.Lock()
-	defer m.ownMu.Unlock()
-	return m.owner, m.ownerSite
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	h := reg.owners[m]
+	return h.gid, h.site
 }
 
-func (r *registry) push(gid uint64, m *Mutex) {
+// acquired records that gid now holds m, taken at site, and ends its
+// wait for it. It runs after m.mu is locked, so a wait record always
+// outlives the blocking acquisition it describes.
+func (r *registry) acquired(gid uint64, m *Mutex, site string) {
 	r.mu.Lock()
+	delete(r.waiting, gid)
+	r.owners[m] = holder{gid: gid, site: site}
 	r.held[gid] = append(r.held[gid], m)
 	r.mu.Unlock()
 }
 
-func (r *registry) pop(gid uint64, m *Mutex) {
+// released records that gid no longer holds m. It runs before m.mu is
+// unlocked, so an owner record never outlives the ownership.
+func (r *registry) released(gid uint64, m *Mutex) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	delete(r.owners, m)
 	s := r.held[gid]
 	for i := len(s) - 1; i >= 0; i-- {
 		if s[i] == m {

@@ -1,6 +1,9 @@
 package locks
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"sync"
 	"testing"
 	"time"
 )
@@ -101,5 +104,150 @@ func TestWaitingClearedAfterAcquisition(t *testing.T) {
 	<-done
 	if waitingOn() != nil {
 		t.Fatal("waiting entry not cleared after acquisition")
+	}
+}
+
+// crossLock leaks two goroutines that each take one of a and b and then
+// wait for the other's: a 2-cycle. It returns their ids, the holder of
+// a first.
+func crossLock(a, b *Mutex) [2]uint64 {
+	var gids [2]uint64
+	var held sync.WaitGroup
+	held.Add(2)
+	ids := make(chan struct{}, 2)
+	for i, pair := range [2][2]*Mutex{{a, b}, {b, a}} {
+		go func() {
+			gids[i] = GoroutineID()
+			pair[0].LockAt("hold")
+			ids <- struct{}{}
+			held.Done()
+			held.Wait()
+			pair[1].LockAt("want")
+		}()
+	}
+	<-ids
+	<-ids
+	return gids
+}
+
+// TestWatchCyclesDeliversClosingCycle: the wait that closes a 2-cycle
+// hands the watch one cycle, in wait order, with each edge's owner the
+// next edge's waiter.
+func TestWatchCyclesDeliversClosingCycle(t *testing.T) {
+	w := WatchCycles()
+	defer w.Stop()
+	a, b := NewMutex("wc-cross-a"), NewMutex("wc-cross-b")
+	gids := crossLock(a, b)
+
+	select {
+	case <-w.Ready():
+	case <-time.After(5 * time.Second):
+		t.Fatal("no cycle delivered")
+	}
+	var got [][]WaitEdge
+	for _, c := range w.Take() {
+		if c[0].Lock == "wc-cross-a" || c[0].Lock == "wc-cross-b" {
+			got = append(got, c)
+		}
+	}
+	if len(got) != 1 {
+		t.Fatalf("delivered %d cycles on the test's locks, want 1: %v", len(got), got)
+	}
+	c := got[0]
+	if len(c) != 2 {
+		t.Fatalf("cycle has %d edges, want 2: %v", len(c), c)
+	}
+	want := map[uint64]*Mutex{gids[0]: b, gids[1]: a}
+	for i, e := range c {
+		if e.Mutex() != want[e.Waiter] || e.Site != "want" || e.OwnerSite != "hold" {
+			t.Fatalf("edge %d = %+v, want g%d waiting at want on %v held at hold", i, e, e.Waiter, want[e.Waiter])
+		}
+		if next := c[(i+1)%len(c)].Waiter; len(e.Owners) != 1 || e.Owners[0] != next {
+			t.Fatalf("edge %d owners = %v, want [g%d]", i, e.Owners, next)
+		}
+	}
+	// The cycle is permanent: no later wait closes it again.
+	time.Sleep(20 * time.Millisecond)
+	for _, c := range w.Take() {
+		if c[0].Lock == "wc-cross-a" || c[0].Lock == "wc-cross-b" {
+			t.Fatalf("cycle delivered twice: %v", c)
+		}
+	}
+}
+
+// TestWatchCyclesStop: a cycle that closes after Stop is not queued.
+func TestWatchCyclesStop(t *testing.T) {
+	w := WatchCycles()
+	w.Stop()
+	gids := crossLock(NewMutex("wc-stop-a"), NewMutex("wc-stop-b"))
+	deadline := time.Now().Add(5 * time.Second)
+	for blocked := 0; blocked < 2; {
+		blocked = 0
+		for _, e := range WaitEdges() {
+			if e.Waiter == gids[0] || e.Waiter == gids[1] {
+				blocked++
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cycle never formed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-w.Ready():
+		t.Fatalf("stopped watch was signalled: %v", w.Take())
+	default:
+	}
+	if cs := w.Take(); len(cs) != 0 {
+		t.Fatalf("stopped watch queued %v", cs)
+	}
+}
+
+// TestOrderedLocksNeverCycle: goroutines that contend for locks taken in
+// one global order never close a cycle, however their waits and
+// ownership interleave. Run it at GOMAXPROCS=1 and 2 (CI does).
+func TestOrderedLocksNeverCycle(t *testing.T) {
+	const goroutines, nlocks = 8, 4
+	iters := 3000
+	if testing.Short() {
+		iters = 300
+	}
+	w := WatchCycles()
+	defer w.Stop()
+	ls := make([]*Mutex, nlocks)
+	mine := map[*Mutex]bool{}
+	for i := range ls {
+		ls[i] = NewMutex(fmt.Sprintf("ordered-%d", i))
+		mine[ls[i]] = true
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(g), 1))
+			for range iters {
+				// A random non-empty subset, locked in the global order.
+				set := 1 + rng.IntN(1<<nlocks-1)
+				for i, l := range ls {
+					if set&(1<<i) != 0 {
+						l.Lock()
+					}
+				}
+				for i := nlocks - 1; i >= 0; i-- {
+					if set&(1<<i) != 0 {
+						ls[i].Unlock()
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, c := range w.Take() {
+		for _, e := range c {
+			if mine[e.Mutex()] {
+				t.Fatalf("ordered acquisitions reported a cycle: %v", c)
+			}
+		}
 	}
 }

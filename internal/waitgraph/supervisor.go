@@ -7,45 +7,51 @@ import (
 
 	"cbreak/internal/core"
 	"cbreak/internal/guard"
+	"cbreak/internal/locks"
 	"cbreak/internal/telemetry"
 )
 
-// Config tunes a Supervisor. The zero value is usable: 5ms scans,
-// findings confirmed after 2 consecutive sightings, recovery enabled.
+// Config tunes a Supervisor. The zero value is usable: stall scans every
+// 5ms, recovery enabled.
 type Config struct {
-	// Interval is the scan period. 0 defaults to 5ms.
+	// Interval is the period of the postponement-stall scan, which
+	// looks only while the engine has a postponed goroutine. 0 defaults
+	// to 5ms. Deadlock confirmation does not wait for it: the locks
+	// registry hands the supervisor each lock cycle as it closes.
 	Interval time.Duration
 }
 
-// confirmAfter is how many consecutive scans must observe a finding
-// before the supervisor acts on it — the debounce against acting on a
-// torn snapshot (capture is a sample, not a transaction).
+// confirmAfter is how many consecutive scans must observe a
+// postponement stall before the supervisor breaks it — the debounce
+// against acting on a torn snapshot (capture is a sample, not a
+// transaction).
 const confirmAfter = 2
 
-// Supervisor runs the wait-graph scan loop against one engine: every
-// interval it captures the graph, analyzes it, and acts on findings
-// that persist across confirmAfter consecutive scans. A confirmed
-// postponement stall is broken by force-releasing the postponed victim
-// through the engine's shared release path (recorded as a cycle-break
-// incident); a confirmed application-only cycle is latched as a
-// deadlock confirmation (incident + Confirmed channel) so a harness can
-// classify the trial immediately instead of waiting out its deadline.
+// Supervisor watches the wait graph on behalf of one engine. The locks
+// registry hands it every lock cycle that closes while it runs, and it
+// confirms each at once, on its own goroutine, as a deadlock: a
+// deadlock-confirmed incident, a report, a bus record and the
+// Confirmed latch, so a harness can classify the trial immediately
+// instead of waiting out its deadline. While the engine has a postponed
+// goroutine, a ticker also scans for postponement stalls, and breaks a
+// stall seen in confirmAfter consecutive scans by force-releasing the
+// postponed victim through the engine's shared release path (recorded
+// as a cycle-break incident).
 //
-// Goroutines already blocked when the supervisor starts are baselined
-// and ignored: sequential in-process trials deliberately leak
-// deadlocked goroutines, and a supervisor must not keep re-confirming
-// a previous trial's corpse.
+// A cycle that closed before Start, or closes after Stop, is never
+// delivered: sequential in-process trials deliberately leak deadlocked
+// goroutines, and a supervisor must not confirm a previous trial's
+// corpse.
 type Supervisor struct {
 	e   *core.Engine
 	cfg Config
 
-	mu       sync.Mutex
-	stop     chan struct{}
-	done     chan struct{}
-	reports  []Report
-	pending  map[string]*sighting
-	acted    map[string]bool
-	baseline map[uint64]bool
+	mu      sync.Mutex
+	stop    chan struct{}
+	done    chan struct{}
+	reports []Report
+	pending map[string]*sighting
+	acted   map[string]bool
 
 	confirmed     chan struct{}
 	confirmedOnce sync.Once
@@ -53,9 +59,8 @@ type Supervisor struct {
 	scans atomic.Int64
 }
 
-// sighting tracks how many consecutive scans observed one finding.
+// sighting tracks how many consecutive scans observed one stall.
 type sighting struct {
-	report   Report
 	streak   int
 	lastScan int64
 }
@@ -74,29 +79,32 @@ func New(e *core.Engine, cfg Config) *Supervisor {
 	}
 }
 
-// Start baselines the currently-blocked goroutines and launches the
-// scan loop. Idempotent while running; stop with Stop.
+// Start registers for the lock cycles that close from now on and
+// launches the supervisor's goroutine. Idempotent while running; stop
+// with Stop.
 func (s *Supervisor) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stop != nil {
 		return
 	}
-	s.baseline = map[uint64]bool{}
-	for _, e := range Capture(s.e).LockEdges {
-		s.baseline[e.Waiter] = true
-	}
+	w := locks.WatchCycles()
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	s.stop, s.done = stop, done
 	go func() {
 		defer close(done)
+		defer w.Stop()
 		ticker := time.NewTicker(s.cfg.Interval)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-stop:
 				return
+			case <-w.Ready():
+				for _, c := range w.Take() {
+					s.confirm(deadlockReport(c))
+				}
 			case <-ticker.C:
 				s.Scan()
 			}
@@ -104,7 +112,8 @@ func (s *Supervisor) Start() {
 	}()
 }
 
-// Stop halts the scan loop and waits for it to exit. No-op when not
+// Stop halts the supervisor and waits for its goroutine to exit; no
+// cycle that closes after Stop returns is reported. No-op when not
 // running.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
@@ -130,24 +139,25 @@ func (s *Supervisor) Reports() []Report {
 	return append([]Report(nil), s.reports...)
 }
 
-// Scans returns how many scans have run; tests use it to wait for the
-// loop to have looked at least once.
+// Scans returns how many stall scans have run, including those that
+// found nothing postponed; tests use it to wait for the loop to have
+// looked at least once.
 func (s *Supervisor) Scans() int64 { return s.scans.Load() }
 
-// Scan captures and analyzes the wait graph once, acting on findings
-// confirmed by consecutive sightings. It is the loop body, exported so
-// tests (and one-shot classifiers) can drive it synchronously.
+// Scan looks for postponement stalls once, if the engine has a
+// postponed goroutine, and breaks those seen in confirmAfter
+// consecutive scans. It is the ticker's body, exported so tests can
+// drive it synchronously.
 func (s *Supervisor) Scan() {
-	g := Capture(s.e)
-	found := g.Analyze()
+	var found []Report
+	if s.e.PostponedTotal() > 0 {
+		found = Capture(s.e).postponeStalls()
+	}
 	scan := s.scans.Add(1)
 
 	s.mu.Lock()
 	var confirmed []Report
 	for _, r := range found {
-		if s.baselined(r) {
-			continue
-		}
 		sig := r.signature()
 		if s.acted[sig] {
 			continue
@@ -157,7 +167,6 @@ func (s *Supervisor) Scan() {
 			sg = &sighting{}
 			s.pending[sig] = sg
 		}
-		sg.report = r
 		sg.streak++
 		sg.lastScan = scan
 		if sg.streak >= confirmAfter {
@@ -181,24 +190,13 @@ func (s *Supervisor) Scan() {
 	}
 }
 
-// baselined reports whether every lock-blocked goroutine of the finding
-// predates the supervisor — a leaked cycle from a previous trial. A
-// postponement stall's victim is, by construction, currently postponed
-// on the live engine, so stalls are only baselined when all their
-// wedged waiters are stale.
-func (s *Supervisor) baselined(r Report) bool {
-	if len(s.baseline) == 0 {
-		return false
-	}
-	for _, gid := range r.GIDs {
-		if gid == r.Victim {
-			continue
-		}
-		if !s.baseline[gid] {
-			return false
-		}
-	}
-	return true
+// confirm records a deadlock the locks registry delivered and acts on
+// it. The registry delivers each cycle once, so it needs no debounce.
+func (s *Supervisor) confirm(r Report) {
+	s.mu.Lock()
+	s.reports = append(s.reports, r)
+	s.mu.Unlock()
+	s.act(r)
 }
 
 // act performs the confirmed finding's recovery/diagnosis. Called off

@@ -21,11 +21,18 @@
 // Edges come from two sources: the locks registry's waiter map
 // (goroutine → mutex → owner) and the engine's postponed sets
 // (goroutine → breakpoint shard; one set per shard holds the waiters of
-// every slot and arity, a two-way breakpoint having arity 2). Snapshots are assembled
-// lock-free or one shard/registry at a time — capturing a graph never
-// stops the world, so a snapshot is a sample, not a transaction; the
-// supervisor compensates by requiring a finding to persist across
-// consecutive scans before acting on it.
+// every slot and arity, a two-way breakpoint having arity 2).
+//
+// The supervisor takes the two findings from different places. The
+// locks registry sees a lock cycle close under its own lock, in the
+// wait that closes it, and hands it over at once (locks.CycleWatch);
+// such a cycle is permanent, so it is confirmed without a second look.
+// A postponement stall joins the registry with the engine's shards, and
+// a Capture locks them one at a time — capturing a graph never stops
+// the world, so a snapshot is a sample, not a transaction; the
+// supervisor compensates by requiring a stall to persist across
+// consecutive scans before breaking it. Capture and Analyze stay
+// available as a one-shot diagnosis of both kinds.
 package waitgraph
 
 import (
@@ -146,8 +153,9 @@ func (g Graph) Analyze() []Report {
 // re-entrant acquisition case — are 1-cycles. A cycle of lock edges
 // contains no postponed goroutine (a postponed goroutine is parked in
 // the engine, not blocked in an acquisition), so every cycle found here
-// is an application-only deadlock. Each report starts at the cycle's
-// least goroutine id.
+// is an application-only deadlock. Each goroutine waits on at most one
+// lock with at most one owner, so the cycles are disjoint. Each report
+// starts at the cycle's least goroutine id.
 func (g Graph) deadlockCycles() []Report {
 	edgeBy := make(map[uint64]locks.WaitEdge, len(g.LockEdges))
 	for _, e := range g.LockEdges {
@@ -159,29 +167,37 @@ func (g Graph) deadlockCycles() []Report {
 	}
 	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 
-	seen := map[string]bool{}
 	var out []Report
 	cycles.Find(gids, func(gid uint64) []uint64 { return edgeBy[gid].Owners }, 0, func(cycle []uint64) bool {
-		r := g.cycleReport(cycle, edgeBy)
-		if sig := r.signature(); !seen[sig] {
-			seen[sig] = true
-			out = append(out, r)
+		edges := make([]locks.WaitEdge, len(cycle))
+		for i, gid := range cycle {
+			edges[i] = edgeBy[gid]
 		}
+		out = append(out, deadlockReport(edges))
 		return true
 	})
 	return out
 }
 
-// cycleReport renders one lock cycle as a deadlock report.
-func (g Graph) cycleReport(cycle []uint64, edgeBy map[uint64]locks.WaitEdge) Report {
-	r := Report{Kind: ReportDeadlock, GIDs: cycle}
-	var parts []string
-	for _, gid := range cycle {
-		e := edgeBy[gid]
+// deadlockReport renders one lock cycle, given as its wait edges in
+// wait order from any goroutine, as a deadlock report that starts at
+// the cycle's least goroutine id.
+func deadlockReport(cycle []locks.WaitEdge) Report {
+	first := 0
+	for i, e := range cycle {
+		if e.Waiter < cycle[first].Waiter {
+			first = i
+		}
+	}
+	r := Report{Kind: ReportDeadlock}
+	parts := make([]string, len(cycle))
+	for i := range cycle {
+		e := cycle[(first+i)%len(cycle)]
+		r.GIDs = append(r.GIDs, e.Waiter)
 		r.Locks = append(r.Locks, e.Lock)
 		r.Classes = append(r.Classes, e.Class)
 		r.Sites = append(r.Sites, e.Site)
-		parts = append(parts, waitDesc(gid, e))
+		parts[i] = waitDesc(e.Waiter, e)
 	}
 	r.Desc = strings.Join(parts, " -> ")
 	return r

@@ -1,6 +1,7 @@
 package waitgraph
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +15,8 @@ import (
 // The locks registry is process-global and several tests here
 // deliberately leak blocked goroutines (that is the condition under
 // test), so every assertion scopes to the test's own lock names and
-// every supervisor is started before its test creates trouble —
-// pre-existing wreckage is baselined away.
+// every supervisor is started before its test creates trouble — a
+// cycle that closed before Start is never delivered to it.
 
 func testSupervisor(e *core.Engine, cfg Config) *Supervisor {
 	if cfg.Interval == 0 {
@@ -502,4 +503,206 @@ func TestSupervisorStartStopIdempotent(t *testing.T) {
 	waitScans(t, sup, 1)
 	sup.Stop()
 	sup.Stop() // no-op after stop
+}
+
+// lockCycle leaks n goroutines: goroutine i takes lock i at site
+// "hold<i>" and, once every goroutine holds its lock, takes lock i+1
+// (mod n) at site "want<i>". For n = 1 that is a re-entrant
+// acquisition, a self-edge. It returns the goroutines and the locks'
+// names, both in lock order.
+func lockCycle(prefix string, n int) (gids []uint64, names []string) {
+	ls := make([]*locks.Mutex, n)
+	for i := range ls {
+		names = append(names, fmt.Sprintf("%s-%d", prefix, i))
+		ls[i] = locks.NewMutex(names[i])
+	}
+	gids = make([]uint64, n)
+	var held sync.WaitGroup
+	held.Add(n)
+	started := make(chan struct{}, n)
+	for i := range n {
+		go func() {
+			gids[i] = locks.GoroutineID()
+			ls[i].LockAt(fmt.Sprintf("hold%d", i))
+			started <- struct{}{}
+			held.Done()
+			held.Wait()
+			ls[(i+1)%n].LockAt(fmt.Sprintf("want%d", i))
+		}()
+	}
+	for range n {
+		<-started
+	}
+	return gids, names
+}
+
+// condCycle leaks a 2-cycle that closes through a Cond.Wait relock: g0
+// holds A and waits on a condition of B; g1 takes B, notifies, and then
+// waits for A, while g0's relock of B waits for g1. The relock is an
+// untagged Lock, so its site is "".
+func condCycle(prefix string) (gids []uint64, names []string) {
+	names = []string{prefix + "-A", prefix + "-B"}
+	a, b := locks.NewMutex(names[0]), locks.NewMutex(names[1])
+	c := locks.NewCond(prefix+"-cv", b)
+	gids = make([]uint64, 2)
+	started := make(chan struct{}, 2)
+	go func() {
+		gids[0] = locks.GoroutineID()
+		a.LockAt("cond-holdA")
+		//cbvet:ignore lockorder intentional: this test constructs the deadlock the supervisor must confirm
+		b.LockAt("cond-holdB")
+		started <- struct{}{}
+		c.Wait()
+	}()
+	go func() {
+		gids[1] = locks.GoroutineID()
+		started <- struct{}{}
+		for c.Waiters() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		b.LockAt("cond-notify")
+		c.Notify()
+		//cbvet:ignore lockorder intentional: this test constructs the deadlock the supervisor must confirm
+		a.LockAt("cond-wantA")
+	}()
+	<-started
+	<-started
+	return gids, names
+}
+
+// TestSupervisorConfirmsWithoutPolling: with a scan interval of an hour
+// the ticker never runs, and a 2-cycle is still confirmed at once —
+// the confirmation comes from the wait that closes the cycle.
+func TestSupervisorConfirmsWithoutPolling(t *testing.T) {
+	e := core.NewEngine()
+	sup := New(e, Config{Interval: time.Hour})
+	sup.Start()
+	defer sup.Stop()
+
+	start := time.Now()
+	gids, _ := lockCycle("wg-hour", 2)
+	select {
+	case <-sup.Confirmed():
+	case <-time.After(time.Second):
+		t.Fatal("cycle not confirmed within a second of an hour-long scan interval")
+	}
+	t.Logf("confirmed %v after the cycle began to form", time.Since(start))
+	if n := sup.Scans(); n != 0 {
+		t.Fatalf("Scans = %d, want 0: the ticker ran", n)
+	}
+	rs := reportsMentioning(sup.Reports(), "wg-hour-0")
+	if len(rs) != 1 || len(rs[0].GIDs) != 2 {
+		t.Fatalf("reports = %v, want one 2-cycle", sup.Reports())
+	}
+	if g := rs[0].GIDs; !(g[0] == gids[0] && g[1] == gids[1]) && !(g[0] == gids[1] && g[1] == gids[0]) {
+		t.Fatalf("cycle gids = %v, want %v", g, gids)
+	}
+}
+
+// TestSupervisorConfirmsEachCycleOnce: cycles of one to four goroutines,
+// and one through a Cond.Wait relock, are each confirmed exactly once,
+// naming the goroutines, locks and sites in wait order from the least
+// goroutine id.
+func TestSupervisorConfirmsEachCycleOnce(t *testing.T) {
+	shapes := []struct {
+		name  string
+		build func(prefix string) ([]uint64, []string)
+		// wait gives goroutine i's wanted lock (an index into the names)
+		// and its site.
+		wait func(i int) (lock int, site string)
+	}{
+		{"self", func(p string) ([]uint64, []string) { return lockCycle(p, 1) },
+			func(i int) (int, string) { return 0, "want0" }},
+		{"two", func(p string) ([]uint64, []string) { return lockCycle(p, 2) },
+			func(i int) (int, string) { return (i + 1) % 2, fmt.Sprintf("want%d", i) }},
+		{"three", func(p string) ([]uint64, []string) { return lockCycle(p, 3) },
+			func(i int) (int, string) { return (i + 1) % 3, fmt.Sprintf("want%d", i) }},
+		{"four", func(p string) ([]uint64, []string) { return lockCycle(p, 4) },
+			func(i int) (int, string) { return (i + 1) % 4, fmt.Sprintf("want%d", i) }},
+		{"cond", condCycle,
+			func(i int) (int, string) { return []int{1, 0}[i], []string{"", "cond-wantA"}[i] }},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			e := core.NewEngine()
+			sup := testSupervisor(e, Config{})
+			sup.Start()
+			defer sup.Stop()
+			prefix := "wg-once-" + sh.name
+			gids, names := sh.build(prefix)
+
+			select {
+			case <-sup.Confirmed():
+			case <-time.After(5 * time.Second):
+				t.Fatal("cycle never confirmed")
+			}
+			// Give a second report, if any were coming, time to land.
+			time.Sleep(20 * time.Millisecond)
+			rs := reportsMentioning(sup.Reports(), names[0])
+			if len(rs) != 1 {
+				t.Fatalf("%d reports name %s, want exactly 1: %v", len(rs), names[0], sup.Reports())
+			}
+			r := rs[0]
+			first := 0
+			for i, g := range gids {
+				if g < gids[first] {
+					first = i
+				}
+			}
+			var wantGIDs []uint64
+			var wantLocks, wantSites []string
+			for k := range gids {
+				i := (first + k) % len(gids)
+				lock, site := sh.wait(i)
+				wantGIDs = append(wantGIDs, gids[i])
+				wantLocks = append(wantLocks, names[lock])
+				wantSites = append(wantSites, site)
+			}
+			if r.Kind != ReportDeadlock || fmt.Sprint(r.GIDs) != fmt.Sprint(wantGIDs) ||
+				fmt.Sprint(r.Locks) != fmt.Sprint(wantLocks) || fmt.Sprint(r.Sites) != fmt.Sprint(wantSites) {
+				t.Fatalf("report = %+v, want deadlock gids %v locks %v sites %q", r, wantGIDs, wantLocks, wantSites)
+			}
+			confirmedHere := 0
+			for _, in := range e.Incidents() {
+				if in.Kind == guard.KindDeadlockConfirmed && strings.Contains(in.Detail, names[0]) {
+					confirmedHere++
+				}
+			}
+			if confirmedHere != 1 {
+				t.Fatalf("deadlock-confirmed incidents naming %s = %d, want 1", names[0], confirmedHere)
+			}
+		})
+	}
+}
+
+// TestSupervisorIgnoresCyclesAfterStop: a cycle that closes after Stop
+// is not reported.
+func TestSupervisorIgnoresCyclesAfterStop(t *testing.T) {
+	e := core.NewEngine()
+	sup := testSupervisor(e, Config{})
+	sup.Start()
+	sup.Stop()
+	gids, _ := lockCycle("wg-stopped", 2)
+	deadline := time.Now().Add(5 * time.Second)
+	for blocked := 0; blocked < 2; {
+		blocked = 0
+		for _, e := range locks.WaitEdges() {
+			if e.Waiter == gids[0] || e.Waiter == gids[1] {
+				blocked++
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cycle never formed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if rs := sup.Reports(); len(rs) != 0 {
+		t.Fatalf("stopped supervisor reported %v", rs)
+	}
+	select {
+	case <-sup.Confirmed():
+		t.Fatal("Confirmed closed after Stop")
+	default:
+	}
 }
