@@ -211,10 +211,17 @@ func TestPostponedWaitersSnapshot(t *testing.T) {
 
 func TestForceReleaseIsExactlyOnce(t *testing.T) {
 	e := newTestEngine()
-	outCh := make(chan Outcome, 1)
+	type released struct {
+		out       Outcome
+		incidents int64
+	}
+	outCh := make(chan released, 1)
 	go func() {
-		outCh <- e.TriggerOutcome(NewConflictTrigger("ov-force", new(int)), true,
+		out := e.TriggerOutcome(NewConflictTrigger("ov-force", new(int)), true,
 			Options{Timeout: 10 * time.Second})
+		// The release records its incident before it wakes the waiter,
+		// so the released goroutine already sees it.
+		outCh <- released{out, e.IncidentCount(guard.KindCycleBreak)}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for e.PostponedCount("ov-force") == 0 {
@@ -232,8 +239,8 @@ func TestForceReleaseIsExactlyOnce(t *testing.T) {
 	if !e.ForceRelease("ov-force", gid, guard.KindCycleBreak, "test cycle break") {
 		t.Fatal("first ForceRelease reported nothing released")
 	}
-	if out := <-outCh; out != OutcomeTimeout {
-		t.Fatalf("released waiter outcome = %v, want OutcomeTimeout", out)
+	if r := <-outCh; r.out != OutcomeTimeout || r.incidents != 1 {
+		t.Fatalf("released waiter saw outcome %v and %d cycle-break incidents, want OutcomeTimeout and 1", r.out, r.incidents)
 	}
 	// Second release of the same goroutine must be a no-op: the shared
 	// release path's state check makes forced release exactly-once.
