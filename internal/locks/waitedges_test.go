@@ -166,11 +166,16 @@ func TestWatchCyclesDeliversClosingCycle(t *testing.T) {
 			t.Fatalf("edge %d owners = %v, want [g%d]", i, e.Owners, next)
 		}
 	}
-	// The cycle is permanent: no later wait closes it again.
-	time.Sleep(20 * time.Millisecond)
+	// A bystander that waits on a lock of the cycle walks into it and
+	// out again: it closes no cycle, and the old one is not delivered
+	// again.
+	go a.LockAt("bystander")
+	waitForEdges(t, "wc-cross-a", 2)
 	for _, c := range w.Take() {
-		if c[0].Lock == "wc-cross-a" || c[0].Lock == "wc-cross-b" {
-			t.Fatalf("cycle delivered twice: %v", c)
+		for _, e := range c {
+			if e.Lock == "wc-cross-a" || e.Lock == "wc-cross-b" {
+				t.Fatalf("a wait into a closed cycle delivered %v", c)
+			}
 		}
 	}
 }
