@@ -7,7 +7,9 @@
 //   - the conflict detectors in internal/detect, which need lock-set and
 //     lock-contention information (Methodology II, section 5), and
 //   - the wait-graph supervisor in internal/waitgraph, which is handed
-//     every lock cycle as the wait that closes it begins (CycleWatch).
+//     every lock cycle as the wait that closes it begins (CycleWatch),
+//     and asks which goroutines a postponed goroutine's held locks
+//     block (BlockedBy).
 //
 // A Mutex here is a plain sync.Mutex plus a name, an optional class, and
 // bookkeeping. The bookkeeping uses the goroutine id, so application code
@@ -18,7 +20,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Class groups locks for class-based predicates (the paper's
@@ -32,12 +33,11 @@ type Class struct {
 func NewClass(name string) *Class { return &Class{Name: name} }
 
 // waitRec records one goroutine's current blocking acquisition: the
-// lock, the source-site label of the acquisition, and when the wait
-// began. It is the raw material of a wait-for graph edge.
+// lock and the source-site label of the acquisition. It is the raw
+// material of a wait-for graph edge.
 type waitRec struct {
-	m     *Mutex
-	site  string
-	since time.Time
+	m    *Mutex
+	site string
 }
 
 // holder records which goroutine holds a lock and the site label of
@@ -240,22 +240,6 @@ func HeldBy(gid uint64) []*Mutex {
 	s := reg.held[gid]
 	out := make([]*Mutex, len(s))
 	copy(out, s)
-	return out
-}
-
-// HeldAll returns a snapshot of every goroutine's held-lock stack, in
-// acquisition order. The wait-graph supervisor uses it to trace which
-// blocked goroutines a postponed goroutine is wedging through the
-// locks it still holds.
-func HeldAll() map[uint64][]*Mutex {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	out := make(map[uint64][]*Mutex, len(reg.held))
-	for g, s := range reg.held {
-		cp := make([]*Mutex, len(s))
-		copy(cp, s)
-		out[g] = cp
-	}
 	return out
 }
 

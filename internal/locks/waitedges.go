@@ -1,18 +1,19 @@
 package locks
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
-	"time"
 )
 
 // This file exposes the live wait-for graph's lock edges: which
 // goroutine is blocked on which instrumented lock, and who owns it.
 // wait keeps the registry's record of blocked acquisitions and reports
 // the cycles they close to every CycleWatch; WaitEdges snapshots the
-// records. The wait-graph supervisor (internal/waitgraph) confirms
-// deadlocks from the watched cycles and joins the edges with the
-// engine's postponed waiters to find postponement stalls.
+// records, and BlockedBy returns only those that wait behind one
+// goroutine's held locks. The wait-graph supervisor (internal/waitgraph)
+// confirms deadlocks from the watched cycles, and finds postponement
+// stalls by asking BlockedBy about each postponed goroutine.
 
 // wait records that goroutine gid is about to block acquiring m at
 // site, and reports the cycle the wait closes, if any, to every
@@ -29,7 +30,7 @@ import (
 func (r *registry) wait(gid uint64, m *Mutex, site string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.waiting[gid] = waitRec{m: m, site: site, since: time.Now()}
+	r.waiting[gid] = waitRec{m: m, site: site}
 	if len(r.watches) == 0 {
 		return
 	}
@@ -63,7 +64,7 @@ func (r *registry) wait(gid uint64, m *Mutex, site string) {
 // edge builds goroutine gid's wait-for edge from its wait record.
 // Caller holds r.mu.
 func (r *registry) edge(gid uint64, rec waitRec) WaitEdge {
-	e := WaitEdge{Waiter: gid, Lock: rec.m.name, Site: rec.site, Since: rec.since, lock: rec.m}
+	e := WaitEdge{Waiter: gid, Lock: rec.m.name, Site: rec.site}
 	if c := rec.m.class; c != nil {
 		e.Class = c.Name
 	}
@@ -144,31 +145,25 @@ type WaitEdge struct {
 	// untagged).
 	Lock  string
 	Class string
-	// Site is the source-site label of the blocked acquisition and
-	// Since when the wait began.
-	Site  string
-	Since time.Time
+	// Site is the source-site label of the blocked acquisition.
+	Site string
 	// Owners holds the goroutine currently holding the lock (empty if
 	// the lock is between holders) and OwnerSite the site label of its
 	// acquisition. It is a slice so the edges serve as a successor list
 	// for a cycle search.
 	Owners    []uint64
 	OwnerSite string
-
-	// lock keeps the Mutex identity so edges can be joined against
-	// HeldAll snapshots by pointer.
-	lock *Mutex
 }
 
-// Mutex returns the contested lock's identity, for joining edges
-// against HeldAll snapshots.
-func (e WaitEdge) Mutex() *Mutex { return e.lock }
+// byWaiter orders wait edges by waiter gid.
+func byWaiter(a, b WaitEdge) int { return cmp.Compare(a.Waiter, b.Waiter) }
 
 // WaitEdges snapshots the live wait-for graph's lock edges: one edge
 // per goroutine currently blocked inside an instrumented acquisition,
 // sorted by waiter gid. The waits and their owners are read under one
-// registry lock, so the edges agree with each other; a separate
-// HeldAll or Owner call may see a later state.
+// registry lock, so the edges agree with each other; a separate Owner
+// call may see a later state. It copies every wait in the process, so
+// a question about one goroutine's locks asks BlockedBy instead.
 func WaitEdges() []WaitEdge {
 	reg.mu.Lock()
 	out := make([]WaitEdge, 0, len(reg.waiting))
@@ -176,6 +171,46 @@ func WaitEdges() []WaitEdge {
 		out = append(out, reg.edge(g, rec))
 	}
 	reg.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Waiter < out[j].Waiter })
+	slices.SortFunc(out, byWaiter)
 	return out
+}
+
+// BlockedBy returns the locks goroutine gid holds, in acquisition
+// order, and the wait edges of every other goroutine blocked on them:
+// directly, or behind a waiter that holds a lock someone else is
+// blocked on, and so on. The edges are sorted by waiter. Both are read
+// under one registry lock, and only what is returned is copied: an
+// unrelated wait costs one pointer comparison a pass, and a goroutine
+// that holds nothing costs one map lookup.
+func BlockedBy(gid uint64) (held []*Mutex, blocked []WaitEdge) {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	if len(reg.held[gid]) == 0 {
+		return nil, nil
+	}
+	held = slices.Clone(reg.held[gid])
+	// Each pass over the waits finds the goroutines blocked on the
+	// locks the pass before it added: first gid's own, then the locks
+	// of the waiters it found, and so on. A goroutine waits on one lock
+	// and a lock enters the frontier once, so each waiter is found once
+	// and the passes end when one adds no lock. (A lock sits on two held
+	// stacks only if someone other than its locker unlocked it.)
+	frontier := held[:len(held):len(held)]
+	for next := 0; next < len(frontier); {
+		added := frontier[next:]
+		next = len(frontier)
+		for g, rec := range reg.waiting {
+			if g == gid || !slices.Contains(added, rec.m) {
+				continue
+			}
+			blocked = append(blocked, reg.edge(g, rec))
+			for _, m := range reg.held[g] {
+				if !slices.Contains(frontier, m) {
+					frontier = append(frontier, m)
+				}
+			}
+		}
+	}
+	slices.SortFunc(blocked, byWaiter)
+	return held, blocked
 }

@@ -1,8 +1,10 @@
 package locks
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -61,12 +63,6 @@ func TestWaitEdgeCarriesSiteClassAndOwner(t *testing.T) {
 	if len(e.Owners) != 1 || e.Owners[0] != ownerGID {
 		t.Fatalf("Owners = %v, want [%d]", e.Owners, ownerGID)
 	}
-	if e.Since.IsZero() {
-		t.Fatal("Since not stamped")
-	}
-	if e.Mutex() != m {
-		t.Fatal("edge lost the lock identity")
-	}
 	m.Unlock()
 	<-done
 	if len(edgesFor("we-m")) != 0 {
@@ -88,22 +84,146 @@ func TestWaitingClearedAfterAcquisition(t *testing.T) {
 	gid := <-gidCh
 	// The registry is shared by every test in the process, so assert
 	// only on this goroutine's entry.
-	waitingOn := func() *Mutex {
-		reg.mu.Lock()
-		defer reg.mu.Unlock()
-		return reg.waiting[gid].m
+	waitUntilWaiting(t, gid, m)
+	m.Unlock()
+	<-done
+	if waitingOn(gid) != nil {
+		t.Fatal("waiting entry not cleared after acquisition")
 	}
+}
+
+// waitingOn returns the lock goroutine gid is recorded as blocked on,
+// or nil.
+func waitingOn(gid uint64) *Mutex {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	return reg.waiting[gid].m
+}
+
+// waitUntilWaiting waits until goroutine gid is recorded as blocked on m.
+func waitUntilWaiting(t *testing.T, gid uint64, m *Mutex) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for waitingOn() != m {
+	for waitingOn(gid) != m {
 		if time.Now().After(deadline) {
-			t.Fatal("blocked goroutine not registered as waiting")
+			t.Fatalf("g%d not registered as waiting on %v", gid, m)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	m.Unlock()
-	<-done
-	if waitingOn() != nil {
-		t.Fatal("waiting entry not cleared after acquisition")
+}
+
+// blocker is a parked goroutine that blockOn later sets waiting on a
+// lock. Goroutine ids do not follow creation order, so a test that needs
+// its waiters' ids in some order parks them first and picks their roles
+// by id.
+type blocker struct {
+	gid  uint64
+	run  chan func()
+	done chan struct{}
+}
+
+func newBlocker() *blocker {
+	w := &blocker{run: make(chan func()), done: make(chan struct{})}
+	gid := make(chan uint64)
+	go func() {
+		defer close(w.done)
+		gid <- GoroutineID()
+		(<-w.run)()
+	}()
+	w.gid = <-gid
+	return w
+}
+
+// blockOn has w take the locks in hold, in order, and then wait for m at
+// site; once it has m it unlocks them all. It returns once the wait is
+// recorded.
+func (w *blocker) blockOn(t *testing.T, m *Mutex, site string, hold ...*Mutex) {
+	t.Helper()
+	w.run <- func() {
+		for _, h := range hold {
+			h.Lock()
+		}
+		m.LockAt(site)
+		m.Unlock()
+		for _, h := range hold {
+			h.Unlock()
+		}
+	}
+	waitUntilWaiting(t, w.gid, m)
+}
+
+// TestBlockedBy: BlockedBy returns the locks a goroutine holds and the
+// waits behind them, directly or through another goroutine's lock,
+// sorted by waiter. A wait on someone else's lock, or on a lock between
+// holders, is not behind it, and a goroutine that holds nothing blocks
+// no one.
+func TestBlockedBy(t *testing.T) {
+	cls := NewClass("BlockedByClass")
+	a, b := NewClassMutex("bb-a", cls), NewMutex("bb-b")
+	c, other, free := NewMutex("bb-c"), NewMutex("bb-other"), NewMutex("bb-free")
+	a.LockAt("hold-a")
+	b.LockAt("hold-b")
+	me := GoroutineID()
+
+	// A bystander holds other, and someone waits for it.
+	bystander := make(chan uint64, 1)
+	releaseOther := make(chan struct{})
+	go func() {
+		other.LockAt("hold-other")
+		bystander <- GoroutineID()
+		<-releaseOther
+		other.Unlock()
+	}()
+	by := <-bystander
+	// Roles go by id: the transitive waiter, which a later pass finds
+	// than the direct ones, gets the least id, so the answer comes out
+	// sorted only if BlockedBy sorts it.
+	ws := []*blocker{newBlocker(), newBlocker(), newBlocker(), newBlocker(), newBlocker()}
+	slices.SortFunc(ws, func(x, y *blocker) int { return cmp.Compare(x.gid, y.gid) })
+	behind, middle, direct, otherWaiter, freeWaiter := ws[0].gid, ws[1].gid, ws[2].gid, ws[3].gid, ws[4].gid
+	ws[3].blockOn(t, other, "want-other")
+	// free is between holders: its mutex is locked but no goroutine
+	// owns it, as after one holder's release and before the next
+	// waiter's acquisition.
+	free.mu.Lock()
+	ws[4].blockOn(t, free, "want-free")
+	ws[1].blockOn(t, b, "want-b", c)
+	ws[0].blockOn(t, c, "want-c")
+	ws[2].blockOn(t, a, "want-a")
+
+	held, blocked := BlockedBy(me)
+	if fmt.Sprint(held) != fmt.Sprint([]*Mutex{a, b}) {
+		t.Fatalf("held = %v, want [%v %v]", held, a, b)
+	}
+	want := []WaitEdge{
+		{Waiter: behind, Lock: "bb-c", Site: "want-c", Owners: []uint64{middle}},
+		{Waiter: middle, Lock: "bb-b", Site: "want-b", Owners: []uint64{me}, OwnerSite: "hold-b"},
+		{Waiter: direct, Lock: "bb-a", Class: "BlockedByClass", Site: "want-a", Owners: []uint64{me}, OwnerSite: "hold-a"},
+	}
+	if fmt.Sprintf("%+v", blocked) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("blocked = %+v\nwant      %+v", blocked, want)
+	}
+	if held, blocked := BlockedBy(by); len(held) != 1 || held[0] != other ||
+		len(blocked) != 1 || blocked[0].Waiter != otherWaiter {
+		t.Fatalf("BlockedBy(bystander) = %v, %+v, want [%v] and g%d", held, blocked, other, otherWaiter)
+	}
+	for _, g := range []uint64{direct, freeWaiter} {
+		if held, blocked := BlockedBy(g); held != nil || blocked != nil {
+			t.Fatalf("BlockedBy(g%d), which holds nothing = %v, %+v", g, held, blocked)
+		}
+	}
+	for _, e := range WaitEdges() {
+		if e.Waiter == freeWaiter && len(e.Owners) != 0 {
+			t.Fatalf("wait on a lock between holders has owners %v", e.Owners)
+		}
+	}
+
+	a.Unlock()
+	b.Unlock()
+	close(releaseOther)
+	free.mu.Unlock()
+	for _, w := range ws {
+		<-w.done
 	}
 }
 
@@ -128,6 +248,45 @@ func crossLock(a, b *Mutex) [2]uint64 {
 	<-ids
 	<-ids
 	return gids
+}
+
+// TestBlockedByOnACycle: asked about a goroutine on a lock cycle,
+// BlockedBy names the rest of the cycle, and not the goroutine's own
+// wait, though that wait is behind its own lock too. A lock unlocked by
+// a goroutine other than its locker stays on the locker's held stack;
+// asked about that locker, BlockedBy still returns, though the waits
+// behind the lock lead round the cycle.
+func TestBlockedByOnACycle(t *testing.T) {
+	a, b := NewMutex("bb-cycle-a"), NewMutex("bb-cycle-b")
+	locker := make(chan uint64, 1)
+	go func() {
+		a.Lock()
+		locker <- GoroutineID()
+	}()
+	stale := <-locker
+	a.Unlock()
+	gids := crossLock(a, b)
+	waitUntilWaiting(t, gids[0], b)
+	waitUntilWaiting(t, gids[1], a)
+
+	held, blocked := BlockedBy(gids[0])
+	if len(held) != 1 || held[0] != a || len(blocked) != 1 ||
+		blocked[0].Waiter != gids[1] || blocked[0].Lock != "bb-cycle-a" {
+		t.Fatalf("BlockedBy(g%d) = %v, %+v, want [%v] and g%d's wait on it", gids[0], held, blocked, a, gids[1])
+	}
+	answered := make(chan []*Mutex, 1)
+	go func() {
+		held, _ := BlockedBy(stale)
+		answered <- held
+	}()
+	select {
+	case held := <-answered:
+		if len(held) != 1 || held[0] != a {
+			t.Fatalf("BlockedBy(stale locker) held = %v, want [%v]", held, a)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("BlockedBy(stale locker) never returned")
+	}
 }
 
 // TestWatchCyclesDeliversClosingCycle: the wait that closes a 2-cycle
@@ -157,9 +316,9 @@ func TestWatchCyclesDeliversClosingCycle(t *testing.T) {
 	if len(c) != 2 {
 		t.Fatalf("cycle has %d edges, want 2: %v", len(c), c)
 	}
-	want := map[uint64]*Mutex{gids[0]: b, gids[1]: a}
+	want := map[uint64]string{gids[0]: b.Name(), gids[1]: a.Name()}
 	for i, e := range c {
-		if e.Mutex() != want[e.Waiter] || e.Site != "want" || e.OwnerSite != "hold" {
+		if e.Lock != want[e.Waiter] || e.Site != "want" || e.OwnerSite != "hold" {
 			t.Fatalf("edge %d = %+v, want g%d waiting at want on %v held at hold", i, e, e.Waiter, want[e.Waiter])
 		}
 		if next := c[(i+1)%len(c)].Waiter; len(e.Owners) != 1 || e.Owners[0] != next {
@@ -220,10 +379,10 @@ func TestOrderedLocksNeverCycle(t *testing.T) {
 	w := WatchCycles()
 	defer w.Stop()
 	ls := make([]*Mutex, nlocks)
-	mine := map[*Mutex]bool{}
+	mine := map[string]bool{}
 	for i := range ls {
 		ls[i] = NewMutex(fmt.Sprintf("ordered-%d", i))
-		mine[ls[i]] = true
+		mine[ls[i].Name()] = true
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -250,7 +409,7 @@ func TestOrderedLocksNeverCycle(t *testing.T) {
 	wg.Wait()
 	for _, c := range w.Take() {
 		for _, e := range c {
-			if mine[e.Mutex()] {
+			if mine[e.Lock] {
 				t.Fatalf("ordered acquisitions reported a cycle: %v", c)
 			}
 		}

@@ -13,8 +13,9 @@ import (
 // engine's contended arrival path: the same workload as core's
 // BenchmarkEngineContention (G goroutines hammering K breakpoints
 // through handles on the hot rejection path), with and without a
-// supervisor scanning in the background. The scan locks one shard at a
-// time and the arrival path itself is untouched, so the two series
+// running supervisor. A rejected arrival is never postponed, so each
+// tick of the supervisor's ticker reads a zero postponed count and
+// returns, and the arrival path itself is untouched: the two series
 // should be within noise of each other — CI captures both in
 // BENCH_engine.json so the comparison is part of the artifact.
 

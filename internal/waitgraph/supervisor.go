@@ -23,8 +23,8 @@ type Config struct {
 
 // confirmAfter is how many consecutive scans must observe a
 // postponement stall before the supervisor breaks it — the debounce
-// against acting on a torn snapshot (capture is a sample, not a
-// transaction).
+// against acting on a torn sample (a scan reads the engine's shards
+// and the locks registry under different locks).
 const confirmAfter = 2
 
 // Supervisor watches the wait graph on behalf of one engine. The locks
@@ -51,7 +51,6 @@ type Supervisor struct {
 	done    chan struct{}
 	reports []Report
 	pending map[string]*sighting
-	acted   map[string]bool
 
 	confirmed     chan struct{}
 	confirmedOnce sync.Once
@@ -74,7 +73,6 @@ func New(e *core.Engine, cfg Config) *Supervisor {
 		e:         e,
 		cfg:       cfg,
 		pending:   map[string]*sighting{},
-		acted:     map[string]bool{},
 		confirmed: make(chan struct{}),
 	}
 }
@@ -151,7 +149,7 @@ func (s *Supervisor) Scans() int64 { return s.scans.Load() }
 func (s *Supervisor) Scan() {
 	var found []Report
 	if s.e.PostponedTotal() > 0 {
-		found = Capture(s.e).postponeStalls()
+		found = postponeStalls(s.e.PostponedWaiters())
 	}
 	scan := s.scans.Add(1)
 
@@ -159,9 +157,6 @@ func (s *Supervisor) Scan() {
 	var confirmed []Report
 	for _, r := range found {
 		sig := r.signature()
-		if s.acted[sig] {
-			continue
-		}
 		sg := s.pending[sig]
 		if sg == nil || sg.lastScan != scan-1 {
 			sg = &sighting{}
@@ -169,8 +164,10 @@ func (s *Supervisor) Scan() {
 		}
 		sg.streak++
 		sg.lastScan = scan
+		// Breaking a stall takes its victim out of the postponed set
+		// before act returns, so the next scan cannot sight it again;
+		// the same stall, postponed anew, is broken anew.
 		if sg.streak >= confirmAfter {
-			s.acted[sig] = true
 			delete(s.pending, sig)
 			confirmed = append(confirmed, r)
 		}

@@ -18,21 +18,22 @@
 //     paper's own timeout argument, since early release is
 //     indistinguishable from an expired budget.
 //
-// Edges come from two sources: the locks registry's waiter map
-// (goroutine → mutex → owner) and the engine's postponed sets
-// (goroutine → breakpoint shard; one set per shard holds the waiters of
-// every slot and arity, a two-way breakpoint having arity 2).
+// Edges come from two sources: the locks registry's waits (goroutine →
+// mutex → owner) and the engine's postponed sets (goroutine →
+// breakpoint shard; one set per shard holds the waiters of every slot
+// and arity, a two-way breakpoint having arity 2).
 //
 // The supervisor takes the two findings from different places. The
 // locks registry sees a lock cycle close under its own lock, in the
 // wait that closes it, and hands it over at once (locks.CycleWatch);
 // such a cycle is permanent, so it is confirmed without a second look.
-// A postponement stall joins the registry with the engine's shards, and
-// a Capture locks them one at a time — capturing a graph never stops
-// the world, so a snapshot is a sample, not a transaction; the
-// supervisor compensates by requiring a stall to persist across
-// consecutive scans before breaking it. Capture and Analyze stay
-// available as a one-shot diagnosis of both kinds.
+// A postponement stall joins the engine's shards with the registry: a
+// scan lists the postponed goroutines, locking one shard at a time, and
+// then asks the registry which goroutines wait behind each one's held
+// locks (locks.BlockedBy). Neither step stops the world, so a scan is a
+// sample, not a transaction; the supervisor compensates by requiring a
+// stall to persist across consecutive scans before breaking it. Capture
+// and Analyze stay available as a one-shot diagnosis of both kinds.
 package waitgraph
 
 import (
@@ -53,22 +54,19 @@ type Graph struct {
 	// LockEdges are the lock-wait edges: one per goroutine currently
 	// blocked inside an instrumented lock acquisition.
 	LockEdges []locks.WaitEdge
-	// Postponed are the engine's currently-postponed goroutines, at
-	// every slot and arity.
-	Postponed []core.PostponedWaiter
-	// Held maps each goroutine to its held-lock stack, for tracing
-	// which blocked goroutines a postponed goroutine is wedging.
-	Held map[uint64][]*locks.Mutex
+
+	// stalls are the postponement stalls found at capture time.
+	stalls []Report
 }
 
-// Capture snapshots the wait-for graph of the locks registry and the
-// given engine's postponed sets.
+// Capture snapshots the locks registry's wait-for graph and finds the
+// postponement stalls of the given engine's postponed goroutines, the
+// way a supervisor's scan does.
 func Capture(e *core.Engine) Graph {
 	return Graph{
 		When:      time.Now(),
 		LockEdges: locks.WaitEdges(),
-		Postponed: e.PostponedWaiters(),
-		Held:      locks.HeldAll(),
+		stalls:    postponeStalls(e.PostponedWaiters()),
 	}
 }
 
@@ -139,12 +137,13 @@ func (r Report) signature() string {
 	return b.String()
 }
 
-// Analyze runs cycle and stall detection over the snapshot and returns
-// every finding: application-only lock cycles first, then postponement
-// stalls. Deterministic for a given snapshot.
+// Analyze runs cycle detection over the snapshot's lock edges and
+// returns every finding: application-only lock cycles first, then the
+// postponement stalls Capture found. Deterministic for a given
+// snapshot.
 func (g Graph) Analyze() []Report {
 	out := g.deadlockCycles()
-	return append(out, g.postponeStalls()...)
+	return append(out, g.stalls...)
 }
 
 // deadlockCycles finds every elementary cycle in the lock-wait digraph
@@ -226,53 +225,16 @@ func waitDesc(gid uint64, e locks.WaitEdge) string {
 // postponeStalls finds every postponed goroutine whose held locks block
 // other goroutines, directly or transitively: the postponement edge
 // (victim → breakpoint) closes a cycle through the application's locks,
-// and releasing the victim early breaks it.
-func (g Graph) postponeStalls() []Report {
-	if len(g.Postponed) == 0 {
-		return nil
-	}
-	blockedOn := make(map[*locks.Mutex][]locks.WaitEdge, len(g.LockEdges))
-	for _, e := range g.LockEdges {
-		if m := e.Mutex(); m != nil {
-			blockedOn[m] = append(blockedOn[m], e)
-		}
-	}
-	if len(blockedOn) == 0 {
-		return nil
-	}
+// and releasing the victim early breaks it. The locks registry answers
+// for one postponed goroutine at a time, so a scan copies only the
+// waits behind them.
+func postponeStalls(postponed []core.PostponedWaiter) []Report {
 	var out []Report
-	for _, p := range g.Postponed {
-		held := g.Held[p.GID]
-		if len(held) == 0 {
-			continue
-		}
-		// BFS over the wedged closure: goroutines blocked on the
-		// victim's held locks, plus goroutines blocked on locks THOSE
-		// goroutines hold, and so on.
-		frontier := append([]*locks.Mutex(nil), held...)
-		visited := map[*locks.Mutex]bool{}
-		wedgedSet := map[uint64]bool{}
-		var wedged []locks.WaitEdge
-		for len(frontier) > 0 {
-			m := frontier[0]
-			frontier = frontier[1:]
-			if visited[m] {
-				continue
-			}
-			visited[m] = true
-			for _, e := range blockedOn[m] {
-				if e.Waiter == p.GID || wedgedSet[e.Waiter] {
-					continue
-				}
-				wedgedSet[e.Waiter] = true
-				wedged = append(wedged, e)
-				frontier = append(frontier, g.Held[e.Waiter]...)
-			}
-		}
+	for _, p := range postponed {
+		held, wedged := locks.BlockedBy(p.GID)
 		if len(wedged) == 0 {
 			continue
 		}
-		sort.Slice(wedged, func(i, j int) bool { return wedged[i].Waiter < wedged[j].Waiter })
 		r := Report{Kind: ReportPostponeStall, Victim: p.GID,
 			GIDs: []uint64{p.GID}, Breakpoints: []string{p.Breakpoint}}
 		parts := []string{fmt.Sprintf("g%d postponed on %s (slot %d/%d) holding %s",

@@ -219,6 +219,157 @@ func TestSupervisorBreaksPostponeStall(t *testing.T) {
 	}
 }
 
+// TestSupervisorBreaksRepeatedStall: a goroutine that keeps holding a
+// lock and is postponed again on the same breakpoint, with the same
+// goroutine waiting behind it, forms the same stall again, and the
+// supervisor breaks it again.
+func TestSupervisorBreaksRepeatedStall(t *testing.T) {
+	e := core.NewEngine()
+	sup := testSupervisor(e, Config{})
+	sup.Start()
+	defer sup.Stop()
+
+	l := locks.NewMutex("wg-repeat-L")
+	victimGID := make(chan uint64, 1)
+	victimOut := make(chan core.Outcome, 2)
+	go func() {
+		victimGID <- locks.GoroutineID()
+		l.LockAt("victim-site")
+		defer l.Unlock()
+		for range 2 {
+			victimOut <- e.TriggerOutcome(core.NewConflictTrigger("wg.repeat.bp", new(int)),
+				true, core.Options{Timeout: 30 * time.Second})
+		}
+	}()
+	vg := <-victimGID
+	waitPostponed(t, e, "wg.repeat.bp")
+	wedged := make(chan struct{})
+	go func() {
+		l.LockAt("wedged-site")
+		l.Unlock()
+		close(wedged)
+	}()
+
+	for i := range 2 {
+		start := time.Now()
+		select {
+		case out := <-victimOut:
+			if out != core.OutcomeTimeout {
+				t.Fatalf("postponement %d outcome = %v, want OutcomeTimeout", i+1, out)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("postponement %d never force-released", i+1)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("breaking postponement %d took %v", i+1, elapsed)
+		}
+	}
+	select {
+	case <-wedged:
+	case <-time.After(10 * time.Second):
+		t.Fatal("wedged goroutine never got the lock")
+	}
+
+	rs := reportsMentioning(sup.Reports(), "wg-repeat-L")
+	if len(rs) != 2 {
+		t.Fatalf("%d reports name wg-repeat-L, want 2: %v", len(rs), sup.Reports())
+	}
+	for _, r := range rs {
+		if r.Kind != ReportPostponeStall || r.Victim != vg || r.signature() != rs[0].signature() {
+			t.Fatalf("reports = %v, want two stalls of victim g%d with one signature", rs, vg)
+		}
+	}
+	if n := e.IncidentCount(guard.KindCycleBreak); n != 2 {
+		t.Fatalf("cycle-break incidents = %d, want 2", n)
+	}
+}
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// TestStallAnalysisCopiesOnlyWhatItReports: the stall analysis asks the
+// locks registry about the postponed goroutine alone, so 200 goroutines
+// parked on an unrelated lock cost it no allocation. It runs
+// postponeStalls itself, so no debounce acts while it measures.
+func TestStallAnalysisCopiesOnlyWhatItReports(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so fmt's printer pool makes allocation counts vary")
+	}
+	e := core.NewEngine()
+	l := locks.NewMutex("wg-alloc-L")
+	victimGID := make(chan uint64, 1)
+	victimDone := make(chan struct{})
+	go func() {
+		defer close(victimDone)
+		victimGID <- locks.GoroutineID()
+		l.LockAt("victim-site")
+		defer l.Unlock()
+		e.TriggerOutcome(core.NewConflictTrigger("wg.alloc.bp", new(int)), true,
+			core.Options{Timeout: 30 * time.Second})
+	}()
+	vg := <-victimGID
+	waitPostponed(t, e, "wg.alloc.bp")
+	wedgedGID := make(chan uint64, 1)
+	wedgedDone := make(chan struct{})
+	go func() {
+		defer close(wedgedDone)
+		wedgedGID <- locks.GoroutineID()
+		l.LockAt("wedged-site")
+		l.Unlock()
+	}()
+	wg := <-wedgedGID
+	waitBlocked(t, "wg-alloc-L")
+
+	wantDesc := fmt.Sprintf("g%d postponed on wg.alloc.bp (slot 0/2) holding wg-alloc-L; "+
+		"g%d waits wg-alloc-L at wedged-site (held by g%d)", vg, wg, vg)
+	analyze := func() float64 {
+		t.Helper()
+		var stalls []Report
+		allocs := testing.AllocsPerRun(100, func() { stalls = postponeStalls(e.PostponedWaiters()) })
+		if len(stalls) != 1 || stalls[0].Desc != wantDesc {
+			t.Fatalf("stalls = %v, want one: %s", stalls, wantDesc)
+		}
+		return allocs
+	}
+	alone := analyze()
+
+	unrelated := locks.NewMutex("wg-alloc-unrelated")
+	unrelated.Lock()
+	var parked sync.WaitGroup
+	for range 200 {
+		parked.Add(1)
+		go func() {
+			defer parked.Done()
+			unrelated.Lock()
+			unrelated.Unlock()
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := 0; n < 200; {
+		n = 0
+		for _, e := range locks.WaitEdges() {
+			if e.Lock == "wg-alloc-unrelated" {
+				n++
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 200 goroutines parked", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	crowded := analyze()
+	unrelated.Unlock()
+	parked.Wait()
+
+	e.ForceRelease("wg.alloc.bp", vg, guard.KindForceRelease, "test cleanup")
+	<-victimDone
+	<-wedgedDone
+	if crowded != alone {
+		t.Fatalf("stall analysis allocates %v times beside 200 unrelated waiters, %v without them", crowded, alone)
+	}
+	t.Logf("stall analysis allocates %v times, with or without 200 unrelated waiters", alone)
+}
+
 // Satellite edge case: a 3-party chain — the postponed victim wedges
 // one goroutine directly and a second transitively — with a second
 // breakpoint's stall confirmed in the same run. The supervisor is
