@@ -88,8 +88,10 @@ const (
 	// OutcomePanic: a user closure panicked and the hardening layer
 	// absorbed it (docs/USAGE.md, "Hardening & production use").
 	OutcomePanic = core.OutcomePanic
-	// OutcomeShed: an open circuit breaker passed the arrival straight
-	// through without postponement.
+	// OutcomeShed: the overload layer passed the arrival straight
+	// through without postponement: a postponed population was at its
+	// bound, or the breakpoint's timeout-rate trip was open
+	// (OverloadConfig).
 	OutcomeShed = core.OutcomeShed
 )
 
@@ -274,11 +276,10 @@ func NewScheduleGraph(timeout time.Duration) *ScheduleGraph {
 }
 
 // Hardening layer (docs/USAGE.md, "Hardening & production use"): panic
-// isolation, per-breakpoint circuit breakers, the incident log, and
-// deterministic fault injection.
+// isolation, the incident log, and deterministic fault injection.
 type (
 	// Incident is one retained hardening event (absorbed panic, stall,
-	// forced release, breaker transition).
+	// forced release, shed, trip transition).
 	Incident = guard.Incident
 	// IncidentKind classifies incidents.
 	IncidentKind = guard.IncidentKind
@@ -291,12 +292,12 @@ type (
 	Event = core.Event
 	// EventKind classifies engine events (arrived/postponed/hit/timeout).
 	EventKind = core.EventKind
-	// BreakerConfig parameterizes per-breakpoint circuit breakers.
-	BreakerConfig = guard.BreakerConfig
-	// BreakerState is a circuit breaker's state (closed/open/half-open).
-	BreakerState = guard.BreakerState
-	// BreakerSnapshot is a point-in-time copy of one breaker's state.
-	BreakerSnapshot = guard.BreakerSnapshot
+	// BreakerState is the state of a breakpoint's timeout-rate trip,
+	// its circuit breaker (closed/open/half-open).
+	BreakerState = core.BreakerState
+	// BreakerSnapshot is a point-in-time copy of one breakpoint's trip
+	// state.
+	BreakerSnapshot = core.BreakerSnapshot
 	// Fault is the set of faults injectable at one trigger arrival.
 	Fault = guard.Fault
 	// FaultInjector decides which faults to inject per arrival.
@@ -307,8 +308,9 @@ type (
 	FaultSide = faultinject.Side
 	// StatsSnapshot is an atomic copy of one breakpoint's counters.
 	StatsSnapshot = core.StatsSnapshot
-	// OverloadConfig parameterizes postponed-population overload
-	// protection (per-shard caps, adaptive budgets, global shedding).
+	// OverloadConfig parameterizes overload protection: per-shard caps,
+	// adaptive budgets, global shedding, and the per-breakpoint
+	// timeout-rate trip.
 	OverloadConfig = core.OverloadConfig
 	// PostponedWaiter describes one goroutine currently postponed at a
 	// breakpoint, as observed by supervision snapshots.
@@ -333,19 +335,16 @@ const (
 	KindNetFault = guard.KindNetFault
 )
 
-// Breaker states and fault-plan sides.
+// Trip states and fault-plan sides.
 const (
-	BreakerClosed   = guard.BreakerClosed
-	BreakerOpen     = guard.BreakerOpen
-	BreakerHalfOpen = guard.BreakerHalfOpen
+	BreakerClosed   = core.BreakerClosed
+	BreakerOpen     = core.BreakerOpen
+	BreakerHalfOpen = core.BreakerHalfOpen
 
 	BothSides  = faultinject.BothSides
 	FirstSide  = faultinject.FirstSide
 	SecondSide = faultinject.SecondSide
 )
-
-// DefaultBreakerConfig returns the production breaker defaults.
-func DefaultBreakerConfig() BreakerConfig { return guard.DefaultBreakerConfig() }
 
 // NewFaultPlan returns an empty deterministic fault-injection plan;
 // install it with SetFaultInjector.
@@ -355,13 +354,9 @@ func NewFaultPlan() *FaultPlan { return faultinject.NewPlan() }
 // removes it).
 func SetFaultInjector(in FaultInjector) { core.Default().SetInjector(in) }
 
-// SetBreakerConfig enables per-breakpoint circuit breakers on the
-// default engine (nil disables them).
-func SetBreakerConfig(cfg *BreakerConfig) { core.Default().SetBreakerConfig(cfg) }
-
-// BreakerStatus returns the default engine's circuit-breaker state for
-// the named breakpoint; ok is false when breakers are disabled or the
-// breakpoint has not been seen since they were enabled.
+// BreakerStatus returns the default engine's timeout-rate trip state for
+// the named breakpoint; ok is false when the installed OverloadConfig
+// sets no TimeoutRate or the breakpoint is unknown.
 func BreakerStatus(name string) (BreakerSnapshot, bool) {
 	return core.Default().BreakerSnapshot(name)
 }
@@ -388,8 +383,8 @@ func SetDurableSink(s DurableSink) { core.Default().SetDurableSink(s) }
 // on the default engine, sorted by name.
 func SnapshotStats() []StatsSnapshot { return core.Default().SnapshotAll() }
 
-// SetOverloadConfig installs postponed-population overload protection
-// on the default engine (nil disables it).
+// SetOverloadConfig installs overload protection on the default engine
+// (nil disables it), discarding every breakpoint's trip state.
 func SetOverloadConfig(cfg *OverloadConfig) { core.Default().SetOverloadConfig(cfg) }
 
 // PostponedTotal returns how many goroutines are currently postponed

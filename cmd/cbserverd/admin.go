@@ -57,35 +57,6 @@ func (d *daemon) bugFor(app string) string {
 	return ""
 }
 
-// shedding reports whether the engine's overload policy has the accept
-// loops shedding right now — the postponed population is at or above
-// the global high-water mark.
-func (d *daemon) shedding() (string, bool) {
-	ov, ok := d.e.Overload()
-	if !ok || ov.GlobalHighWater <= 0 {
-		return "", false
-	}
-	if pop := d.e.PostponedTotal(); pop >= int64(ov.GlobalHighWater) {
-		return fmt.Sprintf("postponed population %d at high water %d", pop, ov.GlobalHighWater), true
-	}
-	return "", false
-}
-
-// Serving-layer metric descriptors: app and proxy counters that live
-// outside the engine's catalog but render through the same registry.
-var (
-	descUptime = telemetry.Desc{Name: "cbreak_uptime_seconds",
-		Help: "Seconds since cbserverd started.", Kind: telemetry.Gauge}
-	descAppServed = telemetry.Desc{Name: "cbreak_app_served_requests_total",
-		Help: "Request lines the app server answered.", Kind: telemetry.Counter, Labels: []string{"app"}}
-	descAppShed = telemetry.Desc{Name: "cbreak_app_shed_connections_total",
-		Help: "Connections the app server's accept loop shed.", Kind: telemetry.Counter, Labels: []string{"app"}}
-	descProxyConns = telemetry.Desc{Name: "cbreak_proxy_connections_total",
-		Help: "Connections the chaos proxy accepted.", Kind: telemetry.Counter}
-	descProxyFaults = telemetry.Desc{Name: "cbreak_proxy_faults_total",
-		Help: "Faults the chaos proxy injected, by kind.", Kind: telemetry.Counter, Labels: []string{"kind"}}
-)
-
 // registerServingMetrics adds the app/proxy collectors to the registry.
 // Served/shed counters are visible only for in-process apps; supervised
 // worker processes account their own serving in their own journals,
@@ -93,22 +64,22 @@ var (
 // exported here by the host supervisor's collector.
 func (d *daemon) registerServingMetrics(reg *telemetry.Registry) {
 	reg.RegisterCollector(func(emit func(telemetry.Sample)) {
-		emit(telemetry.Sample{Desc: &descUptime, Value: time.Since(d.started).Seconds()})
+		emit(telemetry.Sample{Desc: telemetry.DescUptime, Value: time.Since(d.started).Seconds()})
 		for _, h := range d.hosts.Hosts() {
 			inst := h.Instance()
 			if inst == nil {
 				continue
 			}
 			if app := appboot.InstanceApp(inst); app != nil {
-				emit(telemetry.Sample{Desc: &descAppServed,
+				emit(telemetry.Sample{Desc: telemetry.DescAppServed,
 					Labels: []string{app.Name}, Value: float64(app.Served())})
-				emit(telemetry.Sample{Desc: &descAppShed,
+				emit(telemetry.Sample{Desc: telemetry.DescAppShed,
 					Labels: []string{app.Name}, Value: float64(app.ShedCount())})
 			}
 		}
-		emit(telemetry.Sample{Desc: &descProxyConns, Value: float64(d.px.Connections())})
+		emit(telemetry.Sample{Desc: telemetry.DescProxyConns, Value: float64(d.px.Connections())})
 		for _, k := range netchaos.Kinds() {
-			emit(telemetry.Sample{Desc: &descProxyFaults,
+			emit(telemetry.Sample{Desc: telemetry.DescProxyFaults,
 				Labels: []string{k.String()}, Value: float64(d.px.FaultCount(k))})
 		}
 	})
@@ -126,7 +97,6 @@ func (d *daemon) mux() *http.ServeMux {
 	m.HandleFunc("/breakpoints/toggle", d.handleToggle)
 	m.HandleFunc("/engine", d.handleEngine)
 	m.HandleFunc("/tune/overload", d.handleTuneOverload)
-	m.HandleFunc("/tune/breaker", d.handleTuneBreaker)
 	m.HandleFunc("/release", d.handleRelease)
 	m.HandleFunc("/waiters", d.handleWaiters)
 	m.HandleFunc("/incidents", d.handleIncidents)
@@ -138,15 +108,16 @@ func (d *daemon) mux() *http.ServeMux {
 
 // handleHealthz is honest liveness: 503 while the daemon is draining
 // (a balancer must stop sending load the drain will sever) and 503
-// while the overload policy has the accept loops shedding (the daemon
-// is alive but refusing the very work a health-checked pool would
-// route to it). Plain 200 "ok" otherwise.
+// while the postponed population is at the engine's high-water mark,
+// where the accept loops shed (the daemon is alive but refusing the
+// very work a health-checked pool would route to it). Plain 200 "ok"
+// otherwise.
 func (d *daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if d.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	if reason, shed := d.shedding(); shed {
+	if reason, shed := d.e.AtHighWater(); shed {
 		http.Error(w, "shedding: "+reason, http.StatusServiceUnavailable)
 		return
 	}
@@ -334,9 +305,10 @@ func (d *daemon) handleEngine(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"engine_enabled": d.e.Enabled()})
 }
 
-// handleTuneOverload replaces the engine's overload policy live.
-// Omitted parameters keep the currently-installed value; clear=true
-// removes the policy entirely.
+// handleTuneOverload replaces the engine's overload policy live, the
+// timeout-rate trip included (installing it discards every
+// breakpoint's trip state). Omitted parameters keep the
+// currently-installed value; clear=true removes the policy entirely.
 func (d *daemon) handleTuneOverload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -353,40 +325,13 @@ func (d *daemon) handleTuneOverload(w http.ResponseWriter, r *http.Request) {
 		intParam(r, "soft-water", &cfg.SoftWater),
 		intParam(r, "max-per-shard", &cfg.MaxPerShard),
 		durParam(r, "min-budget", &cfg.MinBudget),
+		floatParam(r, "timeout-rate", &cfg.TimeoutRate),
 	); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	d.e.SetOverloadConfig(&cfg)
 	writeJSON(w, map[string]any{"overload": cfg})
-}
-
-// handleTuneBreaker replaces the per-breakpoint circuit-breaker policy
-// live. Omitted parameters take the production defaults; clear=true
-// removes breakers (existing ones disengage on their next arrival).
-func (d *daemon) handleTuneBreaker(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if ok, _ := strconv.ParseBool(r.FormValue("clear")); ok {
-		d.e.SetBreakerConfig(nil)
-		writeJSON(w, map[string]any{"breaker": nil})
-		return
-	}
-	cfg := guard.DefaultBreakerConfig()
-	if err := firstErr(
-		intParam(r, "min-samples", &cfg.MinSamples),
-		intParam(r, "window", &cfg.Window),
-		floatParam(r, "timeout-rate", &cfg.TimeoutRate),
-		durParam(r, "backoff", &cfg.Backoff),
-		durParam(r, "max-backoff", &cfg.MaxBackoff),
-	); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	d.e.SetBreakerConfig(&cfg)
-	writeJSON(w, map[string]any{"breaker": cfg})
 }
 
 // handleRelease force-releases one postponed goroutine with a timeout

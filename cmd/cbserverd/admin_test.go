@@ -186,7 +186,14 @@ func TestAdminSurface(t *testing.T) {
 	if _, ok := d.e.Overload(); ok {
 		t.Fatal("overload clear not applied")
 	}
-	post(t, ts, "/tune/breaker", url.Values{"timeout-rate": {"0.5"}, "min-samples": {"4"}})
+	post(t, ts, "/tune/overload", url.Values{"timeout-rate": {"0.5"}})
+	if ov, ok := d.e.Overload(); !ok || ov.TimeoutRate != 0.5 || ov.GlobalHighWater != 0 {
+		t.Fatalf("timeout-rate tune not applied: %+v ok=%v", ov, ok)
+	}
+	if st := get(t, ts, "/status"); !strings.Contains(st, `"TimeoutRate": 0.5`) {
+		t.Errorf("status does not show the tuned timeout rate: %s", st)
+	}
+	post(t, ts, "/tune/overload", url.Values{"clear": {"true"}})
 
 	// Releasing a goroutine that is not postponed reports false.
 	out := post(t, ts, "/release", url.Values{"breakpoint": {"live.bp"}, "gid": {"12345"}})

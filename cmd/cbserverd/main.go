@@ -3,9 +3,9 @@
 // netchaos fault-injecting proxy and serves a live control plane over
 // HTTP — Prometheus-text metrics from the typed telemetry registry, an
 // NDJSON stream of every record on the engine's telemetry bus, and an
-// admin API that registers/enables/disables breakpoints, tunes overload
-// and breaker policy, and force-releases wedged victims, all without a
-// restart.
+// admin API that registers/enables/disables breakpoints, tunes the
+// overload policy (the timeout-rate trip included), and force-releases
+// wedged victims, all without a restart.
 //
 // Hosted apps run under a self-healing supervisor: each is
 // health-probed over its own socket protocol, restarted with jittered
@@ -34,8 +34,7 @@
 //	GET  /reports                  wait-graph supervisor reports
 //	POST /breakpoints/toggle       ?name=X&enabled=true|false
 //	POST /engine                   ?enabled=true|false
-//	POST /tune/overload            ?high-water=&soft-water=&max-per-shard=&min-budget= | ?clear=true
-//	POST /tune/breaker             ?min-samples=&window=&timeout-rate=&backoff=&max-backoff= | ?clear=true
+//	POST /tune/overload            ?high-water=&soft-water=&max-per-shard=&min-budget=&timeout-rate= | ?clear=true
 //	POST /release                  ?breakpoint=X&gid=N
 //	POST /chaos/partition          ?duration=2s   (sever the proxy for a window)
 //	POST /apps/revive              ?name=X        (lift a quarantine)

@@ -1,8 +1,9 @@
 // Command hardening demonstrates the hardening layer through the public
 // cbreak facade: fault injection, panic isolation, forced release,
-// circuit breakers, incident accounting, and schedule timeout
-// diagnostics. Its output is deterministic (no raw durations) so two
-// runs can be diffed to demonstrate reproducible fault injection.
+// the overload layer's timeout-rate trip (a circuit breaker), incident
+// accounting, and schedule timeout diagnostics. Its output is
+// deterministic (no raw durations) so two runs can be diffed to
+// demonstrate reproducible fault injection.
 package main
 
 import (
@@ -66,33 +67,27 @@ func main() {
 	fmt.Printf("second release: %v\n", cbreak.ForceRelease("demo.release", gid, cbreak.KindForceRelease, "demo"))
 	fmt.Printf("force-release incidents: %d\n", cbreak.IncidentCount(cbreak.KindForceRelease))
 
-	// --- Circuit breaker -------------------------------------------------
-	// Six lonely arrivals against a 5ms budget: four postpone and time
-	// out (tripping at MinSamples=4, rate 1.0 >= 0.5), the last two are
-	// shed without postponement. After the 150ms backoff a real
-	// rendezvous serves as the half-open probe and re-arms the breaker.
-	section("circuit breaker")
+	// --- Timeout-rate trip (circuit breaker) -----------------------------
+	// Ten lonely arrivals against a 15ms budget: eight postpone and time
+	// out (the trip is judged after 8 outcomes, and a rate of 1.0 is at
+	// or above 0.9), the last two are shed without postponement. The
+	// trip backs off 10x the 15ms timeout, 150ms; then a real rendezvous
+	// serves as the half-open probe and re-arms the breakpoint.
+	section("timeout-rate trip")
 	cbreak.Reset()
 	cbreak.SetFaultInjector(nil)
-	cfg := cbreak.DefaultBreakerConfig()
-	cfg.MinSamples = 4
-	cfg.TimeoutRate = 0.5
-	cfg.Backoff = 150 * time.Millisecond
-	cbreak.SetBreakerConfig(&cfg)
+	cbreak.SetOverloadConfig(&cbreak.OverloadConfig{TimeoutRate: 0.9})
 	bpBreaker := cbreak.Register("demo.breaker")
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 10; i++ {
 		bpBreaker.Trigger(cbreak.NewConflictTrigger("demo.breaker", &obj), true,
-			cbreak.Options{Timeout: 5 * time.Millisecond})
+			cbreak.Options{Timeout: 15 * time.Millisecond})
 	}
 	if snap, ok := cbreak.BreakerStatus("demo.breaker"); ok {
-		fmt.Printf("after 6 lonely arrivals: state=%s trips=%d\n", snap.State, snap.Trips)
+		fmt.Printf("after 10 lonely arrivals: state=%s backoff=%s\n", snap.State, snap.Backoff)
 	}
-	for _, st := range cbreak.SnapshotStats() {
-		if st.Name == "demo.breaker" {
-			fmt.Printf("stats: arrivals=%d postpones=%d timeouts=%d sheds=%d\n",
-				st.Arrivals, st.Postpones, st.Timeouts, st.Sheds)
-		}
-	}
+	st := cbreak.Stats("demo.breaker").Snapshot()
+	fmt.Printf("stats: arrivals=%d postpones=%d timeouts=%d sheds=%d trips=%d\n",
+		st.Arrivals, st.Postpones, st.Timeouts, st.Sheds, st.Trips)
 	time.Sleep(250 * time.Millisecond) // let the backoff expire
 	wg.Add(1)
 	go func() {
@@ -103,17 +98,18 @@ func main() {
 	probeHit := cbreak.TriggerHere(cbreak.NewConflictTrigger("demo.breaker", &obj), true, 500*time.Millisecond)
 	wg.Wait()
 	if snap, ok := cbreak.BreakerStatus("demo.breaker"); ok {
+		st := cbreak.Stats("demo.breaker").Snapshot()
 		fmt.Printf("after probe rendezvous (hit=%v): state=%s trips=%d rearms=%d\n",
-			probeHit, snap.State, snap.Trips, snap.Rearms)
+			probeHit, snap.State, st.Trips, st.Rearms)
 	}
-	fmt.Printf("breaker incidents: trip=%d probe=%d rearm=%d\n",
+	fmt.Printf("trip incidents: trip=%d probe=%d rearm=%d\n",
 		cbreak.IncidentCount(cbreak.KindBreakerTrip),
 		cbreak.IncidentCount(cbreak.KindBreakerProbe),
 		cbreak.IncidentCount(cbreak.KindBreakerRearm))
 	if _, ok := cbreak.BreakerStatus("never-seen"); !ok {
-		fmt.Println("unknown breakpoint has no breaker: ok=false")
+		fmt.Println("unknown breakpoint has no trip state: ok=false")
 	}
-	cbreak.SetBreakerConfig(nil)
+	cbreak.SetOverloadConfig(nil)
 
 	// --- Disabled engine -------------------------------------------------
 	// With the engine disabled, arrivals return immediately and the

@@ -41,8 +41,8 @@ func waitPostponed(want int64) bool {
 func main() {
 	// --- Overload shedding -----------------------------------------------
 	// A per-shard cap of 2: the first two arrivals postpone, the next two
-	// are shed outright (OutcomeShed, like an open circuit breaker) with
-	// an overload-shed incident each.
+	// are shed outright (OutcomeShed) with an overload-shed incident
+	// each.
 	section("overload shedding")
 	cbreak.SetOverloadConfig(&cbreak.OverloadConfig{MaxPerShard: 2})
 

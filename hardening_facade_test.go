@@ -7,13 +7,13 @@ import (
 
 // TestFacadeHardening exercises the hardening surface end to end on the
 // default engine: fault injection, panic isolation, the incident log,
-// breakers, and stats snapshots.
+// the timeout-rate trip, and stats snapshots.
 func TestFacadeHardening(t *testing.T) {
 	Reset()
 	SetEnabled(true)
 	defer func() {
 		SetFaultInjector(nil)
-		SetBreakerConfig(nil)
+		SetOverloadConfig(nil)
 		SetIsolateActionPanics(false)
 		Reset()
 	}()
@@ -31,10 +31,10 @@ func TestFacadeHardening(t *testing.T) {
 
 	SetFaultInjector(nil)
 
-	// Breakers trip a 100%-timeout breakpoint and report via the facade.
-	cfg := BreakerConfig{MinSamples: 2, TimeoutRate: 0.9, Backoff: time.Hour}
-	SetBreakerConfig(&cfg)
-	for i := 0; i < 2; i++ {
+	// The trip opens on a 100%-timeout breakpoint after 8 outcomes and
+	// reports via the facade.
+	SetOverloadConfig(&OverloadConfig{TimeoutRate: 0.9})
+	for i := 0; i < 8; i++ {
 		TriggerHere(NewConflictTrigger("facade.bp", new(int)), true, time.Millisecond)
 	}
 	snap, ok := BreakerStatus("facade.bp")

@@ -100,22 +100,21 @@ func TestChaosDeterministicInjection(t *testing.T) {
 
 func TestChaosBreakerDisablesDeadBreakpoint(t *testing.T) {
 	// Drop every reader-side arrival of race1: the reset side becomes a
-	// 100%-timeout breakpoint. With breakers on, it trips, auto-disables
-	// (sheds), and later re-arms via a half-open probe.
+	// 100%-timeout breakpoint. With the timeout-rate trip on, it trips,
+	// auto-disables (sheds), and later re-arms via a half-open probe.
 	plan := faultinject.NewPlan().Drop(BPRace1, faultinject.SecondSide)
 	e := chaosEngine(t, plan)
-	e.SetBreakerConfig(&guard.BreakerConfig{
-		MinSamples: 2, TimeoutRate: 0.9, Backoff: 150 * time.Millisecond,
-	})
+	e.SetOverloadConfig(&core.OverloadConfig{TimeoutRate: 0.9})
 
-	// Trip: repeated reset-side arrivals with no partner.
+	// Trip: eight reset-side arrivals with no partner. They time out
+	// after the engine's 20ms default, so the trip backs off 200ms.
 	cfg := &Config{Engine: e, Bug: Race1, Breakpoint: true}
 	cache := NewCache(1<<30, cfg)
 	cache.Put("k", 1)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 8; i++ {
 		cache.ResetStats()
 	}
-	if snap, ok := e.BreakerSnapshot(BPRace1); !ok || snap.State != guard.BreakerOpen {
+	if snap, ok := e.BreakerSnapshot(BPRace1); !ok || snap.State != core.BreakerOpen {
 		t.Fatalf("breaker = %v/%v after 100%% timeouts, want open", snap.State, ok)
 	}
 	if got := e.Stats(BPRace1).Trips(); got == 0 {
@@ -134,7 +133,7 @@ func TestChaosBreakerDisablesDeadBreakpoint(t *testing.T) {
 	// Re-arm: stop dropping (fresh no-op injector), wait out the backoff,
 	// and run a real rendezvous as the half-open probe.
 	e.SetInjector(faultinject.NewPlan())
-	time.Sleep(200 * time.Millisecond)
+	time.Sleep(400 * time.Millisecond)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -142,7 +141,7 @@ func TestChaosBreakerDisablesDeadBreakpoint(t *testing.T) {
 	}()
 	cache.ResetStats()
 	<-done
-	if snap, _ := e.BreakerSnapshot(BPRace1); snap.State != guard.BreakerClosed {
+	if snap, _ := e.BreakerSnapshot(BPRace1); snap.State != core.BreakerClosed {
 		t.Fatalf("breaker = %v after probe hit, want closed (re-armed)", snap.State)
 	}
 	if got := e.Stats(BPRace1).Rearms(); got == 0 {

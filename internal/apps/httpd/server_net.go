@@ -63,10 +63,10 @@ type NetConfig struct {
 }
 
 // StartNet starts the server on a loopback listener. The engine's
-// OverloadConfig (when installed) doubles as the accept loop's shedding
-// policy: at or above the global high-water mark new connections are
-// answered "503 shed" and dropped, and each shed is recorded as an
-// overload-shed guard incident.
+// global high-water mark (Engine.AtHighWater) doubles as the accept
+// loop's shedding policy: at or above it new connections are answered
+// "503 shed" and dropped, and each shed is recorded as an overload-shed
+// guard incident.
 func StartNet(cfg Config, ncfg NetConfig) (*NetServer, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("httpd: StartNet requires Config.Engine")
@@ -80,7 +80,7 @@ func StartNet(cfg Config, ncfg NetConfig) (*NetServer, error) {
 	kit, err := appkit.StartSocketServer(appkit.SocketServerConfig{
 		Addr:         ncfg.Addr,
 		Handler:      ns.handle,
-		Shed:         engineShed(ns.cfg),
+		Shed:         cfg.Engine.AtHighWater,
 		OnShed:       func(reason string) { cfg.Engine.RecordIncident(guard.KindOverloadShed, "httpd.accept", 0, reason) },
 		ShedResponse: "503 shed",
 		ConnTimeout:  ncfg.ConnTimeout,
@@ -91,23 +91,6 @@ func StartNet(cfg Config, ncfg NetConfig) (*NetServer, error) {
 	}
 	ns.kit = kit
 	return ns, nil
-}
-
-// engineShed builds the accept-loop shedding policy from the engine's
-// installed overload bounds: shed while the postponed population sits
-// at or above the global high-water mark.
-func engineShed(cfg *Config) func() (string, bool) {
-	e := cfg.Engine
-	return func() (string, bool) {
-		ov, ok := e.Overload()
-		if !ok || ov.GlobalHighWater <= 0 {
-			return "", false
-		}
-		if pop := e.PostponedTotal(); pop >= int64(ov.GlobalHighWater) {
-			return fmt.Sprintf("accept shed: postponed population %d at high water %d", pop, ov.GlobalHighWater), true
-		}
-		return "", false
-	}
 }
 
 // Addr returns the server's listen address.

@@ -50,7 +50,8 @@ type NetConfig struct {
 }
 
 // StartNet starts the server on a loopback listener, with the engine's
-// OverloadConfig high-water mark as the accept loop's shedding policy.
+// global high-water mark (Engine.AtHighWater) as the accept loop's
+// shedding policy.
 func StartNet(cfg Config, ncfg NetConfig) (*NetServer, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("mysql: StartNet requires Config.Engine")
@@ -67,18 +68,9 @@ func StartNet(cfg Config, ncfg NetConfig) (*NetServer, error) {
 	}
 	e := cfg.Engine
 	kit, err := appkit.StartSocketServer(appkit.SocketServerConfig{
-		Addr:    ncfg.Addr,
-		Handler: ns.handle,
-		Shed: func() (string, bool) {
-			ov, ok := e.Overload()
-			if !ok || ov.GlobalHighWater <= 0 {
-				return "", false
-			}
-			if pop := e.PostponedTotal(); pop >= int64(ov.GlobalHighWater) {
-				return fmt.Sprintf("accept shed: postponed population %d at high water %d", pop, ov.GlobalHighWater), true
-			}
-			return "", false
-		},
+		Addr:         ncfg.Addr,
+		Handler:      ns.handle,
+		Shed:         e.AtHighWater,
 		OnShed:       func(reason string) { e.RecordIncident(guard.KindOverloadShed, "mysql.accept", 0, reason) },
 		ShedResponse: "err shed",
 		ConnTimeout:  ncfg.ConnTimeout,

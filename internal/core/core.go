@@ -94,8 +94,10 @@ const (
 	// panic was absorbed by the hardening layer, any postponed partner
 	// was released, and the incident was logged.
 	OutcomePanic
-	// OutcomeShed: the breakpoint's circuit breaker is open; the
-	// arrival passed straight through without postponement.
+	// OutcomeShed: the overload layer (OverloadConfig) passed the
+	// arrival straight through without postponement: a postponed
+	// population was at its bound, or the breakpoint's timeout-rate
+	// trip was open.
 	OutcomeShed
 )
 

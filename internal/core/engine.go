@@ -16,7 +16,7 @@ import (
 // enforces the ordering action of a hit breakpoint.
 //
 // State is sharded per breakpoint name (shard.go): each breakpoint owns
-// its own mutex, postponed set, statistics, and circuit breaker, so
+// its own mutex, postponed set, statistics, and trip state, so
 // arrivals on unrelated breakpoints never contend.
 // Shards are resolved through a lock-free registry and can be pinned on
 // a Breakpoint handle (handle.go) to skip even the registry lookup.
@@ -60,17 +60,16 @@ type Engine struct {
 	// supervisor read it lock-free.
 	postponedTotal atomic.Int64
 
-	// Overload protection (overload.go): bounded postponed populations
-	// and adaptive postponement budgets. The pointed-to config is
-	// immutable; SetOverloadConfig swaps in a new one.
+	// Overload protection (overload.go): bounded postponed populations,
+	// adaptive postponement budgets and the timeout-rate trip. The
+	// pointed-to config is immutable; SetOverloadConfig swaps in a new
+	// one.
 	overloadCfg atomic.Pointer[OverloadConfig]
 
-	// Hardening layer (hardening.go): incident log, circuit-breaker
-	// configuration, fault injector, action-panic policy.
+	// Hardening layer (hardening.go): incident log, fault injector,
+	// action-panic policy.
 	incidents           guard.IncidentLog
-	breakerCfg          atomic.Pointer[guard.BreakerConfig]
-	brEpoch             atomic.Uint64 // bumped by SetBreakerConfig; shards rebuild lazily
-	injector            atomic.Value  // *injectorBox
+	injector            atomic.Value // *injectorBox
 	isolateActionPanics atomic.Bool
 }
 
@@ -95,7 +94,7 @@ func (e *Engine) SetEnabled(v bool) { e.enabled.Store(v) }
 // Enabled reports whether the engine is active.
 func (e *Engine) Enabled() bool { return e.enabled.Load() }
 
-// Reset discards all postponed waiters, statistics, and breaker state.
+// Reset discards all postponed waiters, statistics, and trip state.
 // Any currently postponed goroutines are released with a
 // timeout outcome. Reset swaps in a fresh shard registry and retires
 // the old shards one at a time — there is no stop-the-world lock, and
@@ -235,8 +234,8 @@ func (s *bpState) trigger(t Trigger, slot, arity int, opts Options, action func(
 	return s.arrive(t, slot, arity, opts, action)
 }
 
-// arrive is an enabled arrival: breaker admission, the local predicate,
-// then matching or postponement on the shard. Slot 0 counts as the
+// arrive is an enabled arrival: the local predicate, then matching on
+// the shard, then postponement or a shed (admit). Slot 0 counts as the
 // breakpoint's first-action side and every other slot as its second,
 // in the statistics, the fault hooks and the published events.
 func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()) Outcome {
@@ -247,28 +246,12 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 	name := s.name
 	st := s.stats
 	first := slot == 0
-	br := s.breakerFor(e)
 	st.arrived(first)
 	fault := e.faultFor(name, first)
 
 	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = e.DefaultTimeout
-	}
-
-	if br != nil {
-		admit, tr := br.Allow(time.Now())
-		e.noteBreakerTransition(name, st, br, tr)
-		if !admit {
-			// Breaker open: the breakpoint is tripped; pass straight
-			// through at near-zero cost.
-			st.shed(first)
-			e.logEvent(s, EventArrived, 0, first)
-			if e.execAction(name, 0, st, fault, 0, action) {
-				return OutcomePanic
-			}
-			return OutcomeShed
-		}
 	}
 
 	ok, pv, panicked := e.evalLocal(name, t, first, opts, st, fault)
@@ -307,8 +290,10 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 		s.mu.Unlock()
 		return e.absorbPredPanic(name, "global", gid, st, fault, gpv, action)
 	}
+	ov := e.overloadCfg.Load()
 	if group != nil {
 		st.hit()
+		rearm := s.trip.hit(ov, arity)
 		e.logEvent(s, EventHit, gid, first)
 		// The hit callback runs once the shard mutex is released, so it
 		// may call back into the engine, and before the group's waiters
@@ -323,25 +308,25 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 		var hs [8]handoff
 		tn, matched := s.chain(hs[:0], group, slot, arity)
 		s.mu.Unlock()
+		e.record(rearm, name, gid, st)
 		if cb != nil {
 			cb.run(name, t, partner, matched)
 		} else {
 			deliver(matched)
 		}
-		e.reportBreaker(br, name, st, true)
 		return e.proceed(name, gid, st, fault, tn, action, timeout)
 	}
 
-	// No group yet: postpone ourselves — if the overload layer admits
-	// another waiter. At the bound the arrival is shed instead: it
-	// passes straight through like a tripped breaker's, trading hit
-	// probability for a bounded postponed population.
-	ov := e.overloadCfg.Load()
-	global := e.postponedTotal.Load()
-	if reason, shed := ov.shedReason(len(s.postponed), global); shed {
+	// No group yet: postpone ourselves, unless the overload layer sheds
+	// the arrival (overload.go). A shed arrival passes straight
+	// through, trading hit probability for a bounded postponed
+	// population or for a tripped breakpoint's cost.
+	now := time.Now()
+	adm, shed := s.admit(ov, now)
+	if shed {
 		s.mu.Unlock()
 		st.shed(first)
-		e.recordIncident(guard.KindOverloadShed, name, gid, reason)
+		e.record(adm, name, gid, st)
 		if e.execAction(name, gid, st, fault, 0, action) {
 			return OutcomePanic
 		}
@@ -349,14 +334,15 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 	}
 	// Under pressure the granted budget shrinks below the requested
 	// timeout (overload.go), draining the backlog faster as it grows.
-	budget := ov.budget(timeout, global)
+	budget := ov.budget(timeout, e.postponedTotal.Load())
 	w := &waiter{t: heapCopy(t), slot: slot, arity: arity, gid: gid,
 		ch: make(chan turn, 1), cancelCh: make(chan struct{}),
-		deadline: time.Now().Add(budget)}
+		deadline: now.Add(budget)}
 	s.postponed = append(s.postponed, w)
 	e.postponedTotal.Add(1)
 	st.postpone(first)
 	s.mu.Unlock()
+	e.record(adm, name, gid, st)
 	e.logEvent(s, EventPostponed, gid, first)
 
 	timer := time.NewTimer(budget)
@@ -387,19 +373,17 @@ func (s *bpState) arrive(t Trigger, slot, arity int, opts Options, action func()
 		default:
 			w.state = waiterCancelled
 			s.prune()
+			trip := s.trip.timedOut(e.overloadCfg.Load(), time.Now(), timeout)
 			s.mu.Unlock()
 			st.timeout(first)
 			e.logEvent(s, EventTimeout, gid, first)
+			e.record(trip, name, gid, st)
 			out = OutcomeTimeout
 		}
 	}
 	st.addWait(time.Since(start))
 	if out == OutcomeHit {
-		e.reportBreaker(br, name, st, true)
 		return e.proceed(name, gid, st, fault, tn, action, timeout)
-	}
-	if out == OutcomeTimeout {
-		e.reportBreaker(br, name, st, false)
 	}
 	if e.execAction(name, gid, st, fault, timeout, action) {
 		return OutcomePanic

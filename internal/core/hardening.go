@@ -9,11 +9,10 @@ import (
 )
 
 // This file threads the internal/guard hardening layer through the
-// engine: panic isolation for user closures, per-breakpoint circuit
-// breakers, the incident log, and the fault injection hooks. The goal
-// is the paper's production story made real: an enabled breakpoint
-// must never be able to crash or stall the host program, no matter
-// what its predicates and actions do.
+// engine: panic isolation for user closures, the incident log, and the
+// fault injection hooks. The goal is the paper's production story made
+// real: an enabled breakpoint must never be able to crash or stall the
+// host program, no matter what its predicates and actions do.
 
 // injectorBox wraps the injector interface for atomic storage.
 type injectorBox struct{ in guard.Injector }
@@ -48,7 +47,8 @@ func (e *Engine) faultFor(name string, first bool) guard.Fault {
 func (e *Engine) SetIsolateActionPanics(v bool) { e.isolateActionPanics.Store(v) }
 
 // Incidents returns the engine's retained hardening incidents (absorbed
-// panics, stalls, forced releases, breaker transitions), oldest first.
+// panics, stalls, forced releases, trip transitions, sheds), oldest
+// first.
 func (e *Engine) Incidents() []guard.Incident { return e.incidents.Snapshot() }
 
 // IncidentCount returns the monotonic total of incidents of one kind.
@@ -81,69 +81,19 @@ func (e *Engine) RecordIncident(k guard.IncidentKind, name string, gid uint64, d
 	e.recordIncident(k, name, gid, detail)
 }
 
-// SetBreakerConfig enables per-breakpoint circuit breakers with the
-// given configuration (zero fields take guard defaults), or disables
-// them when cfg is nil. Existing breaker state is discarded either way:
-// the engine's breaker epoch is bumped and each shard lazily rebuilds
-// its breaker on next use (shard.breakerFor), so reconfiguration never
-// stops the world.
-func (e *Engine) SetBreakerConfig(cfg *guard.BreakerConfig) {
-	if cfg == nil {
-		e.breakerCfg.Store(nil)
-	} else {
-		c := *cfg
-		e.breakerCfg.Store(&c)
-	}
-	e.brEpoch.Add(1)
-}
-
-// BreakerSnapshot returns the circuit-breaker state of the named
-// breakpoint; ok is false when breakers are disabled or the breakpoint
-// has not been seen since they were (re)configured.
-func (e *Engine) BreakerSnapshot(name string) (guard.BreakerSnapshot, bool) {
-	if e.breakerCfg.Load() == nil {
-		return guard.BreakerSnapshot{}, false
-	}
-	s, ok := e.lookupShard(name)
-	if !ok {
-		return guard.BreakerSnapshot{}, false
-	}
-	epoch := e.brEpoch.Load()
-	s.brMu.Lock()
-	br, brEpoch := s.breaker, s.brEpoch
-	s.brMu.Unlock()
-	if br == nil || brEpoch != epoch {
-		return guard.BreakerSnapshot{}, false
-	}
-	return br.Snapshot(), true
-}
-
-// reportBreaker feeds a postponement outcome into the breakpoint's
-// breaker and logs any resulting state change.
-func (e *Engine) reportBreaker(br *guard.Breaker, name string, st *BPStats, hit bool) {
-	if br == nil {
+// record records n, once the shard mutex it was decided under is
+// released, and counts trips and rearms in st.
+func (e *Engine) record(n note, name string, gid uint64, st *BPStats) {
+	if n.detail == "" {
 		return
 	}
-	var tr guard.Transition
-	if hit {
-		tr = br.OnHit(time.Now())
-	} else {
-		tr = br.OnTimeout(time.Now())
-	}
-	e.noteBreakerTransition(name, st, br, tr)
-}
-
-func (e *Engine) noteBreakerTransition(name string, st *BPStats, br *guard.Breaker, tr guard.Transition) {
-	switch tr {
-	case guard.TransitionTripped, guard.TransitionReopened:
+	switch n.kind {
+	case guard.KindBreakerTrip:
 		st.trip()
-		e.recordIncident(guard.KindBreakerTrip, name, 0, "circuit opened: "+br.Snapshot().String())
-	case guard.TransitionProbe:
-		e.recordIncident(guard.KindBreakerProbe, name, 0, "backoff expired; half-open probe admitted")
-	case guard.TransitionRearmed:
+	case guard.KindBreakerRearm:
 		st.rearm()
-		e.recordIncident(guard.KindBreakerRearm, name, 0, "probe hit; breaker closed")
 	}
+	e.recordIncident(n.kind, name, gid, n.detail)
 }
 
 // protectBool runs a user predicate under recover.

@@ -159,133 +159,6 @@ func TestMultiPredicatePanic(t *testing.T) {
 	}
 }
 
-// --- Circuit breakers ------------------------------------------------
-
-// lonelyTimeouts drives n one-sided arrivals so every postponement times
-// out.
-func lonelyTimeouts(e *Engine, n int, timeout time.Duration) {
-	for i := 0; i < n; i++ {
-		e.TriggerHere(NewConflictTrigger("bp", new(int)), true, Options{Timeout: timeout})
-	}
-}
-
-func TestBreakerTripShedsArrivals(t *testing.T) {
-	e := newTestEngine()
-	e.SetBreakerConfig(&guard.BreakerConfig{
-		MinSamples: 3, TimeoutRate: 0.9, Backoff: time.Hour, // never probes during the test
-	})
-	lonelyTimeouts(e, 3, 5*time.Millisecond)
-	if got := e.Stats("bp").Trips(); got != 1 {
-		t.Fatalf("Trips = %d, want 1", got)
-	}
-	if snap, ok := e.BreakerSnapshot("bp"); !ok || snap.State != guard.BreakerOpen {
-		t.Fatalf("breaker snapshot = %v/%v, want open", snap.State, ok)
-	}
-	if got := e.IncidentCount(guard.KindBreakerTrip); got != 1 {
-		t.Fatalf("trip incidents = %d, want 1", got)
-	}
-
-	// Arrivals now shed: no postponement, action still runs, near-instant.
-	start := time.Now()
-	ran := false
-	out := e.shard("bp").trigger(NewConflictTrigger("bp", new(int)), 0, 2, Options{Timeout: time.Second}, func() { ran = true })
-	if out != OutcomeShed {
-		t.Fatalf("outcome = %v, want shed", out)
-	}
-	if !ran {
-		t.Fatal("shed arrival must still run its action")
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("shed arrival took %v; must pass through without postponement", d)
-	}
-	if got := e.Stats("bp").Sheds(); got != 1 {
-		t.Fatalf("Sheds = %d, want 1", got)
-	}
-}
-
-func TestBreakerTripProbeRearm(t *testing.T) {
-	e := newTestEngine()
-	e.SetBreakerConfig(&guard.BreakerConfig{
-		MinSamples: 3, TimeoutRate: 0.9, Backoff: 150 * time.Millisecond,
-	})
-	// 100%-timeout breakpoint: trips after MinSamples lonely arrivals.
-	lonelyTimeouts(e, 3, 5*time.Millisecond)
-	if snap, _ := e.BreakerSnapshot("bp"); snap.State != guard.BreakerOpen {
-		t.Fatalf("state = %v after 100%% timeouts, want open", snap.State)
-	}
-	if out := e.TriggerOutcome(NewConflictTrigger("bp", new(int)), true, Options{}); out != OutcomeShed {
-		t.Fatalf("tripped breakpoint outcome = %v, want shed (auto-disabled)", out)
-	}
-
-	// After the backoff, a matching pair probes the breakpoint: both sides
-	// are admitted (a rendezvous probe needs its partner) and the hit
-	// re-arms the breaker.
-	time.Sleep(200 * time.Millisecond)
-	obj := new(int)
-	var wg sync.WaitGroup
-	var hit1, hit2 bool
-	wg.Add(2)
-	go func() { defer wg.Done(); hit1 = e.TriggerHere(NewConflictTrigger("bp", obj), true, Options{}) }()
-	go func() { defer wg.Done(); hit2 = e.TriggerHere(NewConflictTrigger("bp", obj), false, Options{}) }()
-	wg.Wait()
-	if !hit1 || !hit2 {
-		t.Fatalf("probe pair hit = %v/%v, want both true", hit1, hit2)
-	}
-	if snap, _ := e.BreakerSnapshot("bp"); snap.State != guard.BreakerClosed {
-		t.Fatalf("state = %v after probe hit, want closed (re-armed)", snap.State)
-	}
-	if got := e.Stats("bp").Rearms(); got != 1 {
-		t.Fatalf("Rearms = %d, want 1", got)
-	}
-	if got := e.IncidentCount(guard.KindBreakerProbe); got == 0 {
-		t.Fatal("no probe incident recorded")
-	}
-	if got := e.IncidentCount(guard.KindBreakerRearm); got != 1 {
-		t.Fatalf("rearm incidents = %d, want 1", got)
-	}
-
-	// Re-armed: normal rendezvous continues to work.
-	wg.Add(2)
-	go func() { defer wg.Done(); hit1 = e.TriggerHere(NewConflictTrigger("bp", obj), true, Options{}) }()
-	go func() { defer wg.Done(); hit2 = e.TriggerHere(NewConflictTrigger("bp", obj), false, Options{}) }()
-	wg.Wait()
-	if !hit1 || !hit2 {
-		t.Fatalf("post-re-arm hit = %v/%v, want both true", hit1, hit2)
-	}
-}
-
-func TestBreakerFailedProbeReopens(t *testing.T) {
-	e := newTestEngine()
-	e.SetBreakerConfig(&guard.BreakerConfig{
-		MinSamples: 3, TimeoutRate: 0.9, Backoff: 30 * time.Millisecond, MaxBackoff: time.Hour,
-	})
-	lonelyTimeouts(e, 3, 5*time.Millisecond)
-	time.Sleep(50 * time.Millisecond)
-	// The probe times out (still no partner): breaker re-opens, backoff doubles.
-	lonelyTimeouts(e, 1, 5*time.Millisecond)
-	snap, _ := e.BreakerSnapshot("bp")
-	if snap.State != guard.BreakerOpen {
-		t.Fatalf("state = %v after failed probe, want open", snap.State)
-	}
-	if snap.Backoff != 60*time.Millisecond {
-		t.Fatalf("backoff = %v after failed probe, want doubled 60ms", snap.Backoff)
-	}
-	if got := e.Stats("bp").Trips(); got != 2 {
-		t.Fatalf("Trips = %d (initial + re-open), want 2", got)
-	}
-}
-
-func TestBreakerDisabledByDefault(t *testing.T) {
-	e := newTestEngine()
-	lonelyTimeouts(e, 20, time.Millisecond)
-	if _, ok := e.BreakerSnapshot("bp"); ok {
-		t.Fatal("breaker exists without SetBreakerConfig")
-	}
-	if out := e.TriggerOutcome(NewConflictTrigger("bp", new(int)), true, Options{Timeout: time.Millisecond}); out != OutcomeTimeout {
-		t.Fatalf("outcome = %v, want timeout (no shedding without breakers)", out)
-	}
-}
-
 // --- Postponement helpers -------------------------------------------
 
 func waitForPostponed(t *testing.T, e *Engine, name string, n int) {

@@ -8,61 +8,87 @@ import (
 )
 
 // TestStatsConservation checks the engine's accounting invariant: every
-// arrival either fails the local predicate, is postponed, or matches
-// instantly (one instant match per hit, the arrival that completes the
-// group at any arity). So for any workload:
+// arrival fails the local predicate, is postponed, matches instantly
+// (one instant match per hit, the arrival that completes the group at
+// any arity), or is shed by the overload layer. So for any workload:
 //
-//	Arrivals == LocalFalses + Postpones + Hits
+//	Arrivals == LocalFalses + Postpones + Hits + Sheds
+//
+// The plans run with no overload config, under a per-shard cap of one
+// waiter, and at a breakpoint that lonely timeouts have tripped, so that
+// each reason to shed fires.
 func TestStatsConservation(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		e := NewEngine()
-		e.DefaultTimeout = 5 * time.Millisecond
-		rng := rand.New(rand.NewSource(seed))
-		objs := []*int{new(int), new(int), new(int)}
-		// One arrival in three is a slot of an arity-3 group on the same
-		// breakpoint; the rest are two-way.
-		plan := make([]struct {
-			obj         *int
-			slot, arity int
-			delay       time.Duration
-		}, 40)
-		for i := range plan {
-			plan[i].obj = objs[rng.Intn(len(objs))]
-			plan[i].arity = 2 + rng.Intn(3)/2
-			plan[i].slot = rng.Intn(plan[i].arity)
-			plan[i].delay = time.Duration(rng.Intn(3000)) * time.Microsecond
-		}
-		var wg sync.WaitGroup
-		for _, p := range plan {
-			p := p
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				time.Sleep(p.delay)
-				tr := NewConflictTrigger("inv", p.obj)
-				if p.arity == 2 {
-					e.TriggerHere(tr, p.slot == 0, Options{})
-				} else {
-					e.TriggerHereMulti(tr, p.slot, p.arity, Options{})
-				}
-			}()
-		}
-		wg.Wait()
-		st := e.Stats("inv")
-		got := st.LocalFalses() + st.Postpones() + st.Hits()
-		if st.Arrivals() != got {
-			t.Fatalf("seed %d: arrivals=%d != localFalse+postpones+hits=%d (%s)",
-				seed, st.Arrivals(), got, st)
-		}
-		// Each hit joins one instant matcher to at least one postponed waiter.
-		if st.Hits() > st.Postpones() {
-			t.Fatalf("seed %d: hits=%d > postpones=%d", seed, st.Hits(), st.Postpones())
-		}
-		// No waiter may leak.
-		if n := e.PostponedCount("inv"); n != 0 {
-			t.Fatalf("seed %d: %d waiters leaked", seed, n)
-		}
+	cases := []struct {
+		name   string
+		cfg    *OverloadConfig
+		trip   bool          // trip the breakpoint before the plan
+		spread time.Duration // the plan's arrivals start within this long
+	}{
+		{"no overload", nil, false, 3 * time.Millisecond},
+		{"per-shard cap", &OverloadConfig{MaxPerShard: 1}, false, 3 * time.Millisecond},
+		// Tripped on 5ms timeouts, the breakpoint sheds for 50ms and
+		// then probes: the plan spans both.
+		{"timeout-rate trip", &OverloadConfig{TimeoutRate: 0.9}, true, 100 * time.Millisecond},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(0); seed < 5; seed++ {
+				e := NewEngine()
+				e.DefaultTimeout = 5 * time.Millisecond
+				e.SetOverloadConfig(c.cfg)
+				if c.trip {
+					for i := 0; i < tripMinSamples; i++ {
+						e.TriggerHere(NewConflictTrigger("inv", new(int)), true, Options{})
+					}
+				}
+				runConservationPlan(e, seed, c.spread)
+				st := e.Stats("inv")
+				got := st.LocalFalses() + st.Postpones() + st.Hits() + st.Sheds()
+				if st.Arrivals() != got {
+					t.Fatalf("seed %d: arrivals=%d != localFalse+postpones+hits+sheds=%d (%s)",
+						seed, st.Arrivals(), got, st)
+				}
+				if shed := st.Sheds() > 0; shed != (c.cfg != nil) {
+					t.Fatalf("seed %d: sheds=%d with overload config %+v", seed, st.Sheds(), c.cfg)
+				}
+				// Each hit joins one instant matcher to at least one postponed waiter.
+				if st.Hits() > st.Postpones() {
+					t.Fatalf("seed %d: hits=%d > postpones=%d", seed, st.Hits(), st.Postpones())
+				}
+				// No waiter may leak.
+				if n := e.PostponedCount("inv"); n != 0 {
+					t.Fatalf("seed %d: %d waiters leaked", seed, n)
+				}
+			}
+		})
+	}
+}
+
+// runConservationPlan runs 40 arrivals on breakpoint "inv", started at
+// random within spread. One in three is a slot of an arity-3 group on
+// the same breakpoint; the rest are two-way.
+func runConservationPlan(e *Engine, seed int64, spread time.Duration) {
+	rng := rand.New(rand.NewSource(seed))
+	objs := []*int{new(int), new(int), new(int)}
+	var wg sync.WaitGroup
+	for i := 0; i < 40; i++ {
+		obj := objs[rng.Intn(len(objs))]
+		arity := 2 + rng.Intn(3)/2
+		slot := rng.Intn(arity)
+		delay := time.Duration(rng.Intn(int(spread/time.Microsecond))) * time.Microsecond
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			time.Sleep(delay)
+			tr := NewConflictTrigger("inv", obj)
+			if arity == 2 {
+				e.TriggerHere(tr, slot == 0, Options{})
+			} else {
+				e.TriggerHereMulti(tr, slot, arity, Options{})
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestNoLeakUnderChurn hammers the engine with matching and

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"cbreak/internal/guard"
 )
 
 func TestThreeWayRendezvousOrdersAllSlots(t *testing.T) {
@@ -204,7 +202,7 @@ func TestFirstActionPanicStillReleasesPartner(t *testing.T) {
 }
 
 // TestEveryArityPublishesTheSameEvents: an arrival publishes the same
-// events at any arity — arrived for each local-false, breaker-shed and
+// events at any arity — arrived for each local-false, shed and
 // postponed arrival, postponed for each postponed one, then timeout or
 // hit.
 func TestEveryArityPublishesTheSameEvents(t *testing.T) {
@@ -258,12 +256,19 @@ func TestEveryArityPublishesTheSameEvents(t *testing.T) {
 				}
 			}
 
-			// One lonely timeout trips the breaker; the next arrival is shed.
-			e.SetBreakerConfig(&guard.BreakerConfig{MinSamples: 1, TimeoutRate: 0.5, Backoff: time.Hour})
-			arrive(0, lonely)
-			expect(EventArrived, EventPostponed, EventTimeout)
+			// Lonely timeouts trip the breakpoint; the next arrival is
+			// shed. The last one's timeout sets a backoff of 2s.
+			e.SetOverloadConfig(&OverloadConfig{TimeoutRate: 0.9})
+			for i := 1; i <= tripMinSamples; i++ {
+				opts := lonely
+				if i == tripMinSamples {
+					opts.Timeout = 200 * time.Millisecond
+				}
+				arrive(0, opts)
+				expect(EventArrived, EventPostponed, EventTimeout)
+			}
 			if out := arrive(0, lonely); out != OutcomeShed {
-				t.Fatalf("arrival at an open breaker: %v", out)
+				t.Fatalf("arrival at a tripped breakpoint: %v", out)
 			}
 			expect(EventArrived)
 		})

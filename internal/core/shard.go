@@ -3,13 +3,11 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-
-	"cbreak/internal/guard"
 )
 
 // This file implements the engine's sharded breakpoint registry. Every
 // breakpoint name owns a bpState shard: its own mutex, postponed set,
-// statistics, and circuit breaker. Arrivals on distinct
+// statistics, and trip state. Arrivals on distinct
 // breakpoints therefore never contend on a shared lock — the property
 // that lets breakpoints stay in hot production code the way the paper
 // promises ("like assertions").
@@ -36,20 +34,17 @@ type bpState struct {
 	// breakpoint's state.
 	disabled atomic.Bool
 
-	// mu guards the postponed set, the waiter state machines, and the
-	// retired flag. It is the only lock on the rendezvous path, and it
+	// mu guards the postponed set, the waiter state machines, the trip
+	// state, and the retired flag. It is the only lock on the rendezvous path, and it
 	// is private to this breakpoint. The postponed set holds the waiters
 	// of every slot and arity, in arrival order (match relies on it).
 	mu        sync.Mutex
 	retired   atomic.Bool // written under mu; read lock-free by handles
 	postponed []*waiter
 
-	// Circuit breaker cache, rebuilt lazily when the engine's breaker
-	// epoch moves (SetBreakerConfig). Guarded by brMu, not mu, so
-	// breaker admission never contends with rendezvous matching.
-	brMu    sync.Mutex
-	breaker *guard.Breaker
-	brEpoch uint64
+	// trip is the breakpoint's timeout-rate trip (overload.go),
+	// guarded by mu.
+	trip tripState
 }
 
 func newShard(e *Engine, name string) *bpState {
@@ -114,27 +109,6 @@ func (s *bpState) retire() {
 	}
 	s.prune()
 	s.mu.Unlock()
-}
-
-// breakerFor returns the shard's circuit breaker under the engine's
-// current configuration, or nil when breakers are disabled. The breaker
-// is rebuilt lazily after SetBreakerConfig bumps the epoch, which is
-// how "existing breaker state is discarded" works without a global
-// stop-the-world pass over all shards.
-func (s *bpState) breakerFor(e *Engine) *guard.Breaker {
-	cfg := e.breakerCfg.Load()
-	if cfg == nil {
-		return nil
-	}
-	epoch := e.brEpoch.Load()
-	s.brMu.Lock()
-	if s.breaker == nil || s.brEpoch != epoch {
-		s.breaker = guard.NewBreaker(*cfg)
-		s.brEpoch = epoch
-	}
-	br := s.breaker
-	s.brMu.Unlock()
-	return br
 }
 
 // prune drops the waiters that have left the waiting state from the

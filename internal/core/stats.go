@@ -35,7 +35,7 @@ type BPStats struct {
 	waitObs  atomic.Int64 // total observations (addWait calls)
 
 	// Hardening counters (hardening.go): absorbed user-closure panics,
-	// breaker trips and re-arms.
+	// timeout-rate trips and re-arms (overload.go).
 	panics atomic.Int64
 	trips  atomic.Int64
 	rearms atomic.Int64
@@ -46,8 +46,8 @@ type BPStats struct {
 const cacheLine = 64
 
 // sideStats holds the counters one side of a breakpoint writes on its
-// arrivals (sheds are arrivals an open circuit breaker or the overload
-// layer passed straight through). By the paper's definition a
+// arrivals (sheds are arrivals the overload layer passed straight
+// through). By the paper's definition a
 // breakpoint's two sides are reached by two different threads, so each
 // side's counters sit on a line of their own: the trailing pad keeps
 // the two sides' counters, and the shared counters after them, at
@@ -135,15 +135,16 @@ func (s *BPStats) MaxWait() time.Duration { return time.Duration(s.maxWaitNanos.
 // absorbed at this breakpoint.
 func (s *BPStats) Panics() int64 { return s.panics.Load() }
 
-// Sheds returns how many arrivals an open circuit breaker passed
-// straight through.
+// Sheds returns how many arrivals the overload layer passed straight
+// through: at a postponed-population bound or at an open timeout-rate
+// trip.
 func (s *BPStats) Sheds() int64 { return s.sides[0].sheds.Load() + s.sides[1].sheds.Load() }
 
-// Trips returns how many times the breakpoint's circuit breaker
+// Trips returns how many times the breakpoint's timeout-rate trip
 // opened (initial trips and failed-probe re-opens).
 func (s *BPStats) Trips() int64 { return s.trips.Load() }
 
-// Rearms returns how many times a half-open probe closed the breaker
+// Rearms returns how many times a half-open probe closed the trip
 // again.
 func (s *BPStats) Rearms() int64 { return s.rearms.Load() }
 

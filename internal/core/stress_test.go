@@ -14,9 +14,10 @@ import (
 // TestShardLifecycleStress hammers the shard lifecycle from every
 // direction at once: concurrent two-way and multi-way arrivals across
 // many breakpoints, Reset swapping registries out from under them,
-// SetBreakerConfig flipping breakers on and off (epoch churn), forced
-// releases scanning shards, handles re-resolving across generations,
-// readers walking stats and breaker snapshots, and a bus listener
+// SetOverloadConfig turning the timeout-rate trip on and off (every
+// install discards the shards' trip state), forced releases scanning
+// shards, handles re-resolving across generations, readers walking
+// stats and trip snapshots, and a bus listener
 // coming and going. Run under -race in CI, it pins the new concurrency
 // contract; without -race it is still a decent smoke for lost wakeups
 // (every arrival must return).
@@ -62,12 +63,12 @@ func TestShardLifecycleStress(t *testing.T) {
 		}(g)
 	}
 
-	// Lifecycle churn: Reset and breaker reconfiguration racing the
+	// Lifecycle churn: Reset and trip reconfiguration racing the
 	// arrivals above.
 	churnWG.Add(1)
 	go func() {
 		defer churnWG.Done()
-		cfg := guard.DefaultBreakerConfig()
+		cfg := OverloadConfig{TimeoutRate: 0.9}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -78,9 +79,9 @@ func TestShardLifecycleStress(t *testing.T) {
 			case 0:
 				e.Reset()
 			case 1:
-				e.SetBreakerConfig(&cfg)
+				e.SetOverloadConfig(&cfg)
 			case 2:
-				e.SetBreakerConfig(nil)
+				e.SetOverloadConfig(nil)
 			}
 			time.Sleep(500 * time.Microsecond)
 		}

@@ -8,12 +8,10 @@
 //     predicate becomes an OutcomePanic with an Incident, never an
 //     engine crash (see internal/core's safe-evaluation wrappers).
 //   - IncidentLog: a bounded, queryable record of everything the
-//     hardening layer absorbed (panics, stalls, forced releases,
-//     breaker state changes).
-//   - Breaker: a per-breakpoint circuit breaker. A breakpoint whose
-//     postponements keep timing out trips open — arrivals pass straight
-//     through at near-zero cost — and later re-arms via half-open
-//     probes with exponential backoff.
+//     hardening layer absorbed or decided (panics, stalls, forced
+//     releases, sheds, and the state changes of internal/core's
+//     timeout-rate trip, which sheds a breakpoint whose postponements
+//     keep timing out).
 //   - Injector/Fault: the contract the fault-injection harness
 //     (internal/guard/faultinject) uses to deterministically drive the
 //     engine into all of the failure modes above, so the hardening is

@@ -22,12 +22,13 @@ const (
 	// KindForceRelease: an operator force-released a postponed
 	// goroutine (cbserverd's admin /release).
 	KindForceRelease
-	// KindBreakerTrip: a breakpoint's circuit breaker tripped open.
+	// KindBreakerTrip: a breakpoint's timeout-rate trip (its circuit
+	// breaker) opened, or reopened after a failed probe.
 	KindBreakerTrip
-	// KindBreakerProbe: an open breaker admitted a half-open probe.
+	// KindBreakerProbe: an open trip admitted a half-open probe.
 	KindBreakerProbe
-	// KindBreakerRearm: a half-open probe succeeded and the breaker
-	// closed again.
+	// KindBreakerRearm: a half-open probe hit and the trip closed
+	// again.
 	KindBreakerRearm
 	// KindCycleBreak: the wait-graph supervisor force-released a
 	// postponed goroutine to break a lock cycle it participated in.

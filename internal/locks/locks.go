@@ -154,10 +154,10 @@ func (m *Mutex) TryLock() bool {
 	return true
 }
 
-// Unlock releases the mutex and removes it from the goroutine's held set.
+// Unlock releases the mutex and removes it from its owner's held set.
 // Like sync.Mutex, unlocking from a goroutine other than the locker is a
-// programming error; the held-set entry is removed from the unlocking
-// goroutine's set if present.
+// programming error; the entry then still leaves the locker's set, not
+// the unlocking goroutine's.
 func (m *Mutex) Unlock() { m.UnlockAt("") }
 
 // UnlockAt is Unlock tagged with a source-site label.
@@ -166,7 +166,7 @@ func (m *Mutex) UnlockAt(site string) {
 	for _, o := range m.snapshot() {
 		o.BeforeUnlock(m, gid, site)
 	}
-	reg.released(gid, m)
+	reg.released(m)
 	m.mu.Unlock()
 }
 
@@ -201,11 +201,13 @@ func (r *registry) acquired(gid uint64, m *Mutex, site string) {
 	r.mu.Unlock()
 }
 
-// released records that gid no longer holds m. It runs before m.mu is
-// unlocked, so an owner record never outlives the ownership.
-func (r *registry) released(gid uint64, m *Mutex) {
+// released records that m's owner no longer holds it, whichever
+// goroutine unlocks it. It runs before m.mu is unlocked, so an owner
+// record never outlives the ownership.
+func (r *registry) released(m *Mutex) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	gid := r.owners[m].gid
 	delete(r.owners, m)
 	s := r.held[gid]
 	for i := len(s) - 1; i >= 0; i-- {

@@ -253,9 +253,9 @@ func crossLock(a, b *Mutex) [2]uint64 {
 // TestBlockedByOnACycle: asked about a goroutine on a lock cycle,
 // BlockedBy names the rest of the cycle, and not the goroutine's own
 // wait, though that wait is behind its own lock too. A lock unlocked by
-// a goroutine other than its locker stays on the locker's held stack;
-// asked about that locker, BlockedBy still returns, though the waits
-// behind the lock lead round the cycle.
+// a goroutine other than its locker leaves the locker's held stack, so
+// the locker is not reported holding it, nor blocking the cycle's waits
+// on it.
 func TestBlockedByOnACycle(t *testing.T) {
 	a, b := NewMutex("bb-cycle-a"), NewMutex("bb-cycle-b")
 	locker := make(chan uint64, 1)
@@ -281,11 +281,14 @@ func TestBlockedByOnACycle(t *testing.T) {
 	}()
 	select {
 	case held := <-answered:
-		if len(held) != 1 || held[0] != a {
-			t.Fatalf("BlockedBy(stale locker) held = %v, want [%v]", held, a)
+		if len(held) != 0 {
+			t.Fatalf("BlockedBy(stale locker) held = %v, want none", held)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("BlockedBy(stale locker) never returned")
+	}
+	if held := HeldBy(stale); len(held) != 0 {
+		t.Fatalf("HeldBy(stale locker) = %v, want none", held)
 	}
 }
 

@@ -130,19 +130,19 @@ var (
 	}
 	DescBPSheds = &Desc{
 		Name: "cbreak_bp_sheds_total", Kind: Counter, Labels: []string{"breakpoint"},
-		Help: "Arrivals passed straight through by an open circuit breaker or the overload layer.",
+		Help: "Arrivals the overload layer passed straight through: at a postponed-population bound or an open timeout-rate trip.",
 	}
 	DescBPBreakerTrips = &Desc{
 		Name: "cbreak_bp_breaker_trips_total", Kind: Counter, Labels: []string{"breakpoint"},
-		Help: "Circuit-breaker opens at this breakpoint (initial trips and failed-probe re-opens).",
+		Help: "Timeout-rate trip (circuit-breaker) opens at this breakpoint (initial trips and failed-probe re-opens).",
 	}
 	DescBPBreakerRearms = &Desc{
 		Name: "cbreak_bp_breaker_rearms_total", Kind: Counter, Labels: []string{"breakpoint"},
-		Help: "Successful half-open probes that closed the breaker again.",
+		Help: "Successful half-open probes that closed the trip again.",
 	}
 	DescBPBreakerState = &Desc{
 		Name: "cbreak_bp_breaker_state", Kind: Gauge, Labels: []string{"breakpoint"},
-		Help: "Circuit-breaker state: 0 closed, 1 open, 2 half-open. Absent when breakers are disabled.",
+		Help: "Timeout-rate trip (circuit-breaker) state: 0 closed, 1 open, 2 half-open. Absent when the trip is off.",
 	}
 	DescBPWait = &Desc{
 		Name: "cbreak_bp_wait_seconds", Kind: HistogramKind, Labels: []string{"breakpoint"},
@@ -196,6 +196,29 @@ var (
 		Help: "Failed health probes against hosted apps (timeouts and refused dials).",
 	}
 
+	// Serving: cbserverd's app servers and chaos proxy.
+
+	DescUptime = &Desc{
+		Name: "cbreak_uptime_seconds", Kind: Gauge,
+		Help: "Seconds since cbserverd started.",
+	}
+	DescAppServed = &Desc{
+		Name: "cbreak_app_served_requests_total", Kind: Counter, Labels: []string{"app"},
+		Help: "Request lines the app server answered.",
+	}
+	DescAppShed = &Desc{
+		Name: "cbreak_app_shed_connections_total", Kind: Counter, Labels: []string{"app"},
+		Help: "Connections the app server's accept loop shed.",
+	}
+	DescProxyConns = &Desc{
+		Name: "cbreak_proxy_connections_total", Kind: Counter,
+		Help: "Connections the chaos proxy accepted.",
+	}
+	DescProxyFaults = &Desc{
+		Name: "cbreak_proxy_faults_total", Kind: Counter, Labels: []string{"kind"},
+		Help: "Faults the chaos proxy injected, by kind.",
+	}
+
 	// Campaign trials and the bus itself.
 
 	DescTrials = &Desc{
@@ -225,6 +248,7 @@ func Catalog() []*Desc {
 		DescIncidents, DescWaitgraphReports, DescWaitgraphScans,
 		DescAppState, DescAppRestarts, DescAppCrashes,
 		DescAppQuarantines, DescAppProbeFailures,
+		DescUptime, DescAppServed, DescAppShed, DescProxyConns, DescProxyFaults,
 		DescTrials, DescBusRecords, DescBusDropped,
 	}
 }
