@@ -150,18 +150,8 @@ func (r *Runner) Run(units []*load.Unit) (*Result, error) {
 	}
 
 	res := &Result{}
-	// Identical diagnostics collapse to one finding: whole-program
-	// Finish hooks fed overlapping unit sets (a package loaded both
-	// directly and as a dependency, or test and non-test variants)
-	// otherwise report the same position twice, and the JSON artifact
-	// double-counts.
-	emitted := make(map[Finding]bool, len(diags))
 	for _, d := range diags {
 		f := toFinding(fset, d)
-		if emitted[f] {
-			continue
-		}
-		emitted[f] = true
 		if sup.covers(f.File, f.Line, d.Analyzer) {
 			res.Suppressed = append(res.Suppressed, f)
 		} else {

@@ -8,7 +8,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strings"
 )
 
 // ModulePath is the import-path prefix of this module's packages. The
@@ -58,20 +57,6 @@ func RecvTypeName(fn *types.Func) string {
 		return ""
 	}
 	return named.Obj().Name()
-}
-
-// Symbol returns a stable cross-package key for fn:
-// "pkg/path.Recv.Name" for methods, "pkg/path.Name" otherwise.
-func Symbol(fn *types.Func) string {
-	var b strings.Builder
-	b.WriteString(FuncPkgPath(fn))
-	b.WriteString(".")
-	if r := RecvTypeName(fn); r != "" {
-		b.WriteString(r)
-		b.WriteString(".")
-	}
-	b.WriteString(fn.Name())
-	return b.String()
 }
 
 // ConstString evaluates arg to a compile-time string; ok is false for

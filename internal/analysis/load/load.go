@@ -6,11 +6,15 @@
 // GOROOT/src (with the GOROOT/src/vendor fallback the gc toolchain uses
 // for the vendored golang.org/x dependencies of net/http and friends).
 //
-// A Loader caches type-checked dependencies, so loading every package in
-// the repository type-checks each dependency once. Target packages are
-// parsed with comments (the suppression scanner needs them) and include
-// in-package _test.go files; external test packages (package foo_test)
-// come back as their own unit with the " [xtest]" path suffix.
+// A Loader checks each import path once, so every declaration has one
+// types.Object however many packages import it. A module package is
+// parsed with comments (the suppression scanner needs them) and checked
+// with full type information the first time anything needs it. When a
+// pattern names the package, its in-package _test.go files join that
+// same package through a second types.Checker.Files call, as the go
+// tool builds a test; its external test package (package foo_test)
+// imports the augmented package and comes back as a unit of its own
+// with the " [xtest]" path suffix.
 package load
 
 import (
@@ -22,7 +26,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -35,7 +38,9 @@ type Unit struct {
 	Path string
 	// Dir is the directory the files were read from.
 	Dir string
-	// Files are the parsed files, comments included, in file-name order.
+	// Files are the parsed files, comments included: the non-test files
+	// in file-name order, then the in-package test files in file-name
+	// order.
 	Files []*ast.File
 	// Fset is the loader-wide file set (shared across units).
 	Fset *token.FileSet
@@ -55,8 +60,22 @@ type Loader struct {
 	ctxt    build.Context
 	modRoot string
 	modPath string
-	deps    map[string]*types.Package // import path -> dep package (no test files)
-	loading map[string]bool           // import cycle guard
+	pkgs    map[string]*source // import path -> the one package checked from it
+	loading map[string]bool    // import cycle guard
+}
+
+// source is one package checked from source.
+type source struct {
+	// unit holds the package, with its syntax and Info when it is a
+	// module package.
+	unit *Unit
+	// check adds the in-package test files to a module package.
+	check *types.Checker
+	// err is the first type error in the non-test files.
+	err error
+	// units are what LoadDir returns for the package's directory, once
+	// it has run.
+	units []*Unit
 }
 
 // New returns a loader rooted at the module containing dir (dir itself
@@ -77,7 +96,7 @@ func New(dir string) (*Loader, error) {
 		ctxt:    ctxt,
 		modRoot: root,
 		modPath: modPath,
-		deps:    make(map[string]*types.Package),
+		pkgs:    make(map[string]*source),
 		loading: make(map[string]bool),
 	}, nil
 }
@@ -108,22 +127,35 @@ func findModule(dir string) (root, modPath string) {
 // module-internal imports against.
 func (l *Loader) ModuleRoot() string { return l.modRoot }
 
-// Import implements types.Importer for dependency resolution. It
-// type-checks dependencies from source, without test files, and caches
-// the result.
+// Import implements types.Importer. It returns the one package checked
+// from path, checking its non-test files the first time.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if pkg, ok := l.deps[path]; ok {
-		return pkg, nil
+	s, ok := l.pkgs[path]
+	if !ok {
+		dir, err := l.resolveDir(path)
+		if err != nil {
+			return nil, err
+		}
+		module := path == l.modPath || strings.HasPrefix(path, l.modPath+"/")
+		if s, err = l.checkDir(path, dir, module); err != nil {
+			return nil, err
+		}
 	}
+	if s.err != nil {
+		return nil, fmt.Errorf("type-checking %q: %w", path, s.err)
+	}
+	return s.unit.Pkg, nil
+}
+
+// checkDir checks the non-test files of the package in dir. A module
+// package is parsed with comments and checked with an Info and soft
+// errors; a standard-library package is checked for its types alone.
+func (l *Loader) checkDir(path, dir string, module bool) (*source, error) {
 	if l.loading[path] {
 		return nil, fmt.Errorf("import cycle through %q", path)
-	}
-	dir, err := l.resolveDir(path)
-	if err != nil {
-		return nil, err
 	}
 	l.loading[path] = true
 	defer delete(l.loading, path)
@@ -132,17 +164,35 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resolving %q: %w", path, err)
 	}
-	files, err := l.parse(dir, bp.GoFiles, 0)
-	if err != nil {
+	u := &Unit{Path: path, Dir: dir, Fset: l.Fset, Pkg: types.NewPackage(path, "")}
+	s := &source{unit: u}
+	conf := types.Config{Importer: l}
+	mode := parser.Mode(0)
+	if module {
+		mode = parser.ParseComments
+		u.Info = newInfo()
+		conf.Error = func(err error) { u.TypeErrors = append(u.TypeErrors, err) }
+	}
+	if u.Files, err = l.parse(dir, bp.GoFiles, mode); err != nil {
 		return nil, err
 	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.Fset, files, nil)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %q: %w", path, err)
+	check := types.NewChecker(&conf, l.Fset, u.Pkg, u.Info)
+	s.err = check.Files(u.Files)
+	if module {
+		s.check = check
 	}
-	l.deps[path] = pkg
-	return pkg, nil
+	l.pkgs[path] = s
+	return s, nil
+}
+
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
 }
 
 // resolveDir maps an import path to a source directory.
@@ -177,10 +227,11 @@ func (l *Loader) parse(dir string, names []string, mode parser.Mode) ([]*ast.Fil
 	return files, nil
 }
 
-// LoadDir loads the package in dir as an analysis unit (comments kept,
-// in-package test files included). When the directory also contains an
-// external test package, a second unit with the " [xtest]" suffix is
-// returned after the primary one.
+// LoadDir loads the package in dir as an analysis unit: its in-package
+// test files join the package, which keeps its one types.Package. When
+// the directory also contains an external test package, a second unit
+// with the " [xtest]" suffix is returned after the primary one. Loading
+// a directory again returns the same units.
 func (l *Loader) LoadDir(dir string) ([]*Unit, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -194,49 +245,47 @@ func (l *Loader) LoadDir(dir string) ([]*Unit, error) {
 		return nil, err
 	}
 	path := l.importPathFor(abs)
-	var units []*Unit
-	names := append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...)
-	sort.Strings(names)
-	if len(names) > 0 {
-		u, err := l.check(path, abs, names)
+	s, ok := l.pkgs[path]
+	if !ok {
+		if s, err = l.checkDir(path, abs, true); err != nil {
+			return nil, err
+		}
+	}
+	if s.unit.Dir != abs {
+		return nil, fmt.Errorf("%s and %s both load as %q", s.unit.Dir, abs, path)
+	}
+	if s.units != nil {
+		return s.units, nil
+	}
+	s.units = []*Unit{}
+	if len(bp.GoFiles)+len(bp.TestGoFiles) > 0 {
+		u := s.unit
+		tests, err := l.parse(abs, bp.TestGoFiles, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		units = append(units, u)
+		u.Files = append(u.Files, tests...)
+		// Errors reach u.TypeErrors through the checker's Error hook.
+		_ = s.check.Files(tests)
+		s.units = append(s.units, u)
 	}
 	if len(bp.XTestGoFiles) > 0 {
-		names := append([]string{}, bp.XTestGoFiles...)
-		sort.Strings(names)
-		u, err := l.check(path+" [xtest]", abs, names)
+		files, err := l.parse(abs, bp.XTestGoFiles, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		units = append(units, u)
+		x := &Unit{Path: path + " [xtest]", Dir: abs, Files: files, Fset: l.Fset, Info: newInfo()}
+		conf := types.Config{
+			Importer: l,
+			Error:    func(err error) { x.TypeErrors = append(x.TypeErrors, err) },
+		}
+		// Check never returns a nil package with a custom Error func;
+		// type errors land in TypeErrors and analysis proceeds on what
+		// resolved.
+		x.Pkg, _ = conf.Check(path+"_test", l.Fset, files, x.Info)
+		s.units = append(s.units, x)
 	}
-	return units, nil
-}
-
-func (l *Loader) check(path, dir string, names []string) (*Unit, error) {
-	files, err := l.parse(dir, names, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	u := &Unit{Path: path, Dir: dir, Files: files, Fset: l.Fset, Info: info}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { u.TypeErrors = append(u.TypeErrors, err) },
-	}
-	// Check never returns a nil package with a custom Error func; type
-	// errors land in TypeErrors and analysis proceeds on what resolved.
-	u.Pkg, _ = conf.Check(strings.TrimSuffix(path, " [xtest]"), l.Fset, files, info)
-	return u, nil
+	return s.units, nil
 }
 
 // importPathFor synthesizes the unit import path for a directory: the

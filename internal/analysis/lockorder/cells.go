@@ -84,8 +84,8 @@ func tupleKey(t accessTuple) string {
 // mirroring the acquisition fixpoint of allEdges, then flattens every
 // function's summary into one deduplicated instance list.
 func (st *state) cellAccesses() []CellAccess {
-	sums := map[string]map[string]accessTuple{}
-	for sym, fi := range st.funcs {
+	sums := map[*funcInfo]map[string]accessTuple{}
+	for _, fi := range st.funcs {
 		set := map[string]accessTuple{}
 		for _, a := range fi.accesses {
 			t := accessTuple{ref: a.ref, write: a.write, locks: sortedSet(a.held), pos: a.pos}
@@ -93,14 +93,14 @@ func (st *state) cellAccesses() []CellAccess {
 				set[tupleKey(t)] = t
 			}
 		}
-		sums[sym] = set
+		sums[fi] = set
 	}
 	for changed := true; changed; {
 		changed = false
-		for sym, fi := range st.funcs {
-			set := sums[sym]
+		for _, fi := range st.funcs {
+			set := sums[fi]
 			for _, p := range fi.pending {
-				for _, t := range sums[p.callee] {
+				for _, t := range sums[st.decls[p.callee]] {
 					merged := accessTuple{
 						ref:   t.ref,
 						write: t.write,

@@ -77,30 +77,38 @@ type state struct {
 	// cellBindings maps a static cell/ref identity (refKey) to the
 	// constant name it was created with (NewCell/NewRef second arg).
 	cellBindings map[string]string
-	// funcs maps a function symbol to its collected facts.
-	funcs map[string]*funcInfo
-	anon  int
+	// funcs are the collected bodies: every function declaration, and
+	// every function literal analyzed as a root of its own.
+	funcs []*funcInfo
+	// decls maps a declared function to its body's facts, which its
+	// callers' summaries take in.
+	decls map[*types.Func]*funcInfo
 }
 
 func newState() *state {
 	return &state{
 		bindings:     map[string]string{},
 		cellBindings: map[string]string{},
-		funcs:        map[string]*funcInfo{},
+		decls:        map[*types.Func]*funcInfo{},
 	}
+}
+
+// newFunc adds an empty body to the state.
+func (st *state) newFunc() *funcInfo {
+	fi := &funcInfo{}
+	st.funcs = append(st.funcs, fi)
+	return fi
 }
 
 type pendingCall struct {
 	held   []string
-	callee string
-	name   string // display name of the callee
+	callee *types.Func // the declared function, for a generic one's instances too
+	name   string      // display name of the callee
 	pos    token.Pos
 }
 
 type funcInfo struct {
-	sym       string
 	directAcq []string
-	callees   map[string]bool
 	edges     []Edge // direct edges, From/To hold refKeys until finish
 	pending   []pendingCall
 	// accesses are the function's direct memory-cell accesses with the
@@ -130,9 +138,10 @@ func (st *state) collectUnit(u *load.Unit) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			sym := declSymbol(u, fd)
-			fi := &funcInfo{sym: sym, callees: map[string]bool{}}
-			st.funcs[sym] = fi
+			fi := st.newFunc()
+			if fn, ok := u.Info.Defs[fd.Name].(*types.Func); ok {
+				st.decls[fn] = fi
+			}
 			w := &walker{c: c, fi: fi}
 			w.stmt(fd.Body)
 		}
@@ -142,14 +151,6 @@ func (st *state) collectUnit(u *load.Unit) {
 type collector struct {
 	st *state
 	u  *load.Unit
-}
-
-// declSymbol mirrors astq.Symbol for a declaration site.
-func declSymbol(u *load.Unit, fd *ast.FuncDecl) string {
-	if obj, ok := u.Info.Defs[fd.Name].(*types.Func); ok {
-		return astq.Symbol(obj)
-	}
-	return u.Path + "." + fd.Name.Name
 }
 
 // lockCtor returns the constant name argument of a locks/cbreak mutex
@@ -513,11 +514,9 @@ func (w *walker) call(call *ast.CallExpr) bool {
 	// acquisition fixpoint (lock edges through callees) and the
 	// access expansion (cell accesses through callees, which also
 	// matter when NO lock is held — the conflicts analyzer's case).
-	sym := astq.Symbol(fn)
-	w.fi.callees[sym] = true
 	w.fi.pending = append(w.fi.pending, pendingCall{
 		held:   w.snapshot(),
-		callee: sym,
+		callee: fn.Origin(),
 		name:   displayName(fn),
 		pos:    call.Pos(),
 	})
@@ -574,11 +573,7 @@ func displayName(fn *types.Func) string {
 // anonRoot analyzes a function literal as an independent root (empty
 // held set): goroutine bodies and stored closures.
 func (c *collector) anonRoot(lit *ast.FuncLit) {
-	c.st.anon++
-	sym := fmt.Sprintf("%s.anon%d", c.u.Path, c.st.anon)
-	fi := &funcInfo{sym: sym, callees: map[string]bool{}}
-	c.st.funcs[sym] = fi
-	w := &walker{c: c, fi: fi}
+	w := &walker{c: c, fi: c.st.newFunc()}
 	w.stmt(lit.Body)
 }
 
@@ -602,20 +597,20 @@ func (st *state) className(ref string) string {
 // call edges expanded through the acquisition summary fixpoint.
 func (st *state) allEdges() []Edge {
 	// Summary fixpoint: acquires(f) = direct ∪ acquires(callees).
-	acquires := map[string]map[string]bool{}
-	for sym, fi := range st.funcs {
+	acquires := map[*funcInfo]map[string]bool{}
+	for _, fi := range st.funcs {
 		set := map[string]bool{}
 		for _, r := range fi.directAcq {
 			set[r] = true
 		}
-		acquires[sym] = set
+		acquires[fi] = set
 	}
 	for changed := true; changed; {
 		changed = false
-		for sym, fi := range st.funcs {
-			set := acquires[sym]
-			for callee := range fi.callees {
-				for r := range acquires[callee] {
+		for _, fi := range st.funcs {
+			set := acquires[fi]
+			for _, p := range fi.pending {
+				for r := range acquires[st.decls[p.callee]] {
 					if !set[r] {
 						set[r] = true
 						changed = true
@@ -630,7 +625,7 @@ func (st *state) allEdges() []Edge {
 			out = append(out, Edge{From: st.className(e.From), To: st.className(e.To), Pos: e.Pos})
 		}
 		for _, p := range fi.pending {
-			for to := range acquires[p.callee] {
+			for to := range acquires[st.decls[p.callee]] {
 				for _, from := range p.held {
 					if from == to {
 						continue

@@ -32,8 +32,6 @@ type suppressions struct {
 	// srcLines caches file contents for standalone-vs-trailing
 	// directive classification.
 	srcLines map[string][]string
-	// seen dedupes directives when a file is scanned twice.
-	seen map[token.Pos]bool
 }
 
 func newSuppressions(known map[string]bool) *suppressions {
@@ -41,7 +39,6 @@ func newSuppressions(known map[string]bool) *suppressions {
 		known:    known,
 		byLine:   make(map[string]map[int]map[string]bool),
 		srcLines: make(map[string][]string),
-		seen:     make(map[token.Pos]bool),
 	}
 }
 
@@ -59,10 +56,6 @@ func (s *suppressions) scanComment(fset *token.FileSet, c *ast.Comment) {
 	if !strings.HasPrefix(c.Text, directivePrefix) {
 		return
 	}
-	if s.seen[c.Pos()] {
-		return
-	}
-	s.seen[c.Pos()] = true
 	pos := fset.Position(c.Pos())
 	rest := strings.TrimPrefix(c.Text, directivePrefix)
 	fields := strings.Fields(rest)

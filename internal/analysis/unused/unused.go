@@ -9,8 +9,10 @@
 //   - every _test.go file, for declarations outside its own package.
 //
 // A reached type also reaches those of its methods that satisfy an
-// interface seen anywhere in the program, since a call through the
-// interface names only the interface's method. An exported declaration
+// interface seen anywhere in the program (types.Implements), since a
+// call through the interface names only the interface's method. The
+// loader checks each package once, so every declaration is one
+// types.Object and the walk follows objects. An exported declaration
 // left unmarked is code that only its own package, or its own tests,
 // use: delete it, unexport it, or suppress the finding with a reason.
 //
@@ -41,14 +43,12 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 	NewState: func() any {
 		return &state{
-			decls:   map[string]*decl{},
-			tests:   map[string][]string{},
-			apis:    map[string][]string{},
-			loaded:  map[string]bool{},
-			pkgs:    map[*types.Package]bool{},
-			ifaces:  map[string]bool{},
-			byMeth:  map[string][][]string{},
-			methods: map[string][]string{},
+			decls:  map[types.Object]*decl{},
+			tests:  map[string][]types.Object{},
+			apis:   map[string][]types.Object{},
+			loaded: map[string]bool{},
+			pkgs:   map[*types.Package]bool{},
+			ifaces: map[string][]*types.Interface{},
 		}
 	},
 	Finish: finish,
@@ -56,38 +56,35 @@ var Analyzer = &analysis.Analyzer{
 
 // A decl is one package-level declaration of a non-test file.
 type decl struct {
-	key string
 	pkg string
 	// what names an exported declaration in a finding ("method
 	// Handle.Close"); it is "" for declarations never reported.
 	what string
 	pos  token.Pos
-	// refs are the keys of the declarations its syntax names.
-	refs []string
+	// refs are the declarations its syntax names and, for a type, those
+	// of its methods that an interface seen in the program asks for.
+	refs []types.Object
 	// named is the declared type, for type declarations.
 	named *types.Named
 }
 
 type state struct {
-	decls map[string]*decl
-	// roots are the keys the programs and init functions name.
-	roots []string
-	// tests maps a package path to the keys its _test.go files name.
-	tests map[string][]string
+	decls map[types.Object]*decl
+	// roots are the declarations the programs and init functions name.
+	roots []types.Object
+	// tests maps a package path to the declarations its _test.go files
+	// name.
+	tests map[string][]types.Object
 	// apis maps the directory of each loaded package that holds a
-	// go.mod to its exported API's keys.
-	apis map[string][]string
+	// go.mod to its exported API.
+	apis map[string][]types.Object
 	// loaded holds every loaded unit's directory.
 	loaded map[string]bool
 
-	pkgs   map[*types.Package]bool // packages scanned for interfaces
-	ifaces map[string]bool         // method-set signatures seen
-	// byMeth maps a method signature to the interfaces (as lists of
-	// method signatures) that contain it.
-	byMeth map[string][][]string
-	// methods caches, per type key, the keys of its methods that
-	// satisfy a seen interface.
-	methods map[string][]string
+	pkgs map[*types.Package]bool // packages scanned for interfaces
+	// ifaces maps a method name to the interfaces seen whose first
+	// method it is.
+	ifaces map[string][]*types.Interface
 }
 
 func run(pass *analysis.Pass) error {
@@ -96,20 +93,12 @@ func run(pass *analysis.Pass) error {
 	pkg := strings.TrimSuffix(u.Path, " [xtest]")
 	st.loaded[u.Dir] = true
 	main := u.Pkg.Name() == "main"
-	// The external test package shares its path with the package under
-	// test; its own declarations are test code, not targets.
-	var self *types.Package
-	if pkg != u.Path {
-		self = u.Pkg
-	}
-	refs := func(n ast.Node) []string {
-		var out []string
+	refs := func(n ast.Node) []types.Object {
+		var out []types.Object
 		ast.Inspect(n, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if obj := u.Info.Uses[id]; obj != nil && obj.Pkg() != self {
-					if k := key(obj); k != "" {
-						out = append(out, k)
-					}
+				if obj := origin(u.Info.Uses[id]); obj != nil {
+					out = append(out, obj)
 				}
 			}
 			return true
@@ -166,33 +155,44 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// origin returns the declared object behind a use: the generic function
+// or method for an instantiated one.
+func origin(obj types.Object) types.Object {
+	if f, ok := obj.(*types.Func); ok {
+		return f.Origin()
+	}
+	return obj
+}
+
 // add records one declaration. A package main's declarations are never
 // reported: a program's exported names are not an API.
-func (s *state) add(pkg, kind string, name *ast.Ident, obj types.Object, refs []string, main bool) {
-	k := key(obj)
-	if k == "" {
+func (s *state) add(pkg, kind string, name *ast.Ident, obj types.Object, refs []types.Object, main bool) {
+	if obj == nil {
 		return
 	}
-	d := &decl{key: k, pkg: pkg, pos: name.Pos(), refs: refs}
+	d := &decl{pkg: pkg, pos: name.Pos(), refs: refs}
 	if !main && name.IsExported() {
-		d.what = kind + " " + strings.TrimPrefix(k, obj.Pkg().Path()+".")
+		d.what = kind + " " + name.Name
+		if f, ok := obj.(*types.Func); ok && astq.RecvTypeName(f) != "" {
+			d.what = kind + " " + astq.RecvTypeName(f) + "." + name.Name
+		}
 	}
 	if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
 		d.named, _ = tn.Type().(*types.Named)
 	}
-	s.decls[k] = d
+	s.decls[obj] = d
 }
 
-// api returns the keys of a root package's exported declarations and of
-// the exported methods of the types it declares or aliases.
-func api(u *load.Unit) []string {
-	var out []string
+// api returns a root package's exported declarations and the exported
+// methods of the types it declares or aliases.
+func api(u *load.Unit) []types.Object {
+	var out []types.Object
 	for _, name := range u.Pkg.Scope().Names() {
 		obj := u.Pkg.Scope().Lookup(name)
 		if !obj.Exported() {
 			continue
 		}
-		out = append(out, key(obj))
+		out = append(out, obj)
 		if _, ok := obj.(*types.TypeName); !ok {
 			continue
 		}
@@ -203,43 +203,11 @@ func api(u *load.Unit) []string {
 		ms := types.NewMethodSet(types.NewPointer(named))
 		for i := 0; i < ms.Len(); i++ {
 			if m := ms.At(i).Obj(); m.Exported() {
-				out = append(out, key(m))
+				out = append(out, origin(m))
 			}
 		}
 	}
 	return out
-}
-
-// key names a package-level object across type-checker universes (a
-// package loaded as an analysis unit and again as a dependency yields
-// two objects per declaration): "path.Name" or "path.Recv.Name" for
-// methods. It is "" for anything that is not a package-level
-// declaration.
-func key(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil {
-		return ""
-	}
-	switch o := obj.(type) {
-	case *types.Func:
-		o = o.Origin()
-		if recv := o.Type().(*types.Signature).Recv(); recv != nil {
-			named := astq.NamedType(recv.Type())
-			if named == nil {
-				return ""
-			}
-			return o.Pkg().Path() + "." + named.Origin().Obj().Name() + "." + o.Name()
-		}
-	case *types.Var:
-		if o.IsField() {
-			return ""
-		}
-	case *types.PkgName, *types.Label:
-		return ""
-	}
-	if obj.Parent() != obj.Pkg().Scope() {
-		return ""
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // scanInterfaces records the interfaces of the unit's package, of every
@@ -274,100 +242,61 @@ func (s *state) addInterface(t types.Type) {
 	if !ok || it.NumMethods() == 0 {
 		return
 	}
-	sigs := make([]string, it.NumMethods())
-	for i := range sigs {
-		sigs[i] = signature(it.Method(i))
-	}
-	id := strings.Join(sigs, ";")
-	if s.ifaces[id] {
-		return
-	}
-	s.ifaces[id] = true
-	for _, sig := range sigs {
-		s.byMeth[sig] = append(s.byMeth[sig], sigs)
-	}
-}
-
-// signature is a method's name and parameter and result types, free of
-// parameter names and of the type-checker universe the types come from.
-func signature(f *types.Func) string {
-	var b strings.Builder
-	b.WriteString(f.Name())
-	qual := func(p *types.Package) string { return p.Path() }
-	tuple := func(t *types.Tuple) {
-		b.WriteByte('(')
-		for i := 0; i < t.Len(); i++ {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(types.TypeString(t.At(i).Type(), qual))
+	first := it.Method(0).Name()
+	for _, seen := range s.ifaces[first] {
+		if seen == it {
+			return
 		}
-		b.WriteByte(')')
 	}
-	sig := f.Type().(*types.Signature)
-	tuple(sig.Params())
-	if sig.Variadic() {
-		b.WriteString("...")
-	}
-	tuple(sig.Results())
-	return b.String()
+	s.ifaces[first] = append(s.ifaces[first], it)
 }
 
-// implements returns the keys of d's methods that satisfy a seen
-// interface, promoted methods included.
-func (s *state) implements(d *decl) []string {
-	if d.named == nil {
+// implements returns the methods of a declared type, promoted methods
+// included, that satisfy a seen interface. A generic type is tested as
+// instantiated with its own type parameters, since types.Implements
+// leaves uninstantiated types unspecified.
+func (s *state) implements(named *types.Named) []types.Object {
+	if types.IsInterface(named) {
 		return nil
 	}
-	if out, ok := s.methods[d.key]; ok {
-		return out
-	}
-	have := map[string]string{}
-	if _, ok := d.named.Underlying().(*types.Interface); !ok {
-		ms := types.NewMethodSet(types.NewPointer(d.named))
-		for i := 0; i < ms.Len(); i++ {
-			f := ms.At(i).Obj().(*types.Func)
-			have[signature(f)] = key(f)
+	t := types.Type(named)
+	if tps := named.TypeParams(); tps.Len() > 0 {
+		args := make([]types.Type, tps.Len())
+		for i := range args {
+			args[i] = tps.At(i)
 		}
+		t, _ = types.Instantiate(nil, named, args, false)
 	}
-	var out []string
-	for sig := range have {
-		for _, it := range s.byMeth[sig] {
-			if covers(have, it) {
-				for _, m := range it {
-					out = append(out, have[m])
-				}
+	ptr := types.NewPointer(t)
+	ms := types.NewMethodSet(ptr)
+	var out []types.Object
+	for i := 0; i < ms.Len(); i++ {
+		for _, it := range s.ifaces[ms.At(i).Obj().Name()] {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for j := 0; j < it.NumMethods(); j++ {
+				m := it.Method(j)
+				out = append(out, origin(ms.Lookup(m.Pkg(), m.Name()).Obj()))
 			}
 		}
 	}
-	s.methods[d.key] = out
 	return out
 }
 
-func covers(have map[string]string, sigs []string) bool {
-	for _, sig := range sigs {
-		if _, ok := have[sig]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// walk visits every declaration reachable from the keys in from.
-func (s *state) walk(from []string, visit func(*decl)) {
-	seen := map[string]bool{}
-	stack := append([]string(nil), from...)
+// walk visits every declaration reachable from the objects in from.
+func (s *state) walk(from []types.Object, visit func(*decl)) {
+	seen := map[*decl]bool{}
+	stack := append([]types.Object(nil), from...)
 	for len(stack) > 0 {
-		k := stack[len(stack)-1]
+		d := s.decls[stack[len(stack)-1]]
 		stack = stack[:len(stack)-1]
-		d := s.decls[k]
-		if seen[k] || d == nil {
+		if d == nil || seen[d] {
 			continue
 		}
-		seen[k] = true
+		seen[d] = true
 		visit(d)
 		stack = append(stack, d.refs...)
-		stack = append(stack, s.implements(d)...)
 	}
 }
 
@@ -404,17 +333,22 @@ func finish(f *analysis.Finish) error {
 	if root == "" {
 		return nil
 	}
-	reached := map[string]bool{}
-	st.walk(append(st.roots, st.apis[root]...), func(d *decl) { reached[d.key] = true })
+	for _, d := range st.decls {
+		if d.named != nil {
+			d.refs = append(d.refs, st.implements(d.named)...)
+		}
+	}
+	reached := map[*decl]bool{}
+	st.walk(append(st.roots, st.apis[root]...), func(d *decl) { reached[d] = true })
 	for pkg, refs := range st.tests {
 		st.walk(refs, func(d *decl) {
 			if d.pkg != pkg {
-				reached[d.key] = true
+				reached[d] = true
 			}
 		})
 	}
 	for _, d := range st.decls {
-		if d.what != "" && !reached[d.key] {
+		if d.what != "" && !reached[d] {
 			f.Reportf(d.pos, "exported %s is reached by no program, root-package API or other package's test", d.what)
 		}
 	}
