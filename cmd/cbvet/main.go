@@ -7,7 +7,8 @@
 //
 // Standalone use:
 //
-//	cbvet ./...            # human-readable findings, exit 1 when any
+//	cbvet ./...            # human-readable findings, exit 1 when any,
+//	                       # exit 2 when a package does not type-check
 //	cbvet -json ./... > cbvet.json
 //	cbvet -run bpkeys,lockorder ./internal/apps/...
 //
@@ -118,10 +119,17 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "cbvet:", err)
 		return 2
 	}
+	// The analyzers would run on partial types, so a type error fails
+	// the run.
+	typeErrors := 0
 	for _, u := range units {
 		for _, e := range u.TypeErrors {
 			fmt.Fprintf(stderr, "cbvet: %s: type error: %v\n", u.Path, e)
+			typeErrors++
 		}
+	}
+	if typeErrors > 0 {
+		return 2
 	}
 
 	runner := &analysis.Runner{Analyzers: analyzers, Known: analyzerNames(all)}

@@ -90,6 +90,18 @@ func TestCleanPackage(t *testing.T) {
 	}
 }
 
+// A package that does not type-check fails the run: the analyzers
+// would otherwise see partial types and report nothing wrong.
+func TestTypeErrorFailsTheRun(t *testing.T) {
+	code, stdout, stderr := runCapture(t, "testdata/typeerror")
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stderr, "type error:") {
+		t.Errorf("stderr missing the type error:\n%s", stderr)
+	}
+}
+
 func TestUnknownAnalyzerSelection(t *testing.T) {
 	code, _, stderr := runCapture(t, "-run", "nosuch", "testdata/demo")
 	if code != 2 {

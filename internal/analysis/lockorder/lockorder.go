@@ -11,7 +11,10 @@
 // a local variable holding a locks.Mutex. Where the mutex is
 // created with a constant name (locks.NewMutex("mysql.binlog")), the
 // diagnostic uses that runtime name, so static findings line up with
-// wait-graph reports and lock-class predicates. Analysis is
+// wait-graph reports and lock-class predicates. Otherwise a field or
+// package variable is named by its path, and a local by the file, line
+// and column of its declaration ("cbreak/internal/waitgraph/
+// waitgraph_test.go:696:2.a"). Analysis is
 // flow-approximate in the usual static-deadlock way: straight-line
 // acquisition order per function (branches analyzed independently),
 // plus one level of interprocedural propagation through a whole-program
@@ -23,6 +26,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -286,7 +290,11 @@ func (c *collector) refKey(e ast.Expr) string {
 		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 			return "pkgvar:" + v.Pkg().Path() + "." + v.Name()
 		}
-		return fmt.Sprintf("local:%d.%s", v.Pos(), v.Name())
+		// A local lock is named by where it is declared, which no other
+		// package's loading moves.
+		p := c.u.Fset.Position(v.Pos())
+		return fmt.Sprintf("local:%s/%s:%d:%d.%s", strings.TrimSuffix(c.u.Path, " [xtest]"),
+			filepath.Base(p.Filename), p.Line, p.Column, v.Name())
 	case *ast.SelectorExpr:
 		sel, ok := info.Selections[x]
 		if ok && sel.Kind() == types.FieldVal {

@@ -78,3 +78,16 @@ func consistentB() {
 	beta.Lock()
 	defer beta.Unlock()
 }
+
+// Locks with no constant name are named by where they are declared.
+func locals(name string) {
+	x, y := locks.NewMutex(name+".x"), locks.NewMutex(name+".y")
+	x.Lock()
+	y.Lock() // want "lock-order cycle cbreak/internal/analysis/lockorder/testdata/a/a.go:84:2.x -> cbreak/internal/analysis/lockorder/testdata/a/a.go:84:5.y"
+	y.Unlock()
+	x.Unlock()
+	y.Lock()
+	x.Lock() // want "lock-order cycle"
+	x.Unlock()
+	y.Unlock()
+}
