@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"cbreak/internal/analysis"
-	"cbreak/internal/analysis/load"
 	"cbreak/internal/analysis/lockorder"
 )
 
@@ -56,17 +55,6 @@ type Candidate struct {
 	OtherLocks []string
 	// Accesses are all of the cell's instances, position-ordered.
 	Accesses []lockorder.CellAccess
-}
-
-// unitCandidates runs the collection over already-loaded units and
-// returns every flagged cell, ignoring suppressions; the predict bridge
-// test compares this list with dynamic predictions.
-func unitCandidates(units []*load.Unit) []Candidate {
-	s := lockorder.NewSummary()
-	for _, u := range units {
-		s.Collect(u)
-	}
-	return candidates(s.CellAccesses())
 }
 
 // candidates groups access instances by cell and applies the lockset

@@ -7,6 +7,7 @@ import (
 	"cbreak/internal/analysis"
 	"cbreak/internal/analysis/cbvettest"
 	"cbreak/internal/analysis/load"
+	"cbreak/internal/analysis/lockorder"
 )
 
 func TestFixtures(t *testing.T) {
@@ -54,6 +55,17 @@ func TestMalformedSuppression(t *testing.T) {
 	if conflictFindings != 1 {
 		t.Errorf("conflicts findings on mal.val = %d, want 1:\n%+v", conflictFindings, res.Findings)
 	}
+}
+
+// unitCandidates runs the collection over already-loaded units and
+// returns every flagged cell, ignoring suppressions; the predict bridge
+// test compares this list with dynamic predictions.
+func unitCandidates(units []*load.Unit) []Candidate {
+	s := lockorder.NewSummary()
+	for _, u := range units {
+		s.Collect(u)
+	}
+	return candidates(s.CellAccesses())
 }
 
 // TestCandidates exercises the candidate list the bridge test builds

@@ -80,3 +80,15 @@ func TestStaticCycleMatchesRuntimeWaitGraph(t *testing.T) {
 	}
 	<-done
 }
+
+// staticCycles runs the collection and graph build over already-loaded
+// units and returns every lock-order cycle, ignoring suppressions. The
+// lockorder↔waitgraph bridge test uses it to compare static findings
+// with runtime deadlock signatures.
+func staticCycles(units []*load.Unit) []Cycle {
+	st := newState()
+	for _, u := range units {
+		st.collectUnit(u)
+	}
+	return st.cycles()
+}

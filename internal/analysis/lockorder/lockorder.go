@@ -700,18 +700,6 @@ func (st *state) buildCycle(classes []string, best map[[2]string]Edge) Cycle {
 	return c
 }
 
-// staticCycles runs the collection and graph build over already-loaded
-// units and returns every lock-order cycle, ignoring suppressions. The
-// lockorder↔waitgraph bridge test uses it to compare static findings
-// with runtime deadlock signatures.
-func staticCycles(units []*load.Unit) []Cycle {
-	st := newState()
-	for _, u := range units {
-		st.collectUnit(u)
-	}
-	return st.cycles()
-}
-
 func finish(f *analysis.Finish) error {
 	st := f.State.(*state)
 	for _, cyc := range st.cycles() {

@@ -2,10 +2,17 @@
 // point.
 package fixture
 
-import "fixture/lib"
+import (
+	"fmt"
+
+	"fixture/lib"
+)
 
 // Open is root API, so lib.Open and lib.Handle are reached.
 func Open() *lib.Handle { return lib.Open() }
 
 // Start is root API, so lib.Start and lib.Runner are reached.
 func Start() lib.Runner { return lib.Start() }
+
+// Label is root API, so lib.Box is reached.
+func Label() fmt.Stringer { return lib.Box[string]{} }

@@ -5,7 +5,10 @@ import "fmt"
 // Handle is reached through the root API.
 type Handle struct{ n int }
 
-func Open() *Handle { return &Handle{} }
+func Open() *Handle { return &Handle{n: start()} }
+
+// start is unexported and reached from non-test code.
+func start() int { return 0 }
 
 // String is reached: its type is, and it satisfies fmt.Stringer.
 func (h *Handle) String() string { return fmt.Sprint(h.n) }
@@ -22,7 +25,23 @@ type job struct{}
 // Run is reached: job is, and Run satisfies Runner.
 func (job) Run() {}
 
-func Start() Runner { return job{} }
+// stepper is an unexported interface that Start calls through.
+type stepper interface{ step() }
+
+// step is reached: job is, and step satisfies stepper.
+func (job) step() {}
+
+func Start() Runner {
+	var s stepper = job{}
+	s.step()
+	return job{}
+}
+
+// Box is generic; the root API reaches Box[string].
+type Box[T any] struct{ v T }
+
+// String is reached: Box is, and String satisfies fmt.Stringer.
+func (b Box[T]) String() string { return fmt.Sprint(b.v) }
 
 // Dead and DeadTail are a chain that nothing outside it reaches.
 func Dead() int { return DeadTail() } // want "func Dead "
@@ -36,7 +55,10 @@ func ForTests() int { return 2 }
 func ForMain() int { return 3 }
 
 // OwnTests is called only by this package's own test.
-func OwnTests() int { return 4 } // want "func OwnTests"
+func OwnTests() int { return 4 } // want "exported func OwnTests"
+
+// ownTests is unexported and called only by this package's own test.
+func ownTests() int { return 7 } // want "func ownTests is reached by no program"
 
 var Limit = 5 // want "var Limit"
 

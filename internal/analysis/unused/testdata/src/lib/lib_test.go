@@ -3,7 +3,7 @@ package lib
 import "testing"
 
 func TestOwn(t *testing.T) {
-	if OwnTests() != 4 {
+	if OwnTests()+ownTests() != 11 {
 		t.Fail()
 	}
 }

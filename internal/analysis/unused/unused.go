@@ -1,6 +1,6 @@
-// Package unused reports exported package-level declarations that no
-// program reaches. It is a whole-program check. From the entry points
-// it marks every declaration that a chain of references reaches:
+// Package unused reports package-level declarations that no program
+// reaches. It is a whole-program check. From the entry points it marks
+// every declaration that a chain of references reaches:
 //
 //   - the main and init functions of every package main;
 //   - the root package's exported API, plus the exported methods of
@@ -12,9 +12,12 @@
 // interface seen anywhere in the program (types.Implements), since a
 // call through the interface names only the interface's method. The
 // loader checks each package once, so every declaration is one
-// types.Object and the walk follows objects. An exported declaration
-// left unmarked is code that only its own package, or its own tests,
-// use: delete it, unexport it, or suppress the finding with a reason.
+// types.Object and the walk follows objects.
+//
+// A declaration left unmarked, exported or not, is reached by its own
+// package's tests at most: delete it, move it into the test file that
+// uses it, or suppress the finding with a reason. Declarations of a
+// package main are never reported, since nothing imports a program.
 //
 // The check needs the whole module: in go vet's per-package mode, or
 // when the patterns leave any package of the module out, it reports
@@ -38,8 +41,8 @@ import (
 // Analyzer is the whole-program unreached-declaration check.
 var Analyzer = &analysis.Analyzer{
 	Name: "unused",
-	Doc: "exported declarations that no program, root-package API or other " +
-		"package's test reaches (whole-module runs only)",
+	Doc: "declarations that no program, root-package API or other package's " +
+		"test reaches (whole-module runs only)",
 	Run: run,
 	NewState: func() any {
 		return &state{
@@ -57,7 +60,7 @@ var Analyzer = &analysis.Analyzer{
 // A decl is one package-level declaration of a non-test file.
 type decl struct {
 	pkg string
-	// what names an exported declaration in a finding ("method
+	// what names the declaration in a finding ("exported method
 	// Handle.Close"); it is "" for declarations never reported.
 	what string
 	pos  token.Pos
@@ -164,17 +167,20 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// add records one declaration. A package main's declarations are never
-// reported: a program's exported names are not an API.
+// add records one declaration; those of a package main are never
+// reported.
 func (s *state) add(pkg, kind string, name *ast.Ident, obj types.Object, refs []types.Object, main bool) {
 	if obj == nil {
 		return
 	}
 	d := &decl{pkg: pkg, pos: name.Pos(), refs: refs}
-	if !main && name.IsExported() {
+	if !main {
 		d.what = kind + " " + name.Name
 		if f, ok := obj.(*types.Func); ok && astq.RecvTypeName(f) != "" {
 			d.what = kind + " " + astq.RecvTypeName(f) + "." + name.Name
+		}
+		if name.IsExported() {
+			d.what = "exported " + d.what
 		}
 	}
 	if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
@@ -349,7 +355,7 @@ func finish(f *analysis.Finish) error {
 	}
 	for _, d := range st.decls {
 		if d.what != "" && !reached[d] {
-			f.Reportf(d.pos, "exported %s is reached by no program, root-package API or other package's test", d.what)
+			f.Reportf(d.pos, "%s is reached by no program, root-package API or other package's test", d.what)
 		}
 	}
 	return nil

@@ -130,3 +130,25 @@ func TestAppendAtomicFixSurvivesTheScenario(t *testing.T) {
 		}
 	}
 }
+
+// appendAtomic is the repaired append: it holds sb's monitor across the
+// length read and the character copy, so no setLength can interleave.
+// With the fix in place the (239, 449) breakpoint can still be hit, but
+// hitting it no longer produces the exception — which is exactly what
+// the paper's regression-test use case checks for after a fix.
+func (b *Buffer) appendAtomic(sb *Buffer, cfg *Config) {
+	sb.mu.LockAt("StringBuffer.java:appendAtomic")
+	ln := len(sb.data)
+	if cfg != nil && cfg.Breakpoint {
+		// The breakpoint site remains, but the monitor is held: the
+		// interleaving the breakpoint asks for is no longer feasible,
+		// so the trigger times out (the local state can still be
+		// inspected by tooling).
+		cfg.Engine.TriggerHere(core.NewAtomicityTrigger(BreakpointName+".fixed", sb), false,
+			core.Options{Timeout: cfg.Timeout})
+	}
+	tmp := make([]byte, ln)
+	copy(tmp, sb.data[:ln])
+	sb.mu.Unlock()
+	b.mu.With(func() { b.data = append(b.data, tmp...) })
+}

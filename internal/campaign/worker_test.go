@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -139,5 +140,27 @@ func TestInProcessExecutorChaosCrash(t *testing.T) {
 	_, err := ex(context.Background(), WorkerRequest{Chaos: ChaosCrash})
 	if err == nil || !strings.Contains(err.Error(), "injected crash") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// inProcessExecutor returns an Executor that runs trials in this
+// process (no isolation: a crashing trial takes the supervisor with
+// it). It honours ctx via goroutine abandonment, so deadlines still
+// hold for deadlocked — if not crashing — trials. A nil resolver uses
+// harness.ResolveSpec. Chaos "crash" becomes a synthetic error.
+func inProcessExecutor(resolve Resolver) Executor {
+	if resolve == nil {
+		resolve = harness.ResolveSpec
+	}
+	return func(ctx context.Context, req WorkerRequest) (harness.TrialOutcome, error) {
+		if req.Chaos == ChaosCrash {
+			return harness.TrialOutcome{}, fmt.Errorf("worker %s: injected crash", req.Key)
+		}
+		spec, ok := resolve(req.Key)
+		if !ok {
+			return harness.TrialOutcome{}, fmt.Errorf("unknown trial key %s", req.Key)
+		}
+		appkit.SeedJitter(req.Seed)
+		return harness.RunTrialCtx(ctx, 0, spec), nil
 	}
 }

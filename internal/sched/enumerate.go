@@ -20,6 +20,8 @@ package sched
 // The thread step functions must be deterministic for enumeration to be
 // meaningful. The number of interleavings is multinomial in the step
 // counts; keep programs small (e.g. two threads with <= 12 steps each).
+//
+//cbvet:ignore unused reference oracle: the exhaustive count of interleavings that its tests check against closed forms
 func enumerate(limit int, build func() ([]*Thread, func() bool)) (visited, satisfied int) {
 	// First, discover the step counts with a probe instance.
 	probe, _ := build()
@@ -74,6 +76,8 @@ func enumerate(limit int, build func() ([]*Thread, func() bool)) (visited, satis
 // scheduler produces a trace satisfying pred, by weighted exploration:
 // at each decision point every runnable thread is taken with probability
 // 1/runnable. Exponential in program size; keep programs small.
+//
+//cbvet:ignore unused reference oracle: the tests check the uniform scheduler's sampled hit rate against this exact probability
 func randomMeasure(build func() ([]*Thread, func() bool)) float64 {
 	probe, _ := build()
 	counts := make([]int, len(probe))

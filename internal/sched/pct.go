@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // This file implements PCT (Burckhardt et al., ASPLOS 2010 — reference
 // [5] of the paper) as a baseline scheduler for step programs: a
@@ -102,14 +99,4 @@ func CountPCT(seed0 int64, runs, depth int, build func() ([]*Thread, func() bool
 		}
 	}
 	return hits
-}
-
-// prioritiesSnapshot exposes deterministic ordering for tests.
-func prioritiesSnapshot(prio map[*Thread]int) []int {
-	out := make([]int, 0, len(prio))
-	for _, p := range prio {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
 }

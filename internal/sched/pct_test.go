@@ -110,11 +110,3 @@ func TestPCTBeatsRandomOnDeepOrderingBug(t *testing.T) {
 		t.Fatalf("PCT below guarantee: %d/%d < %v", pctHits, runs, PCTGuarantee(2, k, 1))
 	}
 }
-
-func TestPrioritiesSnapshotSorted(t *testing.T) {
-	a, b := NewThread("a"), NewThread("b")
-	got := prioritiesSnapshot(map[*Thread]int{a: 5, b: 2})
-	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
-		t.Fatalf("snapshot = %v", got)
-	}
-}
