@@ -139,8 +139,12 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		bp, err := l.ctxt.ImportDir(dir, 0)
+		if err != nil {
+			return nil, fmt.Errorf("resolving %q: %w", path, err)
+		}
 		module := path == l.modPath || strings.HasPrefix(path, l.modPath+"/")
-		if s, err = l.checkDir(path, dir, module); err != nil {
+		if s, err = l.check(path, bp, module); err != nil {
 			return nil, err
 		}
 	}
@@ -150,21 +154,17 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return s.unit.Pkg, nil
 }
 
-// checkDir checks the non-test files of the package in dir. A module
-// package is parsed with comments and checked with an Info and soft
-// errors; a standard-library package is checked for its types alone.
-func (l *Loader) checkDir(path, dir string, module bool) (*source, error) {
+// check checks the non-test files of a package. A module package is
+// parsed with comments and checked with an Info and soft errors; a
+// standard-library package is checked for its types alone.
+func (l *Loader) check(path string, bp *build.Package, module bool) (*source, error) {
 	if l.loading[path] {
 		return nil, fmt.Errorf("import cycle through %q", path)
 	}
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	bp, err := l.ctxt.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("resolving %q: %w", path, err)
-	}
-	u := &Unit{Path: path, Dir: dir, Fset: l.Fset, Pkg: types.NewPackage(path, "")}
+	u := &Unit{Path: path, Dir: bp.Dir, Fset: l.Fset, Pkg: types.NewPackage(path, "")}
 	s := &source{unit: u}
 	conf := types.Config{Importer: l}
 	mode := parser.Mode(0)
@@ -173,13 +173,14 @@ func (l *Loader) checkDir(path, dir string, module bool) (*source, error) {
 		u.Info = newInfo()
 		conf.Error = func(err error) { u.TypeErrors = append(u.TypeErrors, err) }
 	}
-	if u.Files, err = l.parse(dir, bp.GoFiles, mode); err != nil {
+	files, err := l.parse(bp.Dir, bp.GoFiles, mode)
+	if err != nil {
 		return nil, err
 	}
 	check := types.NewChecker(&conf, l.Fset, u.Pkg, u.Info)
-	s.err = check.Files(u.Files)
+	s.err = check.Files(files)
 	if module {
-		s.check = check
+		u.Files, s.check = files, check
 	}
 	l.pkgs[path] = s
 	return s, nil
@@ -247,7 +248,7 @@ func (l *Loader) LoadDir(dir string) ([]*Unit, error) {
 	path := l.importPathFor(abs)
 	s, ok := l.pkgs[path]
 	if !ok {
-		if s, err = l.checkDir(path, abs, true); err != nil {
+		if s, err = l.check(path, bp, true); err != nil {
 			return nil, err
 		}
 	}
