@@ -16,3 +16,6 @@ func Start() lib.Runner { return lib.Start() }
 
 // Label is root API, so lib.Box is reached.
 func Label() fmt.Stringer { return lib.Box[string]{} }
+
+// Read is root API, so lib.Read, lib.getter and lib.cell are reached.
+func Read() int { return lib.Read() }

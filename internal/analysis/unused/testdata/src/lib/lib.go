@@ -43,6 +43,20 @@ type Box[T any] struct{ v T }
 // String is reached: Box is, and String satisfies fmt.Stringer.
 func (b Box[T]) String() string { return fmt.Sprint(b.v) }
 
+// getter and cell are generic; Read calls cell's get through
+// getter[int].
+type getter[T any] interface{ get() T }
+
+type cell[T any] struct{ v T }
+
+// get is reached: cell is, and it has getter's methods.
+func (c cell[T]) get() T { return c.v }
+
+func Read() int {
+	var g getter[int] = cell[int]{v: 8}
+	return g.get()
+}
+
 // Dead and DeadTail are a chain that nothing outside it reaches.
 func Dead() int { return DeadTail() } // want "func Dead "
 

@@ -258,33 +258,32 @@ func (s *state) addInterface(t types.Type) {
 }
 
 // implements returns the methods of a declared type, promoted methods
-// included, that satisfy a seen interface. A generic type is tested as
-// instantiated with its own type parameters, since types.Implements
-// leaves uninstantiated types unspecified.
+// included, that satisfy a seen interface. A generic type counts as
+// satisfying an interface whose methods it has by name: its methods'
+// signatures mention type parameters that only an instance binds, and
+// types.Implements leaves uninstantiated types unspecified.
 func (s *state) implements(named *types.Named) []types.Object {
 	if types.IsInterface(named) {
 		return nil
 	}
-	t := types.Type(named)
-	if tps := named.TypeParams(); tps.Len() > 0 {
-		args := make([]types.Type, tps.Len())
-		for i := range args {
-			args[i] = tps.At(i)
-		}
-		t, _ = types.Instantiate(nil, named, args, false)
-	}
-	ptr := types.NewPointer(t)
+	ptr := types.NewPointer(named)
 	ms := types.NewMethodSet(ptr)
 	var out []types.Object
 	for i := 0; i < ms.Len(); i++ {
+	next:
 		for _, it := range s.ifaces[ms.At(i).Obj().Name()] {
-			if !types.Implements(ptr, it) {
+			if named.TypeParams().Len() == 0 && !types.Implements(ptr, it) {
 				continue
 			}
+			var found []types.Object
 			for j := 0; j < it.NumMethods(); j++ {
-				m := it.Method(j)
-				out = append(out, origin(ms.Lookup(m.Pkg(), m.Name()).Obj()))
+				sel := ms.Lookup(it.Method(j).Pkg(), it.Method(j).Name())
+				if sel == nil {
+					continue next
+				}
+				found = append(found, origin(sel.Obj()))
 			}
+			out = append(out, found...)
 		}
 	}
 	return out
