@@ -144,7 +144,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 			return nil, fmt.Errorf("resolving %q: %w", path, err)
 		}
 		module := path == l.modPath || strings.HasPrefix(path, l.modPath+"/")
-		if s, err = l.check(path, bp, module); err != nil {
+		if s, err = l.checkPackage(path, bp, module); err != nil {
 			return nil, err
 		}
 	}
@@ -154,10 +154,10 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return s.unit.Pkg, nil
 }
 
-// check checks the non-test files of a package. A module package is
+// checkPackage checks the non-test files of a package. A module package is
 // parsed with comments and checked with an Info and soft errors; a
 // standard-library package is checked for its types alone.
-func (l *Loader) check(path string, bp *build.Package, module bool) (*source, error) {
+func (l *Loader) checkPackage(path string, bp *build.Package, module bool) (*source, error) {
 	if l.loading[path] {
 		return nil, fmt.Errorf("import cycle through %q", path)
 	}
@@ -248,7 +248,7 @@ func (l *Loader) LoadDir(dir string) ([]*Unit, error) {
 	path := l.importPathFor(abs)
 	s, ok := l.pkgs[path]
 	if !ok {
-		if s, err = l.check(path, bp, true); err != nil {
+		if s, err = l.checkPackage(path, bp, true); err != nil {
 			return nil, err
 		}
 	}

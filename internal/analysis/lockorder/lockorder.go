@@ -12,13 +12,16 @@
 // created with a constant name (locks.NewMutex("mysql.binlog")), the
 // diagnostic uses that runtime name, so static findings line up with
 // wait-graph reports and lock-class predicates. Otherwise a field or
-// package variable is named by its path, and a local by the file, line
-// and column of its declaration ("cbreak/internal/waitgraph/
-// waitgraph_test.go:696:2.a"). Analysis is
-// flow-approximate in the usual static-deadlock way: straight-line
-// acquisition order per function (branches analyzed independently),
-// plus one level of interprocedural propagation through a whole-program
-// summary fixpoint ("calling Append acquires mysql.binlog").
+// package variable is named by its path, and a local by the package,
+// file, line and column of its declaration:
+//
+//	cbreak/internal/waitgraph/waitgraph_test.go:696:2.a
+//
+// Analysis is flow-approximate in the usual static-deadlock way:
+// straight-line acquisition order per function (branches analyzed
+// independently), plus one level of interprocedural propagation through
+// a whole-program summary fixpoint ("calling Append acquires
+// mysql.binlog").
 package lockorder
 
 import (
