@@ -446,8 +446,9 @@ func BreakpointEnabled(name string) bool { return core.Default().BreakpointEnabl
 // through, plus the pull-path metric registry (docs/USAGE.md, "Live
 // control plane & metrics").
 type (
-	// TelemetryBus carries every engine record (events, incidents,
-	// wait-graph reports, trial outcomes) to taps and subscriptions.
+	// TelemetryBus carries an engine's records (events and guard
+	// incidents, wait-graph findings among them) to taps and
+	// subscriptions.
 	TelemetryBus = telemetry.Bus
 	// TelemetryRecord is one bus record: a kind tag plus the matching
 	// payload field.
@@ -468,8 +469,6 @@ type (
 const (
 	RecordEvent    = telemetry.RecordEvent
 	RecordIncident = telemetry.RecordIncident
-	RecordReport   = telemetry.RecordReport
-	RecordTrial    = telemetry.RecordTrial
 )
 
 // Telemetry returns the default engine's telemetry bus; subscribe for a

@@ -2,9 +2,9 @@
 // through the public cbreak facade: a DurableSink implementation
 // receives a synchronous copy of every engine event and guard incident,
 // so a crashed process leaves its breakpoint history behind instead of
-// losing the in-memory rings with the heap. The canonical sink journals
-// to a crash-safe WAL (cbtables -durable-events); this demo uses an
-// in-memory sink so its output stays deterministic and diffable.
+// losing it with the heap. The canonical sink journals to a crash-safe
+// WAL (cbtables -durable-events); this demo uses an in-memory sink so
+// its output stays deterministic and diffable.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Command telemetry demonstrates the typed telemetry core through the
-// public cbreak facade: every introspection surface — engine events,
-// guard incidents, wait-graph reports — fans out through one record
-// bus (cbreak.Telemetry), and one declared metric catalog renders the
+// public cbreak facade: engine events and guard incidents, wait-graph
+// findings among them, fan out through one record bus
+// (cbreak.Telemetry), and one declared metric catalog renders the
 // same state as Prometheus text (cbreak.NewMetricRegistry +
 // cbreak.RegisterMetrics). Per-breakpoint runtime disable
 // (cbreak.SetBreakpointEnabled) shows the live-control half: the same

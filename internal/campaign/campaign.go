@@ -232,10 +232,6 @@ func (s *Supervisor) measure(spec harness.TrialSpec) harness.Measurement {
 			slots[trial] = slot{out, true}
 			noteOutcome(out)
 			mu.Unlock()
-			// Publish on the supervisor's process-wide telemetry bus with
-			// the real retry count; the worker's own harness-level publish
-			// happened in the subprocess, on a different bus.
-			harness.PublishOutcome(spec.Key, out, attempts)
 			rec := Record{Key: spec.Key, Trial: trial,
 				Seed: harness.TrialSeed(s.cfg.Seed, spec.Key, trial), Attempts: attempts, Outcome: out}
 			if err := s.cfg.Checkpoint.Append(rec); err != nil {

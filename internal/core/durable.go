@@ -14,24 +14,22 @@ import (
 // canonical implementation is internal/journal/sink, which frames each
 // entry as JSON in a crash-safe write-ahead journal.
 //
-// Since the telemetry refactor the sink is no longer a bespoke fan-out:
 // SetDurableSink attaches the sink to the engine's telemetry bus as a
 // synchronous tap, the same bus live NDJSON streams and metric counters
-// subscribe to. Delivery semantics are unchanged — sinks are called
-// synchronously on the hot path (the goroutine hitting the breakpoint),
-// so they must be fast and must never call back into the engine. A
-// journal sink should use SyncInterval or SyncNone unless per-event
-// durability is genuinely worth an fsync per breakpoint arrival. Sink
-// errors are the sink's own problem: the engine ignores them, because
-// breakpoint semantics must not change when a disk fills.
+// subscribe to. Sinks are called synchronously on the hot path (the
+// goroutine hitting the breakpoint), so they must be fast and must
+// never call back into the engine. A journal sink should use
+// SyncInterval or SyncNone unless per-event durability is genuinely
+// worth an fsync per breakpoint arrival. Sink errors are the sink's own
+// problem: the engine ignores them, because breakpoint semantics must
+// not change when a disk fills.
 type DurableSink interface {
 	RecordEvent(Event)
 	RecordIncident(guard.Incident)
 }
 
 // sinkTap adapts a DurableSink to the telemetry bus: events and
-// incidents are forwarded synchronously, other record kinds (none are
-// published on engine buses today) are ignored.
+// incidents, the bus's two record kinds, are forwarded synchronously.
 type sinkTap struct {
 	s DurableSink
 }

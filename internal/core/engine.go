@@ -50,7 +50,7 @@ type Engine struct {
 	// published on it, and every consumer — durable journal sink
 	// (durable.go, attached as a synchronous tap), live NDJSON streams,
 	// stream metric counters — hangs off it. With no listeners a publish
-	// is one atomic load, the same price the old durable-sink check paid.
+	// is one atomic load.
 	bus     *telemetry.Bus
 	durable durableState // tracks the durable sink's bus tap (durable.go)
 

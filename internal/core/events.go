@@ -20,10 +20,9 @@ import (
 // clock read — so a refined breakpoint's rejected arrival pays one
 // atomic load for its telemetry.
 //
-// The event shape itself lives in internal/telemetry (the typed
-// telemetry core sits below this package in the import graph so that
-// every layer can publish records); the names are aliased here so the
-// engine's historical API — core.Event, core.EventHit — is unchanged.
+// The event shape itself lives in internal/telemetry, which sits below
+// this package in the import graph; the names are aliased here so the
+// engine's callers write core.Event and core.EventHit.
 
 // EventKind classifies an engine event. It is internal/telemetry's
 // EventKind; see that package for the canonical definition.

@@ -9,7 +9,6 @@ import (
 
 	"cbreak/internal/apps/appkit"
 	"cbreak/internal/core"
-	"cbreak/internal/telemetry"
 	"cbreak/internal/waitgraph"
 )
 
@@ -123,22 +122,6 @@ func outcomeFrom(e *core.Engine, sup *waitgraph.Supervisor, res appkit.Result) T
 	return out
 }
 
-// PublishOutcome publishes one executed trial's outcome on the
-// process-wide telemetry bus (telemetry.Default() — trial outcomes
-// outlive any single trial engine, so they do not ride an engine bus).
-// RunTrial/RunTrialCtx publish their own outcomes with attempts=0; the
-// campaign supervisor publishes at its journal site with the real retry
-// count (its workers run in subprocesses, so the two publishes land on
-// different processes' buses and never double-count).
-func PublishOutcome(key TrialKey, out TrialOutcome, attempts int) {
-	telemetry.Default().Publish(telemetry.Record{Kind: telemetry.RecordTrial,
-		Trial: telemetry.Trial{
-			When: time.Now(), Table: key.Table, Row: key.Row, Variant: key.Variant,
-			Status: out.Result.Status.String(), Attempts: attempts,
-			Elapsed: out.Result.Elapsed, Wait: out.BPWait,
-		}})
-}
-
 // trialSupervisor starts the per-trial wait-graph supervisor. Every
 // trial gets one: a confirmed application deadlock classifies the trial
 // as a stall in milliseconds instead of waiting out the app's own stall
@@ -176,15 +159,12 @@ func RunTrial(spec TrialSpec) TrialOutcome {
 	start := time.Now()
 	done := make(chan appkit.Result, 1)
 	go func() { done <- spec.Run(e, spec.Breakpoint, spec.Timeout) }()
-	var out TrialOutcome
 	select {
 	case res := <-done:
-		out = outcomeFrom(e, sup, res)
+		return outcomeFrom(e, sup, res)
 	case <-sup.Confirmed():
-		out = outcomeFrom(e, sup, confirmedStall(sup, time.Since(start)))
+		return outcomeFrom(e, sup, confirmedStall(sup, time.Since(start)))
 	}
-	PublishOutcome(spec.Key, out, 0)
-	return out
 }
 
 // RunTrialCtx executes one trial with a hard per-trial wall-clock
@@ -192,10 +172,10 @@ func RunTrial(spec TrialSpec) TrialOutcome {
 // its own goroutine; if the deadline expires or ctx is cancelled first,
 // the goroutine is abandoned — exactly how appkit.RunWithDeadline
 // detects stalls — and the trial reports appkit.TrialTimeout with
-// best-effort engine snapshots. This is the in-process answer to a
-// RunFunc that hangs: Measure no longer blocks forever on it. A
-// wait-graph deadlock confirmation short-circuits the same way, but as
-// an application Stall carrying the cycle diagnosis.
+// best-effort engine snapshots, so a RunFunc that hangs cannot block
+// Measure forever. A wait-graph deadlock confirmation short-circuits
+// the same way, but as an application Stall carrying the cycle
+// diagnosis.
 func RunTrialCtx(ctx context.Context, deadline time.Duration, spec TrialSpec) TrialOutcome {
 	e := trialEngine(spec)
 	sup := trialSupervisor(e)
@@ -232,9 +212,7 @@ func RunTrialCtx(ctx context.Context, deadline time.Duration, spec TrialSpec) Tr
 		res = appkit.Result{Status: appkit.TrialTimeout,
 			Detail: "trial cancelled: " + ctx.Err().Error(), Elapsed: time.Since(start)}
 	}
-	out := outcomeFrom(e, sup, res)
-	PublishOutcome(spec.Key, out, 0)
-	return out
+	return outcomeFrom(e, sup, res)
 }
 
 // TrialSeed derives the deterministic per-trial seed from the campaign

@@ -2,9 +2,8 @@
 // (internal/journal) to the engine's DurableSink interface: every
 // engine event and guard incident is framed as one JSON record, the
 // telemetry package's NDJSON object for it (telemetry.MarshalNDJSON),
-// so a post-mortem on a crashed trial replays exactly the breakpoint
-// history the in-memory rings lost with the process, in the shape the
-// live stream serves.
+// so a post-mortem on a crashed trial replays the breakpoint history
+// the process took with it, in the shape the live stream serves.
 //
 // Payloads are JSON text inside the journal's binary frames, so the
 // usual field tricks work on raw segments: `grep -a '"panic"'

@@ -6,23 +6,19 @@ import (
 )
 
 // This file is the subscription bus: the single fan-out every telemetry
-// emission path publishes into. It replaces three bespoke fan-outs that
-// had accreted on the engine (the durable-sink atomic pointer, the
-// incident log's direct tee, the wait-graph supervisor's report
-// callback) with one primitive offering two delivery modes:
+// emission path publishes into, with two delivery modes:
 //
 //   - Taps are synchronous: Deliver runs on the publishing goroutine,
-//     exactly like the old DurableSink contract, so a crash-safe
-//     journal tap loses nothing a crash would not have lost anyway.
-//     Taps must be fast and must never call back into the publisher.
+//     so a crash-safe journal tap loses nothing a crash would not have
+//     lost anyway. Taps must be fast and must never call back into the
+//     publisher.
 //   - Subscriptions are asynchronous: a bounded channel the publisher
 //     never blocks on. A full subscriber drops the record and the drop
 //     is counted — a slow NDJSON client can never stall a breakpoint
 //     arrival.
 //
 // Publish with no listeners is one atomic load and a nil check, which
-// is what keeps the bus on the trigger hot path: it costs exactly what
-// the old "is a durable sink installed" check cost.
+// is what keeps the bus on the trigger hot path.
 
 // Tap receives records synchronously on the publishing goroutine.
 type Tap interface {

@@ -160,13 +160,10 @@ func TestBusConcurrentPublishAndChurn(t *testing.T) {
 
 func TestRecordKindLabels(t *testing.T) {
 	// The NDJSON "kind" discriminators must match the durable sink's
-	// on-disk record kinds for the shared kinds, and stay stable for the
-	// stream-only ones.
+	// on-disk record kinds.
 	want := map[RecordKind]string{
 		RecordEvent:    "engine-event",
 		RecordIncident: "guard-incident",
-		RecordReport:   "waitgraph-report",
-		RecordTrial:    "trial-outcome",
 	}
 	for k, label := range want {
 		if k.String() != label {

@@ -164,10 +164,6 @@ var (
 		Name: "cbreak_incidents_total", Kind: Counter, Labels: []string{"kind"},
 		Help: "Guard incidents by kind (panic, stall, force-release, breaker transitions, cycle-break, deadlock-confirmed, overload-shed, net-fault-injected); monotonic even after the retained ring wraps.",
 	}
-	DescWaitgraphReports = &Desc{
-		Name: "cbreak_waitgraph_reports_total", Kind: Counter, Labels: []string{"kind"},
-		Help: "Confirmed wait-graph findings by verdict kind (deadlock, postpone-stall), counted off the telemetry bus.",
-	}
 	DescWaitgraphScans = &Desc{
 		Name: "cbreak_waitgraph_scans_total", Kind: Counter,
 		Help: "Wait-graph supervisor scans executed.",
@@ -219,12 +215,8 @@ var (
 		Help: "Faults the chaos proxy injected, by kind.",
 	}
 
-	// Campaign trials and the bus itself.
+	// The telemetry bus itself.
 
-	DescTrials = &Desc{
-		Name: "cbreak_trials_total", Kind: Counter, Labels: []string{"table", "variant", "status"},
-		Help: "Campaign/harness trial outcomes by measurement table, variant, and result status, counted off the telemetry bus.",
-	}
 	DescBusRecords = &Desc{
 		Name: "cbreak_bus_records_total", Kind: Counter, Labels: []string{"kind"},
 		Help: "Records observed on wired telemetry buses by record kind, since the registry attached.",
@@ -245,10 +237,10 @@ func Catalog() []*Desc {
 		DescBPTimeouts, DescBPHits, DescBPPanics, DescBPSheds,
 		DescBPBreakerTrips, DescBPBreakerRearms, DescBPBreakerState,
 		DescBPWait, DescBPMaxWait, DescBPLastHit,
-		DescIncidents, DescWaitgraphReports, DescWaitgraphScans,
+		DescIncidents, DescWaitgraphScans,
 		DescAppState, DescAppRestarts, DescAppCrashes,
 		DescAppQuarantines, DescAppProbeFailures,
 		DescUptime, DescAppServed, DescAppShed, DescProxyConns, DescProxyFaults,
-		DescTrials, DescBusRecords, DescBusDropped,
+		DescBusRecords, DescBusDropped,
 	}
 }

@@ -34,30 +34,6 @@ type IncidentJSON struct {
 	Detail     string    `json:"detail,omitempty"`
 }
 
-// ReportJSON is the NDJSON shape of a wait-graph-report record.
-type ReportJSON struct {
-	Kind        string    `json:"kind"` // "waitgraph-report"
-	When        time.Time `json:"when"`
-	Report      string    `json:"report"` // deadlock|postpone-stall
-	Desc        string    `json:"desc"`
-	Breakpoints []string  `json:"breakpoints,omitempty"`
-	GIDs        []uint64  `json:"gids,omitempty"`
-	Victim      uint64    `json:"victim,omitempty"`
-}
-
-// TrialJSON is the NDJSON shape of a trial-outcome record.
-type TrialJSON struct {
-	Kind      string    `json:"kind"` // "trial-outcome"
-	When      time.Time `json:"when"`
-	Table     string    `json:"table"`
-	Row       int       `json:"row"`
-	Variant   string    `json:"variant"`
-	Status    string    `json:"status"`
-	Attempts  int       `json:"attempts,omitempty"`
-	ElapsedNS int64     `json:"elapsed_ns"`
-	WaitNS    int64     `json:"wait_ns"`
-}
-
 // MarshalNDJSON returns the record's NDJSON object (no trailing
 // newline).
 func MarshalNDJSON(rec Record) ([]byte, error) {
@@ -75,21 +51,6 @@ func MarshalNDJSON(rec Record) ([]byte, error) {
 		v = IncidentJSON{
 			Kind: rec.Kind.String(), When: in.When, Incident: in.Kind.String(),
 			Breakpoint: in.Breakpoint, GID: in.GID, Detail: in.Detail,
-		}
-	case RecordReport:
-		rp := rec.Report
-		v = ReportJSON{
-			Kind: rec.Kind.String(), When: rp.When, Report: rp.Kind,
-			Desc: rp.Desc, Breakpoints: rp.Breakpoints, GIDs: rp.GIDs,
-			Victim: rp.Victim,
-		}
-	case RecordTrial:
-		tr := rec.Trial
-		v = TrialJSON{
-			Kind: rec.Kind.String(), When: tr.When, Table: tr.Table,
-			Row: tr.Row, Variant: tr.Variant, Status: tr.Status,
-			Attempts: tr.Attempts, ElapsedNS: int64(tr.Elapsed),
-			WaitNS: int64(tr.Wait),
 		}
 	default:
 		v = struct {

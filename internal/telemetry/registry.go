@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -10,10 +9,8 @@ import (
 // live values. Metrics are *pulled* — a collector is a closure that
 // reads existing engine state (atomic counters on shards, gauge loads)
 // at scrape time and emits samples, so registering telemetry costs the
-// trigger hot path nothing. The only push-shaped metrics are the
-// stream counters a wired bus tap maintains (records by kind, wait-graph
-// verdicts, trial outcomes), and those touch one atomic or — for the
-// rare record kinds — one small mutex-guarded map per record.
+// trigger hot path nothing. The only push-shaped metric is the record
+// count a wired bus tap maintains, one atomic add per record.
 
 // Sample is one collected metric value.
 type Sample struct {
@@ -76,90 +73,11 @@ func (r *Registry) Gather() []Sample {
 	return out
 }
 
-// CounterVec is a labeled counter family for *rare* increments
-// (wait-graph verdicts, trial outcomes): a mutex-guarded map keyed by
-// the joined label values. It is not for hot-path counting — hot counts
-// live in the engine's own atomics and are collected at scrape time.
-type CounterVec struct {
-	desc *Desc
-	mu   sync.Mutex
-	m    map[string]*vecEntry
-}
-
-type vecEntry struct {
-	labels []string
-	n      int64
-}
-
-// NewCounterVec returns an empty counter family for desc.
-func NewCounterVec(desc *Desc) *CounterVec {
-	return &CounterVec{desc: desc, m: make(map[string]*vecEntry)}
-}
-
-// Add increments the series addressed by the label values (which must
-// match desc.Labels in number and order).
-func (v *CounterVec) Add(delta int64, labelValues ...string) {
-	key := joinKey(labelValues)
-	v.mu.Lock()
-	e := v.m[key]
-	if e == nil {
-		e = &vecEntry{labels: append([]string(nil), labelValues...)}
-		v.m[key] = e
-	}
-	e.n += delta
-	v.mu.Unlock()
-}
-
-// Collect emits one sample per series, in stable (sorted-key) order.
-func (v *CounterVec) Collect(emit func(Sample)) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.m))
-	for k := range v.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	samples := make([]Sample, 0, len(keys))
-	for _, k := range keys {
-		e := v.m[k]
-		samples = append(samples, Sample{Desc: v.desc, Labels: e.labels, Value: float64(e.n)})
-	}
-	v.mu.Unlock()
-	for _, s := range samples {
-		emit(s)
-	}
-}
-
-// joinKey builds a collision-free map key from label values (0x1f does
-// not occur in the engine's label vocabulary, and a collision would only
-// merge two counter series anyway).
-func joinKey(vals []string) string {
-	switch len(vals) {
-	case 0:
-		return ""
-	case 1:
-		return vals[0]
-	}
-	n := len(vals) - 1
-	for _, v := range vals {
-		n += len(v)
-	}
-	b := make([]byte, 0, n)
-	for i, v := range vals {
-		if i > 0 {
-			b = append(b, 0x1f)
-		}
-		b = append(b, v...)
-	}
-	return string(b)
-}
-
-// busTap is the counting tap WireBus attaches: per-kind record totals in
-// a fixed atomic array (events and incidents arrive at engine rate), and
-// label-fanned families for the rare kinds.
+// busTap is the counting tap WireBus attaches: per-kind record totals
+// in a fixed atomic array, since events and incidents arrive at engine
+// rate.
 type busTap struct {
-	counts  [NumRecordKinds]atomic.Int64
-	reports *CounterVec
-	trials  *CounterVec
+	counts [NumRecordKinds]atomic.Int64
 }
 
 // Deliver implements Tap.
@@ -167,26 +85,15 @@ func (t *busTap) Deliver(rec Record) {
 	if k := int(rec.Kind); k >= 0 && k < NumRecordKinds {
 		t.counts[k].Add(1)
 	}
-	switch rec.Kind {
-	case RecordReport:
-		t.reports.Add(1, rec.Report.Kind)
-	case RecordTrial:
-		t.trials.Add(1, rec.Trial.Table, rec.Trial.Variant, rec.Trial.Status)
-	}
 }
 
 // WireBus attaches a counting tap to the bus and registers the
 // stream-derived collectors on the registry: records by kind
-// (cbreak_bus_records_total), wait-graph verdicts
-// (cbreak_waitgraph_reports_total), trial outcomes (cbreak_trials_total),
-// and the bus's drop counter labeled with name
-// (cbreak_bus_dropped_total). It returns the tap handle so a consumer
-// that outlives the bus can detach.
+// (cbreak_bus_records_total) and the bus's drop counter labeled with
+// name (cbreak_bus_dropped_total). It returns the tap handle so a
+// consumer that outlives the bus can detach.
 func (r *Registry) WireBus(name string, bus *Bus) *TapHandle {
-	t := &busTap{
-		reports: NewCounterVec(DescWaitgraphReports),
-		trials:  NewCounterVec(DescTrials),
-	}
+	t := &busTap{}
 	h := bus.AttachTap(t)
 	r.RegisterCollector(func(emit func(Sample)) {
 		for k := 0; k < NumRecordKinds; k++ {
@@ -194,8 +101,6 @@ func (r *Registry) WireBus(name string, bus *Bus) *TapHandle {
 				Labels: []string{RecordKind(k).String()},
 				Value:  float64(t.counts[k].Load())})
 		}
-		t.reports.Collect(emit)
-		t.trials.Collect(emit)
 		emit(Sample{Desc: DescBusDropped, Labels: []string{name},
 			Value: float64(bus.Dropped())})
 	})

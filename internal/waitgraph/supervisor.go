@@ -30,13 +30,13 @@ const confirmAfter = 2
 // Supervisor watches the wait graph on behalf of one engine. The locks
 // registry hands it every lock cycle that closes while it runs, and it
 // confirms each at once, on its own goroutine, as a deadlock: a
-// deadlock-confirmed incident, a report, a bus record and the
-// Confirmed latch, so a harness can classify the trial immediately
-// instead of waiting out its deadline. While the engine has a postponed
-// goroutine, a ticker also scans for postponement stalls, and breaks a
-// stall seen in confirmAfter consecutive scans by force-releasing the
-// postponed victim through the engine's shared release path (recorded
-// as a cycle-break incident).
+// deadlock-confirmed incident, a report and the Confirmed latch, so a
+// harness can classify the trial immediately instead of waiting out
+// its deadline. While the engine has a postponed goroutine, a ticker
+// also scans for postponement stalls, and breaks a stall seen in
+// confirmAfter consecutive scans by force-releasing the postponed
+// victim through the engine's shared release path (recorded as a
+// cycle-break incident).
 //
 // A cycle that closed before Start, or closes after Stop, is never
 // delivered: sequential in-process trials deliberately leak deadlocked
@@ -213,30 +213,12 @@ func (s *Supervisor) act(r Report) {
 			"wait-graph deadlock confirmed: "+r.Desc)
 		s.confirmedOnce.Do(func() { close(s.confirmed) })
 	}
-	// Publish the finding on the engine's telemetry bus — the same
-	// fan-out the durable sink and live streams consume. The bus shape
-	// is the flattened telemetry.Report; the full structured finding
-	// remains available from Reports().
-	s.e.Bus().Publish(telemetry.Record{Kind: telemetry.RecordReport,
-		Report: r.telemetryReport()})
-}
-
-// telemetryReport flattens the finding into the bus shape
-// (telemetry.Report sits below this package in the import graph).
-func (r Report) telemetryReport() telemetry.Report {
-	return telemetry.Report{
-		When:        time.Now(),
-		Kind:        string(r.Kind),
-		Desc:        r.Desc,
-		Breakpoints: append([]string(nil), r.Breakpoints...),
-		GIDs:        append([]uint64(nil), r.GIDs...),
-		Victim:      r.Victim,
-	}
 }
 
 // RegisterMetrics registers the supervisor's catalog collector on reg:
-// the scan counter (confirmed-finding totals are counted off the bus by
-// telemetry.Registry.WireBus, which sees every act()).
+// the scan counter. Confirmed findings are counted as the incidents act
+// records (cbreak_incidents_total, kinds deadlock-confirmed and
+// cycle-break).
 func (s *Supervisor) RegisterMetrics(reg *telemetry.Registry) {
 	reg.RegisterCollector(func(emit func(telemetry.Sample)) {
 		emit(telemetry.Sample{Desc: telemetry.DescWaitgraphScans,
