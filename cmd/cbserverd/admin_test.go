@@ -206,6 +206,73 @@ func TestAdminSurface(t *testing.T) {
 	get(t, ts, "/reports")
 }
 
+// TestEveryCatalogFamilyIsProduced drives the daemon through each
+// layer that owns a catalog family and then requires a TYPE line for
+// every family in /metrics. WritePrometheus writes that line only for a
+// family that has samples, so a declared family nothing produces fails
+// here.
+func TestEveryCatalogFamilyIsProduced(t *testing.T) {
+	d, ts := startDaemon(t)
+	const bp = "catalog.bp"
+
+	// Every overload bound, the timeout-rate trip among them, so the
+	// water-mark gauges and the per-breakpoint trip state are exported.
+	post(t, ts, "/tune/overload", url.Values{"high-water": {"64"}, "soft-water": {"16"},
+		"max-per-shard": {"8"}, "timeout-rate": {"0.5"}})
+
+	// A two-way hit, then a lone arrival that times out.
+	opts := core.Options{Timeout: 2 * time.Second}
+	var wg sync.WaitGroup
+	outs := make([]core.Outcome, 2)
+	for i, first := range []bool{true, false} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = d.e.TriggerOutcome(core.NewPredTrigger(bp, nil, nil, nil), first, opts)
+		}()
+	}
+	wg.Wait()
+	if outs[0] != core.OutcomeHit || outs[1] != core.OutcomeHit {
+		t.Fatalf("rendezvous outcomes = %v, want two hits", outs)
+	}
+	if out := d.e.TriggerOutcome(core.NewPredTrigger(bp, nil, nil, nil), true,
+		core.Options{Timeout: 5 * time.Millisecond}); out != core.OutcomeTimeout {
+		t.Fatalf("lone arrival = %v, want a timeout", out)
+	}
+
+	// An incident: the admin release of a postponed goroutine.
+	released := make(chan core.Outcome, 1)
+	go func() {
+		released <- d.e.TriggerOutcome(core.NewPredTrigger(bp, nil, nil, nil), true,
+			core.Options{Timeout: 30 * time.Second})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for d.e.PostponedCount(bp) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("nobody ever postponed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gid := d.e.PostponedWaiters()[0].GID
+	out := post(t, ts, "/release", url.Values{"breakpoint": {bp}, "gid": {fmt.Sprint(gid)}})
+	if !strings.Contains(out, `"released": true`) {
+		t.Fatalf("release = %s", out)
+	}
+	<-released
+
+	// One request through the proxy.
+	if resp := roundtrip(t, d.px.Addr(), "GET /page/1"); !strings.HasPrefix(resp, "200 ") {
+		t.Fatalf("proxied request = %q", resp)
+	}
+
+	metrics := get(t, ts, "/metrics")
+	for _, desc := range telemetry.Catalog() {
+		if want := "# TYPE " + desc.Name + " " + desc.Kind.String() + "\n"; !strings.Contains(metrics, want) {
+			t.Errorf("/metrics has no %s family", desc.Name)
+		}
+	}
+}
+
 // TestHealthzHonest: /healthz answers 200 normally, 503 while the
 // overload policy has accept loops shedding, and 503 while draining —
 // a balancer must never route load a shedding or draining daemon will

@@ -10,6 +10,7 @@ import (
 	"cbreak/internal/core"
 	"cbreak/internal/guard"
 	"cbreak/internal/locks"
+	"cbreak/internal/telemetry"
 )
 
 // The locks registry is process-global and several tests here
@@ -856,4 +857,96 @@ func TestSupervisorIgnoresCyclesAfterStop(t *testing.T) {
 		t.Fatal("Confirmed closed after Stop")
 	default:
 	}
+}
+
+// busRecorder is a synchronous tap that keeps every record the bus
+// carries other than engine events.
+type busRecorder struct {
+	mu   sync.Mutex
+	recs []telemetry.Record
+}
+
+func (b *busRecorder) Deliver(rec telemetry.Record) {
+	if rec.Kind == telemetry.RecordEvent {
+		return
+	}
+	b.mu.Lock()
+	b.recs = append(b.recs, rec)
+	b.mu.Unlock()
+}
+
+// only fails unless the recorder holds exactly one record, an incident
+// of the given kind.
+func (b *busRecorder) only(t *testing.T, kind guard.IncidentKind) {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.recs) != 1 || b.recs[0].Kind != telemetry.RecordIncident || b.recs[0].Incident.Kind != kind {
+		var got []string
+		for _, r := range b.recs {
+			label := r.Kind.String()
+			if r.Kind == telemetry.RecordIncident {
+				label += " " + r.Incident.Kind.String()
+			}
+			got = append(got, label)
+		}
+		t.Fatalf("non-event bus records = %q, want one %s incident", got, kind)
+	}
+}
+
+// TestFindingIsOneBusRecord: a confirmed deadlock and a broken
+// postponement stall each reach the engine's bus as one incident and
+// nothing else. Stop returns after the supervisor's act, so every
+// record the finding produced has been delivered when it is counted.
+func TestFindingIsOneBusRecord(t *testing.T) {
+	t.Run("deadlock", func(t *testing.T) {
+		e := core.NewEngine()
+		rec := &busRecorder{}
+		defer e.Bus().AttachTap(rec).Detach()
+		sup := testSupervisor(e, Config{})
+		sup.Start()
+		defer sup.Stop()
+
+		lockCycle("wg-bus-dl", 2)
+		select {
+		case <-sup.Confirmed():
+		case <-time.After(5 * time.Second):
+			t.Fatal("cycle never confirmed")
+		}
+		sup.Stop()
+		rec.only(t, guard.KindDeadlockConfirmed)
+	})
+
+	t.Run("stall", func(t *testing.T) {
+		e := core.NewEngine()
+		rec := &busRecorder{}
+		defer e.Bus().AttachTap(rec).Detach()
+		sup := testSupervisor(e, Config{})
+		sup.Start()
+		defer sup.Stop()
+
+		l := locks.NewMutex("wg-bus-stall-L")
+		victimOut := make(chan core.Outcome, 1)
+		go func() {
+			l.LockAt("victim-site")
+			defer l.Unlock()
+			victimOut <- e.TriggerOutcome(core.NewConflictTrigger("wg.bus.stall.bp", new(int)),
+				true, core.Options{Timeout: 30 * time.Second})
+		}()
+		waitPostponed(t, e, "wg.bus.stall.bp")
+		go func() {
+			l.LockAt("wedged-site")
+			l.Unlock()
+		}()
+		select {
+		case out := <-victimOut:
+			if out != core.OutcomeTimeout {
+				t.Fatalf("victim outcome = %v, want OutcomeTimeout", out)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("victim never force-released")
+		}
+		sup.Stop()
+		rec.only(t, guard.KindCycleBreak)
+	})
 }
