@@ -277,7 +277,10 @@ func Run(cfg Config) appkit.Result {
 			q.Close()
 			// The natural grace between shutdown and free: the crash
 			// window only opens if a consumer is still looping past it.
-			time.Sleep(time.Millisecond)
+			// A consumer's 50 µs empty-queue sleep rounds up to the
+			// runtime's ~1 ms timer tick, so the grace must outlast
+			// that tick or the free and the poll often wake together.
+			time.Sleep(5 * time.Millisecond)
 			comp.fifo.Store("pbzip2:free", nil)
 		}
 
